@@ -4,7 +4,8 @@ Subcommands:
 
     parbelos --c1 X,Y --c2 X,Y --c3 X,Y [--side left|right] [--json] [--svg OUT.svg]
         Build the figure from three cusps, run every tangency and corollary
-        check, print the exact report.  Exit 0 iff all checks pass.
+        check, print the exact report.  Exit 0 iff all checks pass, 1 when
+        one fails, 2 on degenerate cusps or an unwritable --svg path.
         (The subcommand name may be omitted: ``parbelos --c1 ...`` works.)
 
     check FILE.geo [--json]
@@ -13,10 +14,12 @@ Subcommands:
         evaluation error.
 
     fuzz [--cases N] [--seed S] [--max-height H] [--parallel]
-        Seeded randomized invariant suites.  Exit 0 iff zero failures.
+        Seeded randomized invariant suites.  Exit 0 iff zero failures,
+        2 when N or H is not positive.
 
     render FILE.geo --svg OUT.svg [--width W] [--height H] [--margin M] [--digits D]
-        Evaluate a script and render its drawable bindings.
+        Evaluate a script and render its drawable bindings.  Exit 2 on a
+        parse or evaluation error, an empty scene or an unwritable OUT.svg.
 """
 
 from __future__ import annotations
@@ -67,11 +70,13 @@ def _cmd_parbelos(argv: list[str]) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    checks = sondow_checks(fig) + corollary_checks(fig)
-    overall = all(ok for _, _, ok in checks)
     if args.json:
-        print(json.dumps(verification_json(fig), indent=2))
+        doc = verification_json(fig)
+        overall = doc["overall"]
+        print(json.dumps(doc, indent=2))
     else:
+        checks = sondow_checks(fig) + corollary_checks(fig)
+        overall = all(ok for _, _, ok in checks)
         print(f"parbelos figure (side={args.side})")
         named = (
             ("C1", fig.C1),
@@ -95,8 +100,13 @@ def _cmd_parbelos(argv: list[str]) -> int:
             print(f"  [{'pass' if ok else 'FAIL'}] {label}")
         print(f"overall: {'pass' if overall else 'FAIL'}")
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_svg(figure_scene(fig)))
+        document = render_svg(figure_scene(fig))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as handle:
+                handle.write(document)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0 if overall else 1
 
 
@@ -141,6 +151,10 @@ def _cmd_fuzz(argv: list[str]) -> int:
     parser.add_argument("--max-height", type=int, default=DEFAULT_MAX_HEIGHT)
     parser.add_argument("--parallel", action="store_true")
     args = parser.parse_args(argv)
+    for flag, value in (("--cases", args.cases), ("--max-height", args.max_height)):
+        if value <= 0:
+            print(f"error: {flag} must be positive, got {value}", file=sys.stderr)
+            return 2
     results = run_all(args.cases, args.seed, args.max_height, args.parallel)
     total_cases = sum(r.cases for r in results)
     total_failures = sum(len(r.failures) for r in results)
@@ -175,11 +189,11 @@ def _cmd_render(argv: list[str]) -> int:
             margin=args.margin,
             decimal_digits=args.digits,
         )
+        with open(args.svg, "w", encoding="utf-8") as handle:
+            handle.write(document)
     except (OSError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.svg, "w", encoding="utf-8") as handle:
-        handle.write(document)
     print(f"wrote {args.svg}")
     return 0
 

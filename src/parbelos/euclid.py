@@ -83,11 +83,13 @@ class Line:
     c: int
 
     def __post_init__(self):
-        a, b, c = Fraction(self.a), Fraction(self.b), Fraction(self.c)
-        if a == 0 and b == 0:
+        ia, ib, ic = self.a, self.b, self.c
+        if not (type(ia) is int and type(ib) is int and type(ic) is int):
+            a, b, c = Fraction(ia), Fraction(ib), Fraction(ic)
+            mult = math.lcm(a.denominator, b.denominator, c.denominator)
+            ia, ib, ic = int(a * mult), int(b * mult), int(c * mult)
+        if ia == 0 and ib == 0:
             raise DegenerateLine("line needs (a, b) != (0, 0)")
-        mult = math.lcm(a.denominator, b.denominator, c.denominator)
-        ia, ib, ic = int(a * mult), int(b * mult), int(c * mult)
         g = math.gcd(ia, ib, ic)
         ia, ib, ic = ia // g, ib // g, ic // g
         if ia < 0 or (ia == 0 and ib < 0):
@@ -101,7 +103,10 @@ class Line:
         return self.a * p.x + self.b * p.y + self.c
 
     def contains(self, p: Point) -> bool:
-        return self.evaluate(p) == 0
+        # evaluate(p) == 0 with the denominators cleared: no Fraction is built.
+        xn, xd = p.x.numerator, p.x.denominator
+        yn, yd = p.y.numerator, p.y.denominator
+        return self.a * xn * yd + self.b * yn * xd + self.c * xd * yd == 0
 
     def direction(self) -> tuple[int, int]:
         """Primitive integer direction vector, sign-canonicalized.
@@ -152,10 +157,16 @@ def line_through(p: Point, q: Point) -> Line:
     """Canonical line containing two distinct points."""
     if p == q:
         raise CoincidentPoints(f"no unique line through {p} twice")
-    a = q.y - p.y
-    b = p.x - q.x
-    c = -(a * p.x + b * p.y)
-    return Line(a, b, c)
+    px, py, pw = _homogeneous(p)
+    qx, qy, qw = _homogeneous(q)
+    return Line(py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx)
+
+
+def _homogeneous(p: Point) -> tuple[int, int, int]:
+    """Integer triple (X : Y : W) with p = (X/W, Y/W) and W = lcm of the denominators."""
+    xd, yd = p.x.denominator, p.y.denominator
+    w = math.lcm(xd, yd)
+    return p.x.numerator * (w // xd), p.y.numerator * (w // yd), w
 
 
 def parallel_through(line: Line, p: Point) -> Line:

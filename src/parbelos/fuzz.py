@@ -10,6 +10,7 @@ cusp coordinates stay below 10^4 before reduction.
 from __future__ import annotations
 
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -130,8 +131,12 @@ def _run_cases(
     args = [(seed, i, scale) for i in range(cases)]
     if parallel and cases > 1:
         failures: list[str] = []
-        with ProcessPoolExecutor() as pool:
-            for result in pool.map(one_case, args, chunksize=64):
+        workers = os.cpu_count() or 1
+        # About four chunks per worker, as multiprocessing.Pool.map sizes them,
+        # so a short suite still reaches every worker.
+        chunksize = -(-cases // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for result in pool.map(one_case, args, chunksize=chunksize):
                 failures.extend(result)
         return SuiteResult(name, cases, failures)
     failures = []

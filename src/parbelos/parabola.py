@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Literal
 
@@ -43,16 +44,6 @@ RIGHT: Side = "right"
 
 
 @dataclass(frozen=True)
-class Parabola:
-    focus: Point
-    directrix: Line
-
-    def __post_init__(self):
-        if self.directrix.contains(self.focus):
-            raise FocusOnDirectrix(f"focus {self.focus} lies on the directrix")
-
-
-@dataclass(frozen=True)
 class CanonicalElements:
     vertex: Point
     axis: Line
@@ -60,36 +51,67 @@ class CanonicalElements:
     latus_endpoints: Segment
 
 
+@dataclass(frozen=True)
+class Parabola:
+    """A parabola given by its focus and directrix.
+
+    The derived quantities (axis direction, focal scale, canonical elements)
+    are computed on first use and kept in the instance ``__dict__``, where
+    ``cached_property`` may write even on a frozen dataclass.  Equality and
+    hash read only the two fields, and pickling drops the memo.
+    """
+
+    focus: Point
+    directrix: Line
+
+    def __post_init__(self):
+        if self.directrix.contains(self.focus):
+            raise FocusOnDirectrix(f"focus {self.focus} lies on the directrix")
+
+    def __getstate__(self) -> dict:
+        return {"focus": self.focus, "directrix": self.directrix}
+
+    @cached_property
+    def _axis_direction(self) -> tuple[int, int]:
+        nx, ny = self.directrix.normal()
+        if self.directrix.evaluate(self.focus) < 0:
+            nx, ny = -nx, -ny
+        return nx, ny
+
+    @cached_property
+    def _focal_scale(self) -> Rational:
+        line = self.directrix
+        g = math.gcd(line.a, line.b)
+        return Fraction(abs(line.evaluate(self.focus)) * g, 2 * (line.a**2 + line.b**2))
+
+    @cached_property
+    def _elements(self) -> CanonicalElements:
+        focus, directrix = self.focus, self.directrix
+        foot = pedal_point(focus, directrix)
+        vertex = midpoint(focus, foot)
+        ux, uy = directrix.direction()
+        offset = scale(point(ux, uy), 2 * self._focal_scale)
+        return CanonicalElements(
+            vertex=vertex,
+            axis=perpendicular_through(directrix, focus),
+            supporting_line=parallel_through(directrix, vertex),
+            latus_endpoints=Segment(focus + offset, focus - offset),
+        )
+
+
 def axis_direction(parabola: Parabola) -> tuple[int, int]:
     """Primitive integer normal of the directrix, oriented toward the opening."""
-    nx, ny = parabola.directrix.normal()
-    if parabola.directrix.evaluate(parabola.focus) < 0:
-        nx, ny = -nx, -ny
-    return nx, ny
+    return parabola._axis_direction
 
 
 def focal_scale(parabola: Parabola) -> Rational:
     """The rational k > 0 with focus = vertex + k * axis_direction."""
-    line = parabola.directrix
-    g = math.gcd(line.a, line.b)
-    return Fraction(abs(line.evaluate(parabola.focus)) * g, 2 * (line.a**2 + line.b**2))
+    return parabola._focal_scale
 
 
 def canonical_elements(parabola: Parabola) -> CanonicalElements:
     """Vertex, axis, supporting line and latus endpoints, all exact."""
-    focus, directrix = parabola.focus, parabola.directrix
-    foot = pedal_point(focus, directrix)
-    vertex = midpoint(focus, foot)
-    axis = perpendicular_through(directrix, focus)
-    supporting = parallel_through(directrix, vertex)
-    ux, uy = directrix.direction()
-    offset = scale(point(ux, uy), 2 * focal_scale(parabola))
-    return CanonicalElements(
-        vertex=vertex,
-        axis=axis,
-        supporting_line=supporting,
-        latus_endpoints=Segment(focus + offset, focus - offset),
-    )
+    return parabola._elements
 
 
 def _rot90_toward_side(v: Point, side: Side) -> Point:

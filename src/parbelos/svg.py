@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EmptyScene
+from .errors import EmptyScene, PointNotOnParabola
 from .euclid import Circle, Line, Point, Segment, line_intersection, point, scale
 from .figure import ParbelosFigure
 from .parabola import (
@@ -80,7 +80,8 @@ def parabola_arc(parabola: Parabola, t0: Rational, t1: Rational) -> ArcElement:
     # The quadratic Bezier with this control point must retrace the parabola;
     # check its midpoint B(1/2) = (p0 + 2*control + p1)/4 exactly.
     bezier_mid = scale(p0 + scale(control, 2) + p1, Fraction(1, 4))
-    assert contains_point(parabola, bezier_mid), "Bezier control point is off the parabola"
+    if not contains_point(parabola, bezier_mid):
+        raise PointNotOnParabola(f"Bezier control point {control} is off the parabola")
     return ArcElement(parabola, t0, t1, p0, p1, control)
 
 

@@ -132,3 +132,54 @@ def test_help_exits_zero(capsys):
     code, _, err = run(capsys, "--help")
     assert code == 0
     assert "Subcommands" in err
+
+
+def test_parbelos_json_runs_each_check_pass_once(monkeypatch, capsys):
+    import parbelos.cli as cli
+    import parbelos.jsonio as jsonio
+
+    calls = []
+    for module in (cli, jsonio):
+        for name in ("sondow_checks", "corollary_checks"):
+            original = getattr(module, name)
+
+            def counted(fig, _original=original, _name=name):
+                calls.append(_name)
+                return _original(fig)
+
+            monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(capsys, "--c1", "0,0", "--c2", "1,0", "--c3", "4,0", "--json")
+    assert code == 0 and json.loads(out)["overall"] is True
+    assert sorted(calls) == ["corollary_checks", "sondow_checks"]
+
+
+def test_fuzz_nonpositive_cases_exit_2(capsys):
+    for cases in ("0", "-3"):
+        code, out, err = run(capsys, "fuzz", "--cases", cases)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --cases") and err.count("\n") == 1
+
+
+def test_fuzz_nonpositive_max_height_exit_2(capsys):
+    for height in ("0", "-1"):
+        code, out, err = run(capsys, "fuzz", "--cases", "2", "--max-height", height)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --max-height") and err.count("\n") == 1
+
+
+def test_parbelos_unwritable_svg_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "fig.svg"
+    code, _, err = run(capsys, "--c1", "0,0", "--c2", "1,0", "--c3", "4,0", "--svg", str(target))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_render_unwritable_svg_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "out.svg"
+    code, out, err = run(capsys, "render", str(DATA / "sondow.geo"), "--svg", str(target))
+    assert code == 2
+    assert "wrote" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1

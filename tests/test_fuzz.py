@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from parbelos.fuzz import (
     _case_rng,
+    _run_cases,
     height_scale,
     rand_cusps,
     rand_rotation,
@@ -61,3 +62,16 @@ def test_run_all_shape():
     assert all(r.passed for r in results)
     names = [r.name for r in results]
     assert "sondow+corollaries" in names and "FT = HT" in names
+
+
+def _fail_with_index(args):
+    seed, index, _ = args
+    return [f"{seed}:{index}"]
+
+
+def test_parallel_keeps_case_and_failure_order():
+    for cases in (2, 21, 200):
+        serial = _run_cases("order", cases, 9, _fail_with_index, 0)
+        parallel = _run_cases("order", cases, 9, _fail_with_index, 0, parallel=True)
+        assert serial.failures == [f"9:{i}" for i in range(cases)]
+        assert parallel == serial

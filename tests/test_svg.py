@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from parbelos.errors import EmptyScene
+from parbelos.errors import EmptyScene, PointNotOnParabola
 from parbelos.euclid import Line, Point, line_intersection, point
 from parbelos.figure import build_parbelos
 from parbelos.parabola import LEFT, Parabola, tangent_at
@@ -47,6 +47,54 @@ def test_arc_control_points_random_parameters():
 def test_degenerate_arc_rejected():
     with pytest.raises(EmptyScene):
         parabola_arc(OUTER, F(0), F(0))
+
+
+_OPTIMIZED_ARC_SCRIPT = """
+import sys
+from fractions import Fraction
+
+import parbelos.svg as svg
+from parbelos.cli import main
+from parbelos.errors import PointNotOnParabola
+from parbelos.euclid import Line, point
+from parbelos.parabola import Parabola
+
+print("optimize", sys.flags.optimize)
+print("exit", main(["--c1", "0,0", "--c2", "1,0", "--c3", "4,0", "--svg", sys.argv[1]]))
+real = svg.line_intersection
+svg.line_intersection = lambda l1, l2: real(l1, l2) + point(0, Fraction(1, 7))
+try:
+    svg.parabola_arc(Parabola(point(2, 0), Line(0, 1, 2)), Fraction(-2), Fraction(2))
+except PointNotOnParabola:
+    print("forged control rejected")
+"""
+
+
+def test_arc_certificate_holds_under_python_optimize(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out_svg = tmp_path / "fig.svg"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_ARC_SCRIPT, str(out_svg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[-2:] == ["exit 0", "forged control rejected"]
+    assert out_svg.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_forged_control_point_rejected(monkeypatch):
+    import parbelos.svg as svg
+
+    monkeypatch.setattr(svg, "line_intersection", lambda l1, l2: point(2, -1))
+    with pytest.raises(PointNotOnParabola):
+        parabola_arc(OUTER, F(-2), F(2))
 
 
 def test_empty_scene_rejected():
