@@ -18,8 +18,10 @@ Subcommands:
         2 when N or H is not positive.
 
     render FILE.geo --svg OUT.svg [--width W] [--height H] [--margin M] [--digits D]
-        Evaluate a script and render its drawable bindings.  Exit 2 on a
-        parse or evaluation error, an empty scene or an unwritable OUT.svg.
+        Evaluate a script and render its drawable bindings.  Exit 0 when
+        OUT.svg is written, 2 on a parse or evaluation error, an empty
+        scene, an unwritable OUT.svg, a W or H that is not positive, a
+        margin that leaves no drawing area, or a negative D.
 """
 
 from __future__ import annotations
@@ -178,6 +180,16 @@ def _cmd_render(argv: list[str]) -> int:
     parser.add_argument("--margin", type=int, default=40)
     parser.add_argument("--digits", type=int, default=12)
     args = parser.parse_args(argv)
+    drawable = min(args.width, args.height) - 2 * args.margin
+    for bad, problem in (
+        (args.width <= 0, f"--width must be positive, got {args.width}"),
+        (args.height <= 0, f"--height must be positive, got {args.height}"),
+        (drawable <= 0, f"--margin {args.margin} leaves no drawing area"),
+        (args.digits < 0, f"--digits must not be negative, got {args.digits}"),
+    ):
+        if bad:
+            print(f"error: {problem}", file=sys.stderr)
+            return 2
     try:
         with open(args.file, encoding="utf-8") as handle:
             source = handle.read()

@@ -12,19 +12,8 @@ half-plane keywords ``left`` / ``right``.  There is no arithmetic and no
 re-binding: a script is a dependency chain of kernel calls whose assertions
 are the product.
 
-Constructors:
-    point(x, y)                  line(P, Q)
-    circle3(A, B, C)             circle2(P, Q, t)
-    parabola_latus(E1, E2, side) tangent_at(G, P)
-    pedal(P, L)                  perp(L, P)
-    intersect(L1, L2)            second_intersect(L, K, P)
-    parbelos(C1, C2, C3, side)
-
-Predicates:
-    collinear(A, B, C)           concyclic(K, P)
-    on_parabola(G, P)            tangent(G, L)
-    equidistant(P, A, B)         perpendicular(L1, L2)
-    eq(x, y)
+The constructors and predicates, with their argument kinds, are the rows of
+:data:`CONSTRUCTORS` and :data:`PREDICATES`.
 
 All verdicts are exact; evaluation is deterministic and stops at the first
 construction error, reporting the offending statement's position.
@@ -37,12 +26,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from . import euclid, parabola as parabola_mod
-from .errors import GeometryError
-from .euclid import Circle, Line, Point, dist_sq, dist_sq_point_line, is_perpendicular
+from .errors import GeometryError, ZeroDenominator
+from .euclid import (
+    Circle,
+    Line,
+    Point,
+    circle_through_points,
+    circumcircle,
+    cross,
+    dist_sq,
+    dist_sq_point_line,
+    is_collinear,
+    is_perpendicular,
+    line_intersection,
+    line_through,
+    on_circle,
+    pedal_point,
+    perpendicular_through,
+    second_intersection,
+)
 from .figure import ParbelosFigure, build_parbelos
 from .jsonio import value_json
-from .parabola import Parabola
+from .parabola import (
+    Parabola,
+    canonical_elements,
+    contains_point,
+    is_tangent,
+    parabola_from_latus_rectum,
+    tangent_at,
+)
 from .rational import format_rational, parse_rational
 
 
@@ -153,31 +165,8 @@ class Program:
     statements: tuple[Union[Let, Assertion], ...]
 
 
-CONSTRUCTOR_ARITY = {
-    "point": 2,
-    "line": 2,
-    "circle3": 3,
-    "circle2": 3,
-    "parabola_latus": 3,
-    "tangent_at": 2,
-    "pedal": 2,
-    "perp": 2,
-    "intersect": 2,
-    "second_intersect": 3,
-    "parbelos": 4,
-}
-
-PREDICATE_ARITY = {
-    "collinear": 3,
-    "concyclic": 2,
-    "on_parabola": 2,
-    "tangent": 2,
-    "equidistant": 3,
-    "perpendicular": 2,
-    "eq": 2,
-}
-
-_KEYWORDS = {"let", "assert", "left", "right"}
+_SIDES = ("left", "right")
+_KEYWORDS = {"let", "assert", *_SIDES}
 
 _TOKEN_RE = re.compile(
     r"(?P<rational>[+-]?\d+(?:/\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),=.])|(?P<bad>\S)"
@@ -234,9 +223,15 @@ def _parse_arg(p: _LineParser, bound: set[str]) -> Arg:
     tok = p.next()
     kind, text, col = tok
     if kind == "rational":
-        return RationalArg(parse_rational(text), p.line_no, col)
+        try:
+            return RationalArg(parse_rational(text), p.line_no, col)
+        except ZeroDenominator:
+            message = "rational literal has a zero denominator"
+        except ValueError:  # more digits than the interpreter converts to an int
+            message = f"rational literal too long ({len(text)} characters)"
+        raise GeoSyntaxError(message, p.line_no, col)
     if kind == "ident":
-        if text in ("left", "right"):
+        if text in _SIDES:
             return SideArg(text, p.line_no, col)
         if text in _KEYWORDS:
             raise GeoSyntaxError(f"{text!r} is a reserved word", p.line_no, col)
@@ -251,7 +246,7 @@ def _parse_arg(p: _LineParser, bound: set[str]) -> Arg:
     raise GeoSyntaxError(f"expected an argument, got {text!r}", p.line_no, col)
 
 
-def _parse_call(p: _LineParser, bound: set[str], table: dict[str, int], unknown_error) -> Call:
+def _parse_call(p: _LineParser, bound: set[str], table: dict, unknown_error) -> Call:
     kind, func, col = p.next("ident", describe="a constructor or predicate name")
     if func not in table:
         raise unknown_error(f"unknown name {func!r}", p.line_no, col)
@@ -268,10 +263,9 @@ def _parse_call(p: _LineParser, bound: set[str], table: dict[str, int], unknown_
                 break
             if text != ",":
                 raise GeoSyntaxError(f"expected ',' or ')', got {text!r}", p.line_no, tcol)
-    if len(args) != table[func]:
-        raise GeoSyntaxError(
-            f"{func} expects {table[func]} arguments, got {len(args)}", p.line_no, col
-        )
+    arity = len(table[func][1])
+    if len(args) != arity:
+        raise GeoSyntaxError(f"{func} expects {arity} arguments, got {len(args)}", p.line_no, col)
     return Call(func, tuple(args), p.line_no, col)
 
 
@@ -296,12 +290,12 @@ def parse_script(text: str) -> Program:
             if name in bound:
                 raise DuplicateName(f"name {name!r} is already bound", line_no, ncol)
             p.next("punct", "=")
-            call = _parse_call(p, bound, CONSTRUCTOR_ARITY, UnknownConstructor)
+            call = _parse_call(p, bound, CONSTRUCTORS, UnknownConstructor)
             p.end()
             statements.append(Let(name, call, line_no, col))
             bound.add(name)
         elif head == "assert":
-            call = _parse_call(p, bound, PREDICATE_ARITY, UnknownPredicate)
+            call = _parse_call(p, bound, PREDICATES, UnknownPredicate)
             p.end()
             statements.append(Assertion(call, line_no, col))
         else:
@@ -345,19 +339,9 @@ _FIGURE_ALIASES = {
     "contact": "contact_T",
 }
 
-_TYPE_NAMES = {
-    Point: "point",
-    Line: "line",
-    Circle: "circle",
-    Parabola: "parabola",
-    Fraction: "rational",
-}
-
 
 def _resolve(arg: Arg, env: dict[str, object]):
-    if isinstance(arg, RationalArg):
-        return arg.value
-    if isinstance(arg, SideArg):
+    if not isinstance(arg, NameArg):
         return arg.value
     value = env[arg.name]
     if arg.attr is None:
@@ -372,127 +356,90 @@ def _resolve(arg: Arg, env: dict[str, object]):
     return getattr(value, field)
 
 
-def _expect(value, cls, what: str, call: Call):
-    if cls is Fraction and isinstance(value, Fraction):
-        return value
-    if cls is not Fraction and isinstance(value, cls):
-        return value
-    got = _TYPE_NAMES.get(type(value), type(value).__name__)
-    raise EvalError(f"{call.func} expects a {what}, got {got}", call.line, call.col)
+_KINDS = {"point": Point, "line": Line, "circle": Circle, "parabola": Parabola, "rational": Fraction}
 
 
-def _eval_constructor(call: Call, values: list) -> object:
-    f = call.func
-    if f == "point":
-        x = _expect(values[0], Fraction, "rational", call)
-        y = _expect(values[1], Fraction, "rational", call)
-        return Point(x, y)
-    if f == "line":
-        return euclid.line_through(
-            _expect(values[0], Point, "point", call), _expect(values[1], Point, "point", call)
-        )
-    if f == "circle3":
-        return euclid.circumcircle(*(_expect(v, Point, "point", call) for v in values))
-    if f == "circle2":
-        return euclid.circle_through_points(
-            _expect(values[0], Point, "point", call),
-            _expect(values[1], Point, "point", call),
-            _expect(values[2], Fraction, "rational", call),
-        )
-    if f == "parabola_latus":
-        side = values[2]
-        if side not in ("left", "right"):
-            raise EvalError("side must be left or right", call.line, call.col)
-        return parabola_mod.parabola_from_latus_rectum(
-            _expect(values[0], Point, "point", call),
-            _expect(values[1], Point, "point", call),
-            side,
-        )
-    if f == "tangent_at":
-        return parabola_mod.tangent_at(
-            _expect(values[0], Parabola, "parabola", call),
-            _expect(values[1], Point, "point", call),
-        )
-    if f == "pedal":
-        return euclid.pedal_point(
-            _expect(values[0], Point, "point", call), _expect(values[1], Line, "line", call)
-        )
-    if f == "perp":
-        return euclid.perpendicular_through(
-            _expect(values[0], Line, "line", call), _expect(values[1], Point, "point", call)
-        )
-    if f == "intersect":
-        return euclid.line_intersection(
-            _expect(values[0], Line, "line", call), _expect(values[1], Line, "line", call)
-        )
-    if f == "second_intersect":
-        return euclid.second_intersection(
-            _expect(values[0], Line, "line", call),
-            _expect(values[1], Circle, "circle", call),
-            _expect(values[2], Point, "point", call),
-        )
-    if f == "parbelos":
-        side = values[3]
-        if side not in ("left", "right"):
-            raise EvalError("side must be left or right", call.line, call.col)
-        return build_parbelos(
-            _expect(values[0], Point, "point", call),
-            _expect(values[1], Point, "point", call),
-            _expect(values[2], Point, "point", call),
-            side,
-        )
-    raise AssertionError(f"unhandled constructor {f}")
+def _collinear(a: Point, b: Point, c: Point):
+    return is_collinear(a, b, c), {"determinant": value_json(cross(b - a, c - a))}
 
 
-def _eval_predicate(call: Call, values: list) -> tuple[bool, dict]:
-    f = call.func
-    if f == "collinear":
-        a, b, c = (_expect(v, Point, "point", call) for v in values)
-        det = euclid.cross(b - a, c - a)
-        return det == 0, {"determinant": value_json(det)}
-    if f == "concyclic":
-        circle = _expect(values[0], Circle, "circle", call)
-        p = _expect(values[1], Point, "point", call)
-        d = dist_sq(circle.center, p)
-        return d == circle.radius_sq, {
-            "dist_sq": value_json(d),
-            "radius_sq": value_json(circle.radius_sq),
-        }
-    if f == "on_parabola":
-        g = _expect(values[0], Parabola, "parabola", call)
-        p = _expect(values[1], Point, "point", call)
-        to_focus = dist_sq(p, g.focus)
-        to_directrix = dist_sq_point_line(p, g.directrix)
-        return to_focus == to_directrix, {
-            "dist_sq_focus": value_json(to_focus),
-            "dist_sq_directrix": value_json(to_directrix),
-        }
-    if f == "tangent":
-        g = _expect(values[0], Parabola, "parabola", call)
-        line = _expect(values[1], Line, "line", call)
-        pedal = euclid.pedal_point(g.focus, line)
-        supporting = parabola_mod.canonical_elements(g).supporting_line
-        return supporting.contains(pedal), {
-            "focus_pedal": value_json(pedal),
-            "supporting_line": value_json(supporting),
-        }
-    if f == "equidistant":
-        p, a, b = (_expect(v, Point, "point", call) for v in values)
-        da, db = dist_sq(p, a), dist_sq(p, b)
-        return da == db, {"dist_sq_first": value_json(da), "dist_sq_second": value_json(db)}
-    if f == "perpendicular":
-        l1 = _expect(values[0], Line, "line", call)
-        l2 = _expect(values[1], Line, "line", call)
-        return is_perpendicular(l1, l2), {"normal_dot": l1.a * l2.a + l1.b * l2.b}
-    if f == "eq":
-        left, right = values
+def _concyclic(circle: Circle, p: Point):
+    return on_circle(circle, p), {
+        "dist_sq": value_json(dist_sq(circle.center, p)),
+        "radius_sq": value_json(circle.radius_sq),
+    }
+
+
+def _on_parabola(g: Parabola, p: Point):
+    return contains_point(g, p), {
+        "dist_sq_focus": value_json(dist_sq(p, g.focus)),
+        "dist_sq_directrix": value_json(dist_sq_point_line(p, g.directrix)),
+    }
+
+
+def _tangent(g: Parabola, line: Line):
+    return is_tangent(g, line), {
+        "focus_pedal": value_json(pedal_point(g.focus, line)),
+        "supporting_line": value_json(canonical_elements(g).supporting_line),
+    }
+
+
+def _equidistant(p: Point, a: Point, b: Point):
+    da, db = dist_sq(p, a), dist_sq(p, b)
+    return da == db, {"dist_sq_first": value_json(da), "dist_sq_second": value_json(db)}
+
+
+def _perpendicular(l1: Line, l2: Line):
+    return is_perpendicular(l1, l2), {"normal_dot": l1.a * l2.a + l1.b * l2.b}
+
+
+def _eq(left, right):
+    try:
+        witness = {"left": value_json(left), "right": value_json(right)}
+    except TypeError:
         witness = {}
-        try:
-            witness = {"left": value_json(left), "right": value_json(right)}
-        except TypeError:
-            pass
-        return left == right, witness
-    raise AssertionError(f"unhandled predicate {f}")
+    return left == right, witness
+
+
+# The one list of the language: name -> (callable, argument kinds).  The
+# parser takes each arity from here; ``side`` accepts ``left``/``right`` and
+# ``any`` every value.  Predicates return (verdict, witness), the verdict
+# being the kernel predicate's own.
+CONSTRUCTORS = {
+    "point": (Point, ("rational", "rational")),
+    "line": (line_through, ("point", "point")),
+    "circle3": (circumcircle, ("point", "point", "point")),
+    "circle2": (circle_through_points, ("point", "point", "rational")),
+    "parabola_latus": (parabola_from_latus_rectum, ("point", "point", "side")),
+    "tangent_at": (tangent_at, ("parabola", "point")),
+    "pedal": (pedal_point, ("point", "line")),
+    "perp": (perpendicular_through, ("line", "point")),
+    "intersect": (line_intersection, ("line", "line")),
+    "second_intersect": (second_intersection, ("line", "circle", "point")),
+    "parbelos": (build_parbelos, ("point", "point", "point", "side")),
+}
+
+PREDICATES = {
+    "collinear": (_collinear, ("point", "point", "point")),
+    "concyclic": (_concyclic, ("circle", "point")),
+    "on_parabola": (_on_parabola, ("parabola", "point")),
+    "tangent": (_tangent, ("parabola", "line")),
+    "equidistant": (_equidistant, ("point", "point", "point")),
+    "perpendicular": (_perpendicular, ("line", "line")),
+    "eq": (_eq, ("any", "any")),
+}
+
+
+def _apply(table: dict, call: Call, values: list):
+    """Check each value against its kind, left to right, then call the row."""
+    func, kinds = table[call.func]
+    for value, kind in zip(values, kinds):
+        if kind == "side" and value not in _SIDES:
+            raise EvalError("side must be left or right", call.line, call.col)
+        if kind in _KINDS and not isinstance(value, _KINDS[kind]):
+            got = next((k for k, c in _KINDS.items() if isinstance(value, c)), type(value).__name__)
+            raise EvalError(f"{call.func} expects a {kind}, got {got}", call.line, call.col)
+    return func(*values)
 
 
 def evaluate(program: Program) -> EvalReport:
@@ -508,9 +455,9 @@ def evaluate(program: Program) -> EvalReport:
         try:
             values = [_resolve(arg, env) for arg in stmt.call.args]
             if isinstance(stmt, Let):
-                env[stmt.name] = _eval_constructor(stmt.call, values)
+                env[stmt.name] = _apply(CONSTRUCTORS, stmt.call, values)
             else:
-                passed, witness = _eval_predicate(stmt.call, values)
+                passed, witness = _apply(PREDICATES, stmt.call, values)
                 assertions.append(AssertionResult(stmt.line, stmt.call.text(), passed, witness))
         except DslError:
             raise

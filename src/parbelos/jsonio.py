@@ -8,9 +8,10 @@ construction, so identical inputs give byte-identical ``json.dumps`` output.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
-from .euclid import Circle, Line, Point, Segment
+from .euclid import Circle, Line, Point
 from .figure import ParbelosFigure, corollary_checks, sondow_checks
 from .parabola import Parabola
 from .rational import format_rational
@@ -28,41 +29,19 @@ def circle_json(circle: Circle) -> dict:
     return {"center": point_json(circle.center), "radius_sq": format_rational(circle.radius_sq)}
 
 
-def segment_json(segment: Segment) -> dict:
-    return {"p": point_json(segment.p), "q": point_json(segment.q)}
-
-
 def parabola_json(parabola: Parabola) -> dict:
     return {"focus": point_json(parabola.focus), "directrix": line_json(parabola.directrix)}
 
 
 def figure_json(fig: ParbelosFigure) -> dict:
-    """Figure fields by their attribute names."""
-    return {
-        "C1": point_json(fig.C1),
-        "C2": point_json(fig.C2),
-        "C3": point_json(fig.C3),
-        "inner1": parabola_json(fig.inner1),
-        "inner2": parabola_json(fig.inner2),
-        "outer": parabola_json(fig.outer),
-        "tangent_at_C1": line_json(fig.tangent_at_C1),
-        "tangent_at_C3": line_json(fig.tangent_at_C3),
-        "tangent_at_C2_left": line_json(fig.tangent_at_C2_left),
-        "tangent_at_C2_right": line_json(fig.tangent_at_C2_right),
-        "T1": point_json(fig.T1),
-        "T2": point_json(fig.T2),
-        "T3": point_json(fig.T3),
-        "square_R": [point_json(p) for p in fig.square_R],
-        "center_O": point_json(fig.center_O),
-        "circumcircle_K": circle_json(fig.circumcircle_K),
-        "focus_F": point_json(fig.focus_F),
-        "diagonal": line_json(fig.diagonal),
-        "contact_T": point_json(fig.contact_T),
-        "bisector": line_json(fig.bisector),
-        "H": point_json(fig.H),
-        "A1": point_json(fig.A1),
-        "A3": point_json(fig.A3),
-    }
+    """Figure fields by their attribute names, in declaration order."""
+    doc = {}
+    for field in fields(fig):
+        value = getattr(fig, field.name)
+        # square_R, the one tuple field, becomes a list; value_json rejects tuples.
+        is_tuple = isinstance(value, tuple)
+        doc[field.name] = [point_json(p) for p in value] if is_tuple else value_json(value)
+    return doc
 
 
 def verification_json(fig: ParbelosFigure) -> dict:
@@ -90,8 +69,6 @@ def value_json(value):
         return line_json(value)
     if isinstance(value, Circle):
         return circle_json(value)
-    if isinstance(value, Segment):
-        return segment_json(value)
     if isinstance(value, Parabola):
         return parabola_json(value)
     if isinstance(value, ParbelosFigure):

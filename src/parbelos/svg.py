@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyScene, PointNotOnParabola
-from .euclid import Circle, Line, Point, Segment, line_intersection, point, scale
+from .euclid import Circle, Line, Point, line_intersection, point, scale
 from .figure import ParbelosFigure
 from .parabola import (
     Parabola,
@@ -156,8 +156,6 @@ def bindings_scene(bindings: dict[str, object]) -> Scene:
             scene.add_line(value)
         elif isinstance(value, Circle):
             scene.add_circle(value)
-        elif isinstance(value, Segment):
-            scene.add_segment(value.p, value.q)
         elif isinstance(value, Parabola):
             half_latus = 2 * focal_scale(value)
             scene.add_arc(value, -half_latus, half_latus)

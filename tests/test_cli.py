@@ -183,3 +183,25 @@ def test_render_unwritable_svg_exit_2(tmp_path, capsys):
     assert code == 2
     assert "wrote" not in out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_literals_exit_2_with_position(tmp_path, capsys):
+    for literal in ("1/0", "5" * 4301):
+        script = tmp_path / "literal.geo"
+        script.write_text(f"let A = point(0, 0)\nlet B = point({literal}, 1)\n")
+        for argv in (("check", str(script)), ("render", str(script), "--svg", str(tmp_path / "o.svg"))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: line 2, col 15: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.svg").exists()
+
+
+def test_render_bad_canvas_exit_2(tmp_path, capsys):
+    target = tmp_path / "out.svg"
+    for flag, value in (("--digits", "-1"), ("--margin", "400"), ("--width", "0")):
+        code, out, err = run(capsys, "render", str(DATA / "sondow.geo"), "--svg", str(target), flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+        assert not target.exists()

@@ -2,11 +2,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parbelos.dsl import (
     Assertion,
+    DslError,
     DuplicateName,
     EvalError,
+    EvalReport,
     GeoSyntaxError,
     Let,
     UnboundName,
@@ -233,3 +237,131 @@ def test_witnesses_are_exact():
     coll, equi = report.assertions
     assert coll.passed and coll.witness == {"determinant": "0"}
     assert equi.passed and equi.witness == {"dist_sq_first": "25", "dist_sq_second": "25"}
+
+
+@pytest.mark.parametrize("literal", ["1/0", "-3/0", "7" * 4301, "1/" + "7" * 4301])
+def test_bad_literal_is_a_syntax_error_at_its_position(literal):
+    with pytest.raises(GeoSyntaxError) as exc:
+        parse_script(f"let A = point(0, 0)\nassert eq(A, {literal})")
+    assert (exc.value.line, exc.value.col) == (2, 14)
+    assert len(str(exc.value)) < 100
+
+
+# Argument kinds of every constructor and predicate, written out here so the
+# tables in the module are checked against an independent listing.
+CONSTRUCTOR_KINDS = {
+    "point": ("rational", "rational"),
+    "line": ("point", "point"),
+    "circle3": ("point", "point", "point"),
+    "circle2": ("point", "point", "rational"),
+    "parabola_latus": ("point", "point", "side"),
+    "tangent_at": ("parabola", "point"),
+    "pedal": ("point", "line"),
+    "perp": ("line", "point"),
+    "intersect": ("line", "line"),
+    "second_intersect": ("line", "circle", "point"),
+    "parbelos": ("point", "point", "point", "side"),
+}
+
+PREDICATE_KINDS = {
+    "collinear": ("point", "point", "point"),
+    "concyclic": ("circle", "point"),
+    "on_parabola": ("parabola", "point"),
+    "tangent": ("parabola", "line"),
+    "equidistant": ("point", "point", "point"),
+    "perpendicular": ("line", "line"),
+    "eq": ("any", "any"),
+}
+
+SIGNATURES = [("let X = ", name, kinds) for name, kinds in CONSTRUCTOR_KINDS.items()] + [
+    ("assert ", name, kinds) for name, kinds in PREDICATE_KINDS.items()
+]
+
+# One bound value of each kind; the preamble is 6 lines long.
+KIND_PREAMBLE = """\
+let Pa = point(0, 0)
+let Pb = point(1, 0)
+let Pc = point(0, 1)
+let L = line(Pa, Pb)
+let K = circle3(Pa, Pb, Pc)
+let G = parabola_latus(Pa, Pb, left)
+"""
+GOOD_ARG = {"point": "Pa", "line": "L", "circle": "K", "parabola": "G", "rational": "1/2", "side": "left", "any": "Pa"}
+
+
+def test_signature_tables_match_listing():
+    from parbelos.dsl import CONSTRUCTORS, PREDICATES
+
+    assert {name: kinds for name, (_, kinds) in CONSTRUCTORS.items()} == CONSTRUCTOR_KINDS
+    assert {name: kinds for name, (_, kinds) in PREDICATES.items()} == PREDICATE_KINDS
+
+
+@pytest.mark.parametrize("head, name, kinds", SIGNATURES, ids=[s[1] for s in SIGNATURES])
+def test_wrong_kind_names_function_and_kind(head, name, kinds):
+    for index, kind in enumerate(kinds):
+        if kind == "any":
+            continue
+        bad, got = ("L", "line") if kind == "point" else ("Pa", "point")
+        args = [bad if i == index else GOOD_ARG[k] for i, k in enumerate(kinds)]
+        program = parse_script(KIND_PREAMBLE + f"{head}{name}({', '.join(args)})\n")
+        with pytest.raises(EvalError) as exc:
+            evaluate(program)
+        expected = "side must be left or right" if kind == "side" else f"{name} expects a {kind}, got {got}"
+        assert str(exc.value) == f"line 7, col {len(head) + 1}: {expected}"
+
+
+@pytest.mark.parametrize("head, name, kinds", SIGNATURES, ids=[s[1] for s in SIGNATURES])
+def test_wrong_count_is_a_syntax_error(head, name, kinds):
+    for count in (len(kinds) - 1, len(kinds) + 1):
+        args = ", ".join(["Pa"] * count)
+        with pytest.raises(GeoSyntaxError) as exc:
+            parse_script(KIND_PREAMBLE + f"{head}{name}({args})\n")
+        assert f"{name} expects {len(kinds)} arguments, got {count}" in str(exc.value)
+
+
+SCRIPT_NAMES = ("A", "B", "C", "D")
+
+SCRIPT_ARGS = st.one_of(
+    st.sampled_from(SCRIPT_NAMES),
+    st.builds(
+        "{}.{}".format,
+        st.sampled_from(SCRIPT_NAMES),
+        st.sampled_from(("T1", "outer", "diagonal", "F", "K", "square_R", "nope")),
+    ),
+    st.sampled_from(("left", "right")),
+    st.integers(-9, 9).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(-9, 9).map("{}/0".format),
+    st.integers(4301, 4310).map(lambda digits: "3" * digits),
+)
+
+
+@st.composite
+def scripts(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from(sorted(CONSTRUCTOR_KINDS) + sorted(PREDICATE_KINDS)))
+        arity = len(CONSTRUCTOR_KINDS.get(name) or PREDICATE_KINDS[name])
+        count = arity if draw(st.integers(0, 4)) else draw(st.integers(0, 5))
+        call = f"{name}({', '.join(draw(st.lists(SCRIPT_ARGS, min_size=count, max_size=count)))})"
+        # One statement in ten puts a predicate after `let` or a constructor after `assert`.
+        is_let = (name in CONSTRUCTOR_KINDS) != (draw(st.integers(0, 9)) == 0)
+        lines.append(f"let {draw(st.sampled_from(SCRIPT_NAMES))} = {call}" if is_let else f"assert {call}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripts())
+def test_any_script_ends_in_report_or_dsl_error(source):
+    try:
+        program = parse_script(source)
+    except DslError:
+        return
+    text = pretty_print(program)
+    assert pretty_print(parse_script(text)) == text
+    try:
+        report = evaluate(program)
+    except DslError:
+        return
+    assert isinstance(report, EvalReport)
+    json.dumps(report_json(report))
