@@ -14,8 +14,9 @@ Subcommands:
         evaluation error.
 
     fuzz [--cases N] [--seed S] [--max-height H] [--parallel]
-        Seeded randomized invariant suites.  Exit 0 iff zero failures,
-        2 when N or H is not positive.
+        Seeded randomized invariant suites; cusp coordinates have numerators
+        and denominators of at most H (H >= 22).  Exit 0 iff zero failures,
+        2 when N is not positive or H is below 22.
 
     render FILE.geo --svg OUT.svg [--width W] [--height H] [--margin M] [--digits D]
         Evaluate a script and render its drawable bindings.  Exit 0 when
@@ -34,9 +35,9 @@ from .dsl import DslError, evaluate, parse_script, report_json
 from .errors import GeometryError
 from .euclid import Point
 from .figure import build_parbelos, corollary_checks, sondow_checks
-from .fuzz import DEFAULT_MAX_HEIGHT, run_all
+from .fuzz import DEFAULT_MAX_HEIGHT, MIN_MAX_HEIGHT, run_all
 from .jsonio import verification_json
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational, too_long_to_print
 from .svg import bindings_scene, figure_scene, render_svg
 
 SUBCOMMANDS = ("parbelos", "check", "fuzz", "render")
@@ -65,44 +66,52 @@ def _parbelos_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _figure_text(fig, side: str) -> tuple[str, bool]:
+    """The text report and the overall verdict."""
+    checks = sondow_checks(fig) + corollary_checks(fig)
+    overall = all(ok for _, _, ok in checks)
+    named = (
+        ("C1", fig.C1),
+        ("C2", fig.C2),
+        ("C3", fig.C3),
+        ("T1", fig.T1),
+        ("T2", fig.T2),
+        ("T3", fig.T3),
+        ("F", fig.focus_F),
+        ("O", fig.center_O),
+        ("contact", fig.contact_T),
+        ("H", fig.H),
+        ("A1", fig.A1),
+        ("A3", fig.A3),
+    )
+    lines = [f"parbelos figure (side={side})"]
+    lines += [f"  {label} = {p}" for label, p in named]
+    lines.append(f"  radius_sq = {format_rational(fig.circumcircle_K.radius_sq)}")
+    lines.append("checks:")
+    lines += [f"  [{'pass' if ok else 'FAIL'}] {label}" for label, _, ok in checks]
+    lines.append(f"overall: {'pass' if overall else 'FAIL'}")
+    return "\n".join(lines), overall
+
+
 def _cmd_parbelos(argv: list[str]) -> int:
     args = _parbelos_parser().parse_args(argv)
+    # The whole output is built before any of it is printed.
     try:
         fig = build_parbelos(args.c1, args.c2, args.c3, args.side)
+        if args.json:
+            doc = verification_json(fig)
+            text, overall = json.dumps(doc, indent=2), doc["overall"]
+        else:
+            text, overall = _figure_text(fig, args.side)
+        document = render_svg(figure_scene(fig)) if args.svg else None
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        doc = verification_json(fig)
-        overall = doc["overall"]
-        print(json.dumps(doc, indent=2))
-    else:
-        checks = sondow_checks(fig) + corollary_checks(fig)
-        overall = all(ok for _, _, ok in checks)
-        print(f"parbelos figure (side={args.side})")
-        named = (
-            ("C1", fig.C1),
-            ("C2", fig.C2),
-            ("C3", fig.C3),
-            ("T1", fig.T1),
-            ("T2", fig.T2),
-            ("T3", fig.T3),
-            ("F", fig.focus_F),
-            ("O", fig.center_O),
-            ("contact", fig.contact_T),
-            ("H", fig.H),
-            ("A1", fig.A1),
-            ("A3", fig.A3),
-        )
-        for label, p in named:
-            print(f"  {label} = {p}")
-        print(f"  radius_sq = {format_rational(fig.circumcircle_K.radius_sq)}")
-        print("checks:")
-        for label, _, ok in checks:
-            print(f"  [{'pass' if ok else 'FAIL'}] {label}")
-        print(f"overall: {'pass' if overall else 'FAIL'}")
-    if args.svg:
-        document = render_svg(figure_scene(fig))
+    except ValueError:  # an int past the interpreter's digit limit turned into text
+        print(f"error: {too_long_to_print('the figure')}", file=sys.stderr)
+        return 2
+    print(text)
+    if document is not None:
         try:
             with open(args.svg, "w", encoding="utf-8") as handle:
                 handle.write(document)
@@ -153,9 +162,10 @@ def _cmd_fuzz(argv: list[str]) -> int:
     parser.add_argument("--max-height", type=int, default=DEFAULT_MAX_HEIGHT)
     parser.add_argument("--parallel", action="store_true")
     args = parser.parse_args(argv)
-    for flag, value in (("--cases", args.cases), ("--max-height", args.max_height)):
-        if value <= 0:
-            print(f"error: {flag} must be positive, got {value}", file=sys.stderr)
+    bounds = (("--cases", args.cases, 1), ("--max-height", args.max_height, MIN_MAX_HEIGHT))
+    for flag, value, least in bounds:
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return 2
     results = run_all(args.cases, args.seed, args.max_height, args.parallel)
     total_cases = sum(r.cases for r in results)
@@ -205,6 +215,9 @@ def _cmd_render(argv: list[str]) -> int:
             handle.write(document)
     except (OSError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError:  # an int past the interpreter's digit limit turned into text
+        print(f"error: {too_long_to_print('the drawing')}", file=sys.stderr)
         return 2
     print(f"wrote {args.svg}")
     return 0

@@ -21,6 +21,7 @@ construction error, reporting the offending statement's position.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +56,7 @@ from .parabola import (
     parabola_from_latus_rectum,
     tangent_at,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational, too_long_to_print
 
 
 class DslError(GeometryError):
@@ -447,7 +448,9 @@ def evaluate(program: Program) -> EvalReport:
 
     Assertion failures are verdicts in the report, not errors; kernel errors
     (degenerate constructions and the like) raise :class:`EvalError` carrying
-    the statement position.
+    the statement position.  So does a binding or witness with an integer too
+    long to print (see :func:`~parbelos.rational.too_long_to_print`), so that
+    :func:`report_json` can always be printed.
     """
     env: dict[str, object] = {}
     assertions: list[AssertionResult] = []
@@ -455,14 +458,24 @@ def evaluate(program: Program) -> EvalReport:
         try:
             values = [_resolve(arg, env) for arg in stmt.call.args]
             if isinstance(stmt, Let):
-                env[stmt.name] = _apply(CONSTRUCTORS, stmt.call, values)
+                value = _apply(CONSTRUCTORS, stmt.call, values)
+                json.dumps(value_json(value))
+                env[stmt.name] = value
             else:
                 passed, witness = _apply(PREDICATES, stmt.call, values)
+                json.dumps(witness)
                 assertions.append(AssertionResult(stmt.line, stmt.call.text(), passed, witness))
         except DslError:
             raise
         except GeometryError as exc:
             raise EvalError(str(exc), stmt.line, stmt.col) from exc
+        except ValueError:
+            # The only ValueError here: an int past the interpreter's digit
+            # limit turned into text, by a witness, the binding's JSON or a
+            # kernel error message.
+            is_let = isinstance(stmt, Let)
+            what = f"binding {stmt.name}" if is_let else f"assertion {stmt.call.func}"
+            raise EvalError(too_long_to_print(what), stmt.line, stmt.col) from None
     return EvalReport(bindings=env, assertions=assertions)
 
 

@@ -157,16 +157,24 @@ def line_through(p: Point, q: Point) -> Line:
     """Canonical line containing two distinct points."""
     if p == q:
         raise CoincidentPoints(f"no unique line through {p} twice")
-    px, py, pw = _homogeneous(p)
-    qx, qy, qw = _homogeneous(q)
+    pw, [(px, py)] = _common(p)
+    qw, [(qx, qy)] = _common(q)
     return Line(py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx)
 
 
-def _homogeneous(p: Point) -> tuple[int, int, int]:
-    """Integer triple (X : Y : W) with p = (X/W, Y/W) and W = lcm of the denominators."""
-    xd, yd = p.x.denominator, p.y.denominator
-    w = math.lcm(xd, yd)
-    return p.x.numerator * (w // xd), p.y.numerator * (w // yd), w
+def _common(*points: Point) -> tuple[int, list[tuple[int, int]]]:
+    """One shared denominator W and integer (X, Y) with p = (X/W, Y/W) for each point.
+
+    W is the lcm of all the points' coordinate denominators.
+    """
+    w = 1
+    for p in points:
+        w = math.lcm(w, p.x.denominator, p.y.denominator)
+    numerators = []
+    for p in points:
+        x, y = p.x, p.y
+        numerators.append((x.numerator * (w // x.denominator), y.numerator * (w // y.denominator)))
+    return w, numerators
 
 
 def parallel_through(line: Line, p: Point) -> Line:

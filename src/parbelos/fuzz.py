@@ -78,13 +78,20 @@ def rand_side(rng: random.Random) -> Side:
     return rng.choice((LEFT, RIGHT))
 
 
+MIN_MAX_HEIGHT = 22
+
+
 def height_scale(max_height: int) -> int:
     """Generator bound giving cusp coordinates of height <= max_height.
 
     With bound s a cusp coordinate is (p*q + n*d*q0) / (q0*q) for |p|, q0 <= s,
     n <= 4s, q <= 2s, |d| <= 5: numerator <= 2s^2 + 20s^2, denominator <= 2s^2,
-    so s = isqrt(max_height)//5 keeps both under the cap.
+    so s = isqrt(max_height)//5 keeps both under the cap.  The smallest bound,
+    s = 1, reaches height 22, so a max_height below 22 (``MIN_MAX_HEIGHT``)
+    raises ``ValueError``.
     """
+    if max_height < MIN_MAX_HEIGHT:
+        raise ValueError(f"max_height must be at least {MIN_MAX_HEIGHT}, got {max_height}")
     return max(1, math.isqrt(max_height) // 5)
 
 

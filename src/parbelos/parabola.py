@@ -10,6 +10,15 @@ parameter t is vertex + t*u + (t^2 / 4k)*n -- no square roots anywhere.
 
 The tangency predicate is the pedal criterion: a line is tangent exactly when
 the orthogonal projection of the focus onto it lands on the supporting line.
+
+Membership, tangency, the tangent at a point and the parabola of a latus
+rectum are decided in integers: the points involved are written over one
+shared denominator W (``euclid._common``) and each test or line is a
+polynomial identity in the numerators, so no Fraction is built (the latus
+construction builds just the focus).  The derivations of the vertex, axis,
+supporting line and chord points stay on Fraction, whose reduction after each
+step keeps operands short at large heights; cross-multiplied, they ran
+1.4-3.7x slower on 3300-bit inputs.
 """
 
 from __future__ import annotations
@@ -25,13 +34,10 @@ from .euclid import (
     Line,
     Point,
     Segment,
-    dist_sq,
-    dist_sq_point_line,
-    line_through,
+    _common,
     midpoint,
     parallel_through,
     pedal_point,
-    perpendicular_bisector,
     perpendicular_through,
     point,
     scale,
@@ -114,34 +120,47 @@ def canonical_elements(parabola: Parabola) -> CanonicalElements:
     return parabola._elements
 
 
-def _rot90_toward_side(v: Point, side: Side) -> Point:
-    if side == LEFT:
-        return Point(-v.y, v.x)
-    if side == RIGHT:
-        return Point(v.y, -v.x)
-    raise DegenerateSide(f"side must be 'left' or 'right', got {side!r}")
-
-
 def parabola_from_latus_rectum(e1: Point, e2: Point, side: Side) -> Parabola:
     """Parabola whose latus rectum is the segment e1-e2, opening into ``side``.
 
     ``side`` names the open half-plane (left or right of the directed segment
     e1 -> e2) that the parabola opens into.  The focus is the midpoint; the
     directrix is the latus line translated by half the latus length away from
-    the opening, built by rotating e2 - e1 a quarter turn toward the side.
+    the opening.  Over the shared denominator W of e1 = (X1, Y1)/W and
+    e2 = (X2, Y2)/W, the focus is (X1 + X2, Y1 + Y2)/2W, and r, the quarter
+    turn of (X2 - X1, Y2 - Y1) toward the side, is both the directrix normal
+    and twice the step from the focus to the directrix.  So the directrix
+    passes through the anchor (X1 + X2 - rx, Y1 + Y2 - ry)/2W and is the
+    integer triple (2W*rx, 2W*ry, -r.(2W*anchor)); the focus coordinates are
+    the only Fractions built.
     """
     if e1 == e2:
         raise CoincidentPoints("latus rectum endpoints coincide")
-    focus = midpoint(e1, e2)
-    toward_opening = _rot90_toward_side(e2 - e1, side)
-    anchor = focus - scale(toward_opening, Fraction(1, 2))
-    directrix = parallel_through(line_through(e1, e2), anchor)
+    w, [(x1, y1), (x2, y2)] = _common(e1, e2)
+    if side == LEFT:
+        rx, ry = y1 - y2, x2 - x1
+    elif side == RIGHT:
+        rx, ry = y2 - y1, x1 - x2
+    else:
+        raise DegenerateSide(f"side must be 'left' or 'right', got {side!r}")
+    sx, sy = x1 + x2, y1 + y2
+    focus = Point(Fraction(sx, 2 * w), Fraction(sy, 2 * w))
+    directrix = Line(2 * w * rx, 2 * w * ry, -(rx * (sx - rx) + ry * (sy - ry)))
     return Parabola(focus, directrix)
 
 
 def contains_point(parabola: Parabola, p: Point) -> bool:
-    """Focus-directrix membership test, exact on squared distances."""
-    return dist_sq(p, parabola.focus) == dist_sq_point_line(p, parabola.directrix)
+    """Focus-directrix membership test, exact on squared distances.
+
+    With p = (X, Y)/W and focus = (FX, FY)/W over one shared denominator and
+    the directrix a*x + b*y + c = 0, the test |p - F|^2 = L(p)^2 / (a^2 + b^2)
+    is ((X - FX)^2 + (Y - FY)^2) * (a^2 + b^2) == (a*X + b*Y + c*W)^2.
+    """
+    w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
+    line = parabola.directrix
+    dx, dy = x - fx, y - fy
+    v = line.a * x + line.b * y + line.c * w
+    return (dx * dx + dy * dy) * (line.a * line.a + line.b * line.b) == v * v
 
 
 def point_at_parameter(parabola: Parabola, t: Rational) -> Point:
@@ -175,19 +194,43 @@ def parameter_of(parabola: Parabola, p: Point) -> Rational:
 def tangent_at(parabola: Parabola, p: Point) -> Line:
     """Tangent line at a point of the parabola.
 
-    Built as the perpendicular bisector of the focus and the pedal of p on
-    the directrix; rational-closed, and certified against ``is_tangent`` by
-    the test-suite rather than trusted.  At the vertex this degenerates to
-    the supporting line, which counts as a tangent.
+    The parabola is the zero set of f(X) = n*|X - F|^2 - L(X)^2, with L the
+    directrix a*x + b*y + c and n = a^2 + b^2.  Over the shared denominator W
+    of p = (X, Y)/W and F = (FX, FY)/W, W times half the gradient of f at p
+    is g = n*(X - FX, Y - FY) - v*(a, b) with v = a*X + b*Y + c*W, and the
+    tangent is the integer triple (gx*W, gy*W, -(gx*X + gy*Y)).  g is first
+    divided by gcd(gx, gy): on 3300-bit figures that common factor has about
+    three times the bits of W, and the canonical line would otherwise strip
+    it from larger numbers.  g is never zero: a zero g puts the focus on the
+    directrix.  The tangent at p is unique, so this is the same canonical
+    line as the perpendicular bisector of the focus and the pedal of p on the
+    directrix; the test-suite certifies it against that construction and
+    ``is_tangent``.  At the vertex it is the supporting line, which counts as
+    a tangent.
     """
     if not contains_point(parabola, p):
         raise PointNotOnParabola(f"{p} is not on the parabola")
-    foot = pedal_point(p, parabola.directrix)
-    return perpendicular_bisector(parabola.focus, foot)
+    w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
+    line = parabola.directrix
+    n = line.a * line.a + line.b * line.b
+    v = line.a * x + line.b * y + line.c * w
+    gx, gy = n * (x - fx) - v * line.a, n * (y - fy) - v * line.b
+    h = math.gcd(gx, gy)
+    gx, gy = gx // h, gy // h
+    return Line(gx * w, gy * w, -(gx * x + gy * y))
 
 
 def is_tangent(parabola: Parabola, line: Line) -> bool:
     """Pedal tangency criterion: the focus projects onto ``line`` inside the
-    supporting line exactly when ``line`` is tangent."""
-    pedal = pedal_point(parabola.focus, line)
-    return canonical_elements(parabola).supporting_line.contains(pedal)
+    supporting line exactly when ``line`` is tangent.
+
+    With F = (X, Y)/W and n = a^2 + b^2 for ``line`` = (a, b, c), the pedal is
+    the homogeneous point (n*X - a*v, n*Y - b*v, n*W), v = a*X + b*Y + c*W.
+    The supporting line S is zero there exactly when, by linearity,
+    n*(S.a*X + S.b*Y + S.c*W) == v*(S.a*a + S.b*b).
+    """
+    w, [(x, y)] = _common(parabola.focus)
+    a, b = line.a, line.b
+    s = canonical_elements(parabola).supporting_line
+    v = a * x + b * y + line.c * w
+    return (a * a + b * b) * (s.a * x + s.b * y + s.c * w) == v * (s.a * a + s.b * b)

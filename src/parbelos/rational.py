@@ -13,6 +13,7 @@ strings for rendering.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ZeroDenominator
@@ -48,6 +49,18 @@ def format_rational(value: Rational) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def too_long_to_print(what: str) -> str:
+    """Error text for ``what`` holding an integer the interpreter will not print.
+
+    Python refuses to turn an int of more than ``sys.get_int_max_str_digits()``
+    digits (4300 by default) into text, with a ``ValueError``.  The package
+    leaves that limit as it is: callers that print catch the error and report
+    this text instead.
+    """
+    limit = sys.get_int_max_str_digits()
+    return f"{what} has an integer of more than {limit} digits, too long to print"
 
 
 def to_decimal_string(value: Rational, digits: int = 12) -> str:

@@ -161,6 +161,16 @@ def test_fuzz_nonpositive_cases_exit_2(capsys):
         assert err.startswith("error: --cases") and err.count("\n") == 1
 
 
+def test_fuzz_max_height_below_22_exit_2(capsys):
+    for height in ("21", "10", "1"):
+        code, out, err = run(capsys, "fuzz", "--cases", "2", "--max-height", height)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --max-height must be at least 22, got {height}\n"
+    code, out, _ = run(capsys, "fuzz", "--cases", "2", "--max-height", "22")
+    assert code == 0 and out.endswith("overall: 0 failures in 15 cases\n")
+
+
 def test_fuzz_nonpositive_max_height_exit_2(capsys):
     for height in ("0", "-1"):
         code, out, err = run(capsys, "fuzz", "--cases", "2", "--max-height", height)
@@ -205,3 +215,44 @@ def test_render_bad_canvas_exit_2(tmp_path, capsys):
         assert out == ""
         assert err.startswith(f"error: {flag}") and err.count("\n") == 1
         assert not target.exists()
+
+
+WIDE = "9" * 3000
+
+
+def test_unprintable_script_values_exit_2_with_position(tmp_path, capsys):
+    script = tmp_path / "wide.geo"
+    script.write_text(
+        f"let A = point(0, 0)\nlet B = point({WIDE}, 1)\nlet C = point(1, {WIDE})\n"
+        "assert collinear(A, B, C)\n"
+    )
+    target = tmp_path / "o.svg"
+    commands = (("check",), ("check", "--json"), ("render", "--svg", str(target)))
+    for command, *flags in commands:
+        code, out, err = run(capsys, command, str(script), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 4, col 1: ") and "more than 4300 digits" in err
+        assert err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_figure_too_large_to_print_exit_2(tmp_path, capsys):
+    half = "9" * 1500
+    cusps = ("--c1", "0,0", "--c2", f"1/{half},0", "--c3", f"{half},0")
+    target = tmp_path / "fig.svg"
+    for extra in (("--json",), (), ("--svg", str(target))):
+        code, out, err = run(capsys, *cusps, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the figure has an integer of more than 4300 digits, too long to print\n"
+    assert not target.exists()
+
+
+def test_render_digits_too_long_to_print_exit_2(tmp_path, capsys):
+    target = tmp_path / "out.svg"
+    code, out, err = run(capsys, "render", str(DATA / "sondow.geo"), "--svg", str(target), "--digits", "4400")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the drawing has an integer of more than 4300 digits, too long to print\n"
+    assert not target.exists()

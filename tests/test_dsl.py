@@ -247,6 +247,35 @@ def test_bad_literal_is_a_syntax_error_at_its_position(literal):
     assert len(str(exc.value)) < 100
 
 
+# Valid literals whose products outgrow the 4300 digits Python prints.
+WIDE = "9" * 3000
+UNPRINTABLE_SCRIPTS = {
+    # the collinear witness is a determinant of about 6000 digits
+    "witness": f"let A = point(0, 0)\nlet B = point({WIDE}, 1)\nlet C = point(1, {WIDE})\n"
+    "assert collinear(A, B, C)\n",
+    # the circumcentre has a numerator of about 6000 digits
+    "binding": f"let A = point(0, 0)\nlet B = point({WIDE}, 1)\nlet C = point(1, {WIDE})\n"
+    "let K = circle3(A, B, C)\n",
+    # the perpendicular witness is a plain int of about 6000 digits
+    "int witness": f"let A = point(0, 0)\nlet B = point(1, {WIDE})\nlet C = point(-1, {WIDE})\n"
+    "let L1 = line(A, B)\nlet L2 = line(A, C)\nassert perpendicular(L1, L2)\n",
+    # the kernel's error names the cusp ratio t, of about 6000 digits
+    "kernel message": f"let A = point(0, 0)\nlet B = point({WIDE}, 0)\nlet C = point(1/{WIDE}, 0)\n"
+    "let P = parbelos(A, B, C, left)\n",
+}
+
+
+@pytest.mark.parametrize("source", UNPRINTABLE_SCRIPTS.values(), ids=list(UNPRINTABLE_SCRIPTS))
+def test_unprintable_value_is_an_eval_error_at_its_statement(source):
+    program = parse_script(source)
+    with pytest.raises(EvalError) as exc:
+        evaluate(program)
+    stmt = program.statements[-1]
+    assert (exc.value.line, exc.value.col) == (stmt.line, stmt.col)
+    assert "more than 4300 digits" in str(exc.value)
+    assert len(str(exc.value)) < 120
+
+
 # Argument kinds of every constructor and predicate, written out here so the
 # tables in the module are checked against an independent listing.
 CONSTRUCTOR_KINDS = {
@@ -321,6 +350,17 @@ def test_wrong_count_is_a_syntax_error(head, name, kinds):
 
 SCRIPT_NAMES = ("A", "B", "C", "D")
 
+# Valid literals of 2000 to 4300 digits, whose products cannot be printed.
+WIDE_LITERALS = st.one_of(
+    st.builds(lambda digit, count: str(digit) * count, st.integers(1, 9), st.integers(2000, 4300)),
+    st.builds("1/{}".format, st.integers(2000, 4300).map(lambda count: "7" * count)),
+)
+
+SMALL_LITERALS = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+)
+
 SCRIPT_ARGS = st.one_of(
     st.sampled_from(SCRIPT_NAMES),
     st.builds(
@@ -329,10 +369,10 @@ SCRIPT_ARGS = st.one_of(
         st.sampled_from(("T1", "outer", "diagonal", "F", "K", "square_R", "nope")),
     ),
     st.sampled_from(("left", "right")),
-    st.integers(-9, 9).map(str),
-    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+    SMALL_LITERALS,
     st.integers(-9, 9).map("{}/0".format),
     st.integers(4301, 4310).map(lambda digits: "3" * digits),
+    WIDE_LITERALS,
 )
 
 
@@ -364,4 +404,36 @@ def test_any_script_ends_in_report_or_dsl_error(source):
     except DslError:
         return
     assert isinstance(report, EvalReport)
+    json.dumps(report_json(report))
+
+
+# Rows whose arguments can all be drawn without earlier bindings but points.
+POINT_ROWS = [row for row in SIGNATURES if set(row[2]) <= {"point", "rational", "side"}]
+
+
+@st.composite
+def wide_scripts(draw):
+    """Well-typed scripts over points with coordinates of up to 4300 digits."""
+    coordinates = st.one_of(SMALL_LITERALS, WIDE_LITERALS)
+    lines = [f"let P{i} = point({draw(coordinates)}, {draw(coordinates)})" for i in range(3)]
+    choices = {
+        "point": st.sampled_from(("P0", "P1", "P2")),
+        "rational": coordinates,
+        "side": st.sampled_from(("left", "right")),
+    }
+    rows = draw(st.lists(st.sampled_from(POINT_ROWS), min_size=1, max_size=3))
+    for i, (head, name, kinds) in enumerate(rows):
+        args = ", ".join(draw(choices[kind]) for kind in kinds)
+        lines.append(f"{head.replace('X', f'X{i}')}{name}({args})")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_scripts())
+def test_wide_literal_scripts_end_in_printable_report_or_eval_error(source):
+    program = parse_script(source)
+    try:
+        report = evaluate(program)
+    except EvalError:
+        return
     json.dumps(report_json(report))

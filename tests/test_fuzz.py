@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from parbelos.fuzz import (
     _case_rng,
     _run_cases,
@@ -29,6 +31,22 @@ def test_cusp_generator_height_bound():
                 assert abs(coord.numerator) <= 10_000
                 assert coord.denominator <= 10_000
         assert side in ("left", "right")
+
+
+@pytest.mark.parametrize("max_height", [22, 100, 10**4, 10**6])
+def test_cusp_heights_stay_within_max_height(max_height):
+    scale = height_scale(max_height)
+    for i in range(1500):
+        c1, c2, c3, _ = rand_cusps(_case_rng(max_height, i), scale)
+        for coord in (c1.x, c1.y, c2.x, c2.y, c3.x, c3.y):
+            assert abs(coord.numerator) <= max_height and coord.denominator <= max_height
+
+
+def test_height_scale_rejects_heights_below_22():
+    assert height_scale(22) == 1
+    for max_height in (21, 10, 1, 0, -1):
+        with pytest.raises(ValueError, match="at least 22"):
+            height_scale(max_height)
 
 
 def test_rotation_generator_is_always_valid():

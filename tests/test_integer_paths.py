@@ -1,5 +1,9 @@
-"""The integer paths of Line, Line.contains and line_through against the
-Fraction formulas they replaced, and the per-instance memo of Parabola.
+"""The integer paths of the kernel against the Fraction formulas they
+replaced: Line canonicalisation, Line.contains and line_through, and the
+parabola primitives contains_point, is_tangent, tangent_at and
+parabola_from_latus_rectum; the per-instance memo of Parabola; and a count of
+the Fractions each integer path builds, so a timing-free test notices when
+Fraction arithmetic comes back onto one of them.
 
 Heights cover both regimes the kernel runs in: about 13 bits (fuzz and
 figure inputs) and about 3300 bits (cusp coordinates below 10^1000).
@@ -13,14 +17,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parbelos.errors import CoincidentPoints, DegenerateLine
-from parbelos.euclid import Line, Point, line_through
+from parbelos.errors import CoincidentPoints, DegenerateLine, DegenerateSide, PointNotOnParabola
+from parbelos.euclid import (
+    Line,
+    Point,
+    dist_sq,
+    dist_sq_point_line,
+    line_through,
+    midpoint,
+    parallel_through,
+    pedal_point,
+    perpendicular_bisector,
+    scale,
+)
 from parbelos.parabola import (
     Parabola,
     axis_direction,
     canonical_elements,
+    contains_point,
     focal_scale,
+    is_tangent,
     parabola_from_latus_rectum,
+    point_at_parameter,
+    tangent_at,
 )
 
 HEIGHTS = (13, 3300)
@@ -171,3 +190,170 @@ def test_equality_hash_and_pickle_ignore_the_memo(bits, data):
     assert restored == warm and hash(restored) == hash(warm)
     assert set(vars(restored)) == {"focus", "directrix"}
     assert canonical_elements(restored) == elements
+
+
+# --- parabola primitives against the Fraction formulas they replaced ---
+
+
+def reference_contains_point(parabola, p):
+    return dist_sq(p, parabola.focus) == dist_sq_point_line(p, parabola.directrix)
+
+
+def reference_is_tangent(parabola, line):
+    pedal = pedal_point(parabola.focus, line)
+    return canonical_elements(parabola).supporting_line.contains(pedal)
+
+
+def reference_tangent_at(parabola, p):
+    return perpendicular_bisector(parabola.focus, pedal_point(p, parabola.directrix))
+
+
+def reference_from_latus(e1, e2, side):
+    if e1 == e2:
+        raise CoincidentPoints("latus rectum endpoints coincide")
+    focus = midpoint(e1, e2)
+    v = e2 - e1
+    if side == "left":
+        toward_opening = Point(-v.y, v.x)
+    elif side == "right":
+        toward_opening = Point(v.y, -v.x)
+    else:
+        raise DegenerateSide(f"side must be 'left' or 'right', got {side!r}")
+    anchor = focus - scale(toward_opening, Fraction(1, 2))
+    return Parabola(focus, parallel_through(line_through(e1, e2), anchor))
+
+
+# A random 3300-bit latus rectum gives a directrix of about 26,000 bits, so the
+# properties that derive points on the parabola draw fewer examples.
+HEAVY = settings(max_examples=20, deadline=None)
+
+
+def on_parabola(data, parabola):
+    # 13-bit parameters: the point's height then follows the parabola's.
+    return point_at_parameter(parabola, data.draw(rationals(13)))
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@HEAVY
+@given(data=st.data())
+def test_contains_point_matches_fraction_formula(bits, data):
+    parabola = data.draw(parabolas(bits))
+    p = on_parabola(data, parabola)
+    nudge = data.draw(rationals(bits).filter(bool))
+    off = data.draw(points(bits))
+    vertex = canonical_elements(parabola).vertex
+    candidates = (p, vertex, Point(p.x + nudge, p.y), Point(p.x, p.y + nudge), off)
+    for candidate in candidates:
+        assert contains_point(parabola, candidate) == reference_contains_point(parabola, candidate)
+    assert contains_point(parabola, p)
+    assert not contains_point(parabola, parabola.focus)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@HEAVY
+@given(data=st.data())
+def test_is_tangent_matches_fraction_formula(bits, data):
+    parabola = data.draw(parabolas(bits))
+    p, q = on_parabola(data, parabola), on_parabola(data, parabola)
+    shift = data.draw(ints(bits).filter(bool))
+    tangent = tangent_at(parabola, p)
+    lines = [tangent, Line(tangent.a, tangent.b, tangent.c + shift), canonical_elements(parabola).axis]
+    if p != q:
+        lines.append(line_through(p, q))
+    for line in lines:
+        assert is_tangent(parabola, line) == reference_is_tangent(parabola, line)
+    assert is_tangent(parabola, tangent)
+    assert not is_tangent(parabola, lines[1])
+    if p != q:
+        assert not is_tangent(parabola, lines[-1])
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@HEAVY
+@given(data=st.data())
+def test_tangent_at_matches_pedal_bisector(bits, data):
+    parabola = data.draw(parabolas(bits))
+    elements = canonical_elements(parabola)
+    points_on = (
+        on_parabola(data, parabola),
+        elements.vertex,
+        elements.latus_endpoints.p,
+        elements.latus_endpoints.q,
+    )
+    for p in points_on:
+        assert tangent_at(parabola, p) == reference_tangent_at(parabola, p)
+    assert tangent_at(parabola, elements.vertex) == elements.supporting_line
+    with pytest.raises(PointNotOnParabola):
+        tangent_at(parabola, parabola.focus)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@SETTINGS
+@given(data=st.data())
+def test_from_latus_rectum_matches_fraction_construction(bits, data):
+    e1, e2 = data.draw(points(bits)), data.draw(points(bits))
+    for side in ("left", "right"):
+        if e1 == e2:
+            with pytest.raises(CoincidentPoints):
+                parabola_from_latus_rectum(e1, e2, side)
+            continue
+        built = parabola_from_latus_rectum(e1, e2, side)
+        reference = reference_from_latus(e1, e2, side)
+        assert (built.focus, built.directrix) == (reference.focus, reference.directrix)
+        assert canonical_elements(built).latus_endpoints.endpoints() == {e1, e2}
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_from_latus_rectum_error_order(bits, data):
+    e1 = data.draw(points(bits))
+    e2 = data.draw(points(bits).filter(lambda q: q != e1))
+    bad_side = data.draw(st.sampled_from(("up", "", "LEFT", None)))
+    for build in (parabola_from_latus_rectum, reference_from_latus):
+        with pytest.raises(CoincidentPoints):
+            build(e1, e1, bad_side)  # coincident endpoints are reported first
+        with pytest.raises(DegenerateSide):
+            build(e1, e2, bad_side)
+
+
+# --- Fraction construction counts on the integer paths ---
+
+
+def count_fractions(monkeypatch) -> list[int]:
+    """Count every Fraction built from here on (until the test ends)."""
+    counter = [0]
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        counter[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return counter
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_parabola_predicates_build_no_fraction(bits, monkeypatch):
+    e1 = Point(Fraction(3**bits + 1, 7**20), Fraction(-(5**bits), 11))
+    e2 = Point(Fraction(2**bits - 3, 13), Fraction(17, 2**bits + 1))
+    parabola = parabola_from_latus_rectum(e1, e2, "left")
+    p = point_at_parameter(parabola, Fraction(2**bits + 5, 3))
+    q = point_at_parameter(parabola, Fraction(-7, 5))
+    secant = line_through(p, q)
+    tangent = tangent_at(parabola, p)
+    canonical_elements(parabola)  # warm the memo is_tangent reads
+    counter = count_fractions(monkeypatch)
+    assert contains_point(parabola, p) and not contains_point(parabola, parabola.focus)
+    assert is_tangent(parabola, tangent) and not is_tangent(parabola, secant)
+    assert tangent_at(parabola, p) == tangent
+    assert counter[0] == 0
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_from_latus_rectum_builds_two_fractions(bits, monkeypatch):
+    e1 = Point(Fraction(3**bits + 1, 7**20), Fraction(-(5**bits), 11))
+    e2 = Point(Fraction(2**bits - 3, 13), Fraction(17, 2**bits + 1))
+    counter = count_fractions(monkeypatch)
+    parabola_from_latus_rectum(e1, e2, "right")
+    assert counter[0] == 2  # the focus coordinates
