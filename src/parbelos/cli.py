@@ -34,7 +34,7 @@ import sys
 from .dsl import DslError, evaluate, parse_script, report_json
 from .errors import GeometryError
 from .euclid import Point
-from .figure import build_parbelos, corollary_checks, sondow_checks
+from .figure import NAMED_POINTS, build_parbelos, corollary_checks, sondow_checks
 from .fuzz import DEFAULT_MAX_HEIGHT, MIN_MAX_HEIGHT, run_all
 from .jsonio import verification_json
 from .rational import format_rational, parse_rational, too_long_to_print
@@ -70,22 +70,8 @@ def _figure_text(fig, side: str) -> tuple[str, bool]:
     """The text report and the overall verdict."""
     checks = sondow_checks(fig) + corollary_checks(fig)
     overall = all(ok for _, _, ok in checks)
-    named = (
-        ("C1", fig.C1),
-        ("C2", fig.C2),
-        ("C3", fig.C3),
-        ("T1", fig.T1),
-        ("T2", fig.T2),
-        ("T3", fig.T3),
-        ("F", fig.focus_F),
-        ("O", fig.center_O),
-        ("contact", fig.contact_T),
-        ("H", fig.H),
-        ("A1", fig.A1),
-        ("A3", fig.A3),
-    )
     lines = [f"parbelos figure (side={side})"]
-    lines += [f"  {label} = {p}" for label, p in named]
+    lines += [f"  {label} = {getattr(fig, field)}" for label, field in NAMED_POINTS]
     lines.append(f"  radius_sq = {format_rational(fig.circumcircle_K.radius_sq)}")
     lines.append("checks:")
     lines += [f"  [{'pass' if ok else 'FAIL'}] {label}" for label, _, ok in checks]

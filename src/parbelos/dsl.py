@@ -46,7 +46,7 @@ from .euclid import (
     perpendicular_through,
     second_intersection,
 )
-from .figure import ParbelosFigure, build_parbelos
+from .figure import NAMED_POINTS, ParbelosFigure, build_parbelos
 from .jsonio import value_json
 from .parabola import (
     Parabola,
@@ -324,6 +324,7 @@ class AssertionResult:
 class EvalReport:
     bindings: dict[str, object]
     assertions: list[AssertionResult]
+    bindings_json: dict[str, object]  # value_json of each binding, built once by evaluate
 
     @property
     def overall(self) -> bool:
@@ -333,12 +334,7 @@ class EvalReport:
         return next((r for r in self.assertions if not r.passed), None)
 
 
-_FIGURE_ALIASES = {
-    "F": "focus_F",
-    "O": "center_O",
-    "K": "circumcircle_K",
-    "contact": "contact_T",
-}
+_FIGURE_ALIASES = {**dict(NAMED_POINTS), "K": "circumcircle_K"}
 
 
 def _resolve(arg: Arg, env: dict[str, object]):
@@ -453,14 +449,16 @@ def evaluate(program: Program) -> EvalReport:
     :func:`report_json` can always be printed.
     """
     env: dict[str, object] = {}
+    env_json: dict[str, object] = {}
     assertions: list[AssertionResult] = []
     for stmt in program.statements:
         try:
             values = [_resolve(arg, env) for arg in stmt.call.args]
             if isinstance(stmt, Let):
                 value = _apply(CONSTRUCTORS, stmt.call, values)
-                json.dumps(value_json(value))
-                env[stmt.name] = value
+                doc = value_json(value)
+                json.dumps(doc)
+                env[stmt.name], env_json[stmt.name] = value, doc
             else:
                 passed, witness = _apply(PREDICATES, stmt.call, values)
                 json.dumps(witness)
@@ -476,12 +474,12 @@ def evaluate(program: Program) -> EvalReport:
             is_let = isinstance(stmt, Let)
             what = f"binding {stmt.name}" if is_let else f"assertion {stmt.call.func}"
             raise EvalError(too_long_to_print(what), stmt.line, stmt.col) from None
-    return EvalReport(bindings=env, assertions=assertions)
+    return EvalReport(bindings=env, assertions=assertions, bindings_json=env_json)
 
 
 def report_json(report: EvalReport) -> dict:
     return {
-        "bindings": {name: value_json(value) for name, value in report.bindings.items()},
+        "bindings": report.bindings_json,
         "assertions": [
             {"line": r.line, "pred": r.pred, "pass": r.passed, "witness": r.witness}
             for r in report.assertions

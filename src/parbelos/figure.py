@@ -78,6 +78,25 @@ class ParbelosFigure:
     A3: Point
 
 
+# The figure's named points in report order: (short name, field).  The CLI
+# text report prints them, the drawing labels them and the DSL accepts each
+# short name after a figure's dot.
+NAMED_POINTS = (
+    ("C1", "C1"),
+    ("C2", "C2"),
+    ("C3", "C3"),
+    ("T1", "T1"),
+    ("T2", "T2"),
+    ("T3", "T3"),
+    ("F", "focus_F"),
+    ("O", "center_O"),
+    ("contact", "contact_T"),
+    ("H", "H"),
+    ("A1", "A1"),
+    ("A3", "A3"),
+)
+
+
 def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> ParbelosFigure:
     """Construct the full figure from three collinear cusps.
 

@@ -3,8 +3,9 @@
 Each suite draws instances from a deterministic per-instance seed (so runs
 are reproducible and identical whether executed serially or in parallel) and
 checks an exact property: no tolerances, a single coordinate off by any
-amount is a failure.  Generators keep rational heights small enough that the
-cusp coordinates stay below 10^4 before reduction.
+amount is a failure.  Generators keep every cusp coordinate's numerator and
+denominator at most ``max_height`` (see :func:`height_scale`).  The suites
+are the rows of :data:`SUITES`; :func:`run_suite` runs one of them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParallelLines
 from .euclid import (
@@ -297,55 +299,6 @@ def _invariance_case(args: tuple[int, int, int]) -> list[str]:
     return []
 
 
-# --- public suites ---
-
-DEFAULT_MAX_HEIGHT = 10_000
-
-
-def run_sondow_fuzz(
-    cases: int, seed: int, max_height: int = DEFAULT_MAX_HEIGHT, parallel: bool = False
-) -> SuiteResult:
-    scale = height_scale(max_height)
-    return _run_cases("sondow+corollaries", cases, seed, _sondow_case, scale, parallel)
-
-
-def run_tangency_fuzz(cases: int, seed: int, parallel: bool = False) -> SuiteResult:
-    return _run_cases("tangent/secant criterion", cases, seed, _tangency_case, 0, parallel)
-
-
-def run_lambert_fuzz(cases: int, seed: int, parallel: bool = False) -> SuiteResult:
-    return _run_cases("lambert circumcircle", cases, seed, _lambert_case, 0, parallel)
-
-
-def run_converse_lambert_fuzz(pairs: int, seed: int, parallel: bool = False) -> SuiteResult:
-    result = _run_cases("converse lambert", pairs, seed, _converse_case, 0, parallel)
-    degenerate = _run_cases(
-        "converse lambert (tangency-degenerate)",
-        max(1, pairs // 20),
-        seed + 1,
-        _converse_degenerate_case,
-        0,
-        parallel,
-    )
-    return SuiteResult(
-        result.name, result.cases + degenerate.cases, result.failures + degenerate.failures
-    )
-
-
-def run_proof_replay_fuzz(
-    cases: int, seed: int, max_height: int = DEFAULT_MAX_HEIGHT, parallel: bool = False
-) -> SuiteResult:
-    scale = height_scale(max_height)
-    return _run_cases("diagonal proof replay", cases, seed, _replay_case, scale, parallel)
-
-
-def run_invariance_fuzz(
-    cases: int, seed: int, max_height: int = DEFAULT_MAX_HEIGHT, parallel: bool = False
-) -> SuiteResult:
-    scale = height_scale(max_height)
-    return _run_cases("similarity invariance", cases, seed, _invariance_case, scale, parallel)
-
-
 def latus_angle_failures(parabola: Parabola, label: str) -> list[str]:
     """Check 2*(d.u)^2 = |d|^2 |u|^2 at both latus endpoints.
 
@@ -375,13 +328,6 @@ def _angle_case(args: tuple[int, int, int]) -> list[str]:
     return failures
 
 
-def run_latus_angle_fuzz(
-    cases: int, seed: int, max_height: int = DEFAULT_MAX_HEIGHT, parallel: bool = False
-) -> SuiteResult:
-    scale = height_scale(max_height)
-    return _run_cases("pi/4 latus angle", cases, seed, _angle_case, scale, parallel)
-
-
 def _ft_ht_case(args: tuple[int, int, int]) -> list[str]:
     seed, index, scale = args
     rng = _case_rng(seed, index)
@@ -392,11 +338,49 @@ def _ft_ht_case(args: tuple[int, int, int]) -> list[str]:
     return []
 
 
-def run_ft_ht_fuzz(
-    cases: int, seed: int, max_height: int = DEFAULT_MAX_HEIGHT, parallel: bool = False
+# --- the suites ---
+
+DEFAULT_MAX_HEIGHT = 10_000
+
+
+class Suite(NamedTuple):
+    share: int  # run_all gives the suite max(1, cases // share) cases
+    seed_offset: int  # added to run_all's seed
+    parts: tuple[tuple[str, int], ...]  # (case function name, divisor)
+
+
+# The one list of suites, in run_all order.  A suite given n cases runs its
+# part k on max(1, n // divisor) cases from seed + k.  Rows name their case
+# functions and run_suite looks each up on this module when it runs, so a
+# wrapper set on a ``_*_case`` attribute (a timer, a counter) is what runs.
+SUITES = {
+    "sondow+corollaries": Suite(1, 0, (("_sondow_case", 1),)),
+    "tangent/secant criterion": Suite(1, 101, (("_tangency_case", 1),)),
+    "lambert circumcircle": Suite(1, 202, (("_lambert_case", 1),)),
+    "converse lambert": Suite(10, 303, (("_converse_case", 1), ("_converse_degenerate_case", 20))),
+    "diagonal proof replay": Suite(1, 404, (("_replay_case", 1),)),
+    "similarity invariance": Suite(2, 505, (("_invariance_case", 1),)),
+    "pi/4 latus angle": Suite(1, 606, (("_angle_case", 1),)),
+    "FT = HT": Suite(1, 707, (("_ft_ht_case", 1),)),
+}
+
+
+def _require_cases(cases: int) -> None:
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
+
+
+def run_suite(
+    name: str, cases: int, seed: int, max_height: int = DEFAULT_MAX_HEIGHT, parallel: bool = False
 ) -> SuiteResult:
+    """Run the suite ``name`` of :data:`SUITES` on ``cases`` cases from ``seed``."""
+    _require_cases(cases)
     scale = height_scale(max_height)
-    return _run_cases("FT = HT", cases, seed, _ft_ht_case, scale, parallel)
+    parts = [
+        _run_cases(name, max(1, cases // divisor), seed + k, globals()[case_name], scale, parallel)
+        for k, (case_name, divisor) in enumerate(SUITES[name].parts)
+    ]
+    return SuiteResult(name, sum(p.cases for p in parts), [f for p in parts for f in p.failures])
 
 
 def run_all(
@@ -405,14 +389,9 @@ def run_all(
     max_height: int = DEFAULT_MAX_HEIGHT,
     parallel: bool = False,
 ) -> list[SuiteResult]:
-    """The full randomized suite, scaled from a single case count."""
+    """Every suite of :data:`SUITES`, each given its share of one case count."""
+    _require_cases(cases)
     return [
-        run_sondow_fuzz(cases, seed, max_height, parallel),
-        run_tangency_fuzz(cases, seed + 101, parallel),
-        run_lambert_fuzz(cases, seed + 202, parallel),
-        run_converse_lambert_fuzz(max(1, cases // 10), seed + 303, parallel),
-        run_proof_replay_fuzz(cases, seed + 404, max_height, parallel),
-        run_invariance_fuzz(max(1, cases // 2), seed + 505, max_height, parallel),
-        run_latus_angle_fuzz(cases, seed + 606, max_height, parallel),
-        run_ft_ht_fuzz(cases, seed + 707, max_height, parallel),
+        run_suite(name, max(1, cases // row.share), seed + row.seed_offset, max_height, parallel)
+        for name, row in SUITES.items()
     ]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import EmptyScene, PointNotOnParabola
 from .euclid import Circle, Line, Point, line_intersection, point, scale
-from .figure import ParbelosFigure
+from .figure import NAMED_POINTS, ParbelosFigure
 from .parabola import (
     Parabola,
     contains_point,
@@ -128,21 +128,10 @@ def figure_scene(fig: ParbelosFigure) -> Scene:
         scene.add_segment(a, b, "square")
     scene.add_segment(fig.T1, fig.T3, "diagonal")
     scene.add_segment(fig.C2, fig.H, "bisector")
-    for label, at in (
-        ("C1", fig.C1),
-        ("C2", fig.C2),
-        ("C3", fig.C3),
-        ("T1", fig.T1),
-        ("T2", fig.T2),
-        ("T3", fig.T3),
-        ("F", fig.focus_F),
-        ("O", fig.center_O),
-        ("T", fig.contact_T),
-        ("H", fig.H),
-        ("A1", fig.A1),
-        ("A3", fig.A3),
-    ):
-        scene.add_point(at, label)
+    for label, field in NAMED_POINTS:
+        # The one label that differs from the text report: the drawing calls the
+        # contact point T (its field is contact_T), as the golden SVG pins.
+        scene.add_point(getattr(fig, field), "T" if label == "contact" else label)
     return scene
 
 

@@ -18,12 +18,7 @@ from parbelos.fuzz import (
     degenerate_converse_circle,
     height_scale,
     rand_cusps,
-    run_converse_lambert_fuzz,
-    run_invariance_fuzz,
-    run_lambert_fuzz,
-    run_proof_replay_fuzz,
-    run_sondow_fuzz,
-    run_tangency_fuzz,
+    run_suite,
 )
 from parbelos.parabola import LEFT, Parabola, tangent_at
 from parbelos.svg import figure_scene, render_svg
@@ -67,7 +62,7 @@ def test_criterion_01_canonical_instance(capsys):
 
 def test_criterion_02_sondow_fuzz_1000(capsys):
     started = time.perf_counter()
-    result = run_sondow_fuzz(1000, seed=20260808, max_height=10_000)
+    result = run_suite("sondow+corollaries", 1000, seed=20260808, max_height=10_000)
     elapsed = time.perf_counter() - started
     ok = result.passed and result.cases == 1000 and elapsed < 60
     with capsys.disabled():
@@ -77,7 +72,7 @@ def test_criterion_02_sondow_fuzz_1000(capsys):
 
 def test_criterion_03_tangency_500(capsys):
     started = time.perf_counter()
-    result = run_tangency_fuzz(500, seed=3)
+    result = run_suite("tangent/secant criterion", 500, seed=3)
     elapsed = time.perf_counter() - started
     ok = result.passed and result.cases == 500 and elapsed < 30
     with capsys.disabled():
@@ -86,14 +81,14 @@ def test_criterion_03_tangency_500(capsys):
 
 
 def test_criterion_04_lambert_500(capsys):
-    result = run_lambert_fuzz(500, seed=4)
+    result = run_suite("lambert circumcircle", 500, seed=4)
     with capsys.disabled():
         report(4, "500 tangent triples pass the circumcircle check", result.passed,
                f"{len(result.failures)} failures")
 
 
 def test_criterion_05_converse_lambert(capsys):
-    result = run_converse_lambert_fuzz(20, seed=5)  # 20 pairs x 100 circles + degenerate branch
+    result = run_suite("converse lambert", 20, seed=5)  # 20 pairs x 100 circles + degenerate branch
     ok = result.passed and result.cases == 21
     # one explicit tangency-degenerate case: H1 = I, so the output is l2 itself
     parabola = Parabola(point(2, 0), Line(0, 1, 2))
@@ -107,7 +102,7 @@ def test_criterion_05_converse_lambert(capsys):
 
 
 def test_criterion_06_proof_replay_200(capsys):
-    result = run_proof_replay_fuzz(200, seed=6)
+    result = run_suite("diagonal proof replay", 200, seed=6)
     ok = result.passed and result.cases == 200
     with capsys.disabled():
         report(6, "rebuilt chord equals the diagonal on 200 instances", ok,
@@ -115,7 +110,7 @@ def test_criterion_06_proof_replay_200(capsys):
 
 
 def test_criterion_07_invariance_100(capsys):
-    result = run_invariance_fuzz(100, seed=7)
+    result = run_suite("similarity invariance", 100, seed=7)
     ok = result.passed and result.cases == 100
     with capsys.disabled():
         report(7, "verdicts invariant under 100 rational similarities", ok)

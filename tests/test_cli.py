@@ -134,6 +134,22 @@ def test_help_exits_zero(capsys):
     assert "Subcommands" in err
 
 
+def test_check_json_builds_each_binding_json_once(monkeypatch, capsys):
+    import parbelos.jsonio as jsonio
+
+    calls = []
+    original = jsonio.figure_json
+
+    def counted(fig):
+        calls.append(fig)
+        return original(fig)
+
+    monkeypatch.setattr(jsonio, "figure_json", counted)
+    code, out, _ = run(capsys, "check", str(DATA / "sondow.geo"), "--json")
+    assert code == 0 and json.loads(out)["overall"] is True
+    assert len(calls) == 1  # sondow.geo binds one figure
+
+
 def test_parbelos_json_runs_each_check_pass_once(monkeypatch, capsys):
     import parbelos.cli as cli
     import parbelos.jsonio as jsonio

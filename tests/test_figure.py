@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from parbelos.dsl import _FIGURE_ALIASES
 from parbelos.errors import (
     CuspNotInterior,
     CuspsNotCollinear,
@@ -22,6 +23,8 @@ from parbelos.euclid import (
     point,
 )
 from parbelos.figure import (
+    NAMED_POINTS,
+    ParbelosFigure,
     build_parbelos,
     corollary_checks,
     rational_sqrt,
@@ -280,3 +283,23 @@ def test_figure_json_fields():
     assert set(verified["checks"]) == {"sondow", "corollaries"}
     assert all(verified["checks"]["sondow"].values())
     assert all(verified["checks"]["corollaries"].values())
+
+
+def test_named_points_listing_and_dsl_aliases():
+    assert NAMED_POINTS == (
+        ("C1", "C1"),
+        ("C2", "C2"),
+        ("C3", "C3"),
+        ("T1", "T1"),
+        ("T2", "T2"),
+        ("T3", "T3"),
+        ("F", "focus_F"),
+        ("O", "center_O"),
+        ("contact", "contact_T"),
+        ("H", "H"),
+        ("A1", "A1"),
+        ("A3", "A3"),
+    )
+    fields = {f.name for f in dataclasses.fields(ParbelosFigure)}
+    assert {field for _, field in NAMED_POINTS} <= fields
+    assert set(_FIGURE_ALIASES.values()) <= fields

@@ -1,23 +1,39 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from parbelos import fuzz
 from parbelos.fuzz import (
+    SUITES,
     _case_rng,
     _run_cases,
     height_scale,
     rand_cusps,
     rand_rotation,
     run_all,
-    run_converse_lambert_fuzz,
-    run_invariance_fuzz,
-    run_lambert_fuzz,
-    run_proof_replay_fuzz,
-    run_sondow_fuzz,
-    run_tangency_fuzz,
+    run_suite,
 )
 
 F = Fraction
+
+
+def expected_suites(cases: int) -> list[tuple[str, int]]:
+    """(name, case count) of each suite of run_all(cases), listed apart from SUITES.
+
+    The same listing as ``benchmarks/workloads.py``'s fuzz gate.
+    """
+    pairs = max(1, cases // 10)
+    return [
+        ("sondow+corollaries", cases),
+        ("tangent/secant criterion", cases),
+        ("lambert circumcircle", cases),
+        ("converse lambert", pairs + max(1, pairs // 20)),
+        ("diagonal proof replay", cases),
+        ("similarity invariance", max(1, cases // 2)),
+        ("pi/4 latus angle", cases),
+        ("FT = HT", cases),
+    ]
 
 
 def test_cusp_generator_height_bound():
@@ -58,28 +74,76 @@ def test_rotation_generator_is_always_valid():
         assert rational_sqrt(p * p + q * q) is not None
 
 
-def test_suites_run_clean():
-    assert run_sondow_fuzz(40, seed=1).passed
-    assert run_tangency_fuzz(40, seed=2).passed
-    assert run_lambert_fuzz(25, seed=3).passed
-    assert run_converse_lambert_fuzz(3, seed=4).passed
-    assert run_proof_replay_fuzz(25, seed=5).passed
-    assert run_invariance_fuzz(10, seed=6).passed
+# (cases, seed) of each suite's clean run.
+CLEAN_RUNS = {
+    "sondow+corollaries": (40, 1),
+    "tangent/secant criterion": (40, 2),
+    "lambert circumcircle": (25, 3),
+    "converse lambert": (3, 4),
+    "diagonal proof replay": (25, 5),
+    "similarity invariance": (10, 6),
+    "pi/4 latus angle": (25, 7),
+    "FT = HT": (25, 8),
+}
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_suites_run_clean(name):
+    cases, seed = CLEAN_RUNS[name]
+    assert run_suite(name, cases, seed=seed).passed
 
 
 def test_deterministic_across_runs():
-    first = run_sondow_fuzz(20, seed=123)
-    second = run_sondow_fuzz(20, seed=123)
+    first = run_suite("sondow+corollaries", 20, seed=123)
+    second = run_suite("sondow+corollaries", 20, seed=123)
     assert first.failures == second.failures == []
     assert first.cases == second.cases
 
 
 def test_run_all_shape():
-    results = run_all(cases=10, seed=0)
-    assert len(results) == 8
-    assert all(r.passed for r in results)
-    names = [r.name for r in results]
-    assert "sondow+corollaries" in names and "FT = HT" in names
+    for cases in (10, 200):
+        results = run_all(cases, seed=0)
+        assert [(r.name, r.cases) for r in results] == expected_suites(cases)
+        assert all(r.passed for r in results)
+
+
+def test_case_functions_are_looked_up_when_a_suite_runs(monkeypatch):
+    """A wrapper set on a module-level ``_*_case`` runs once per reported case.
+
+    Rows that held function objects would bypass it (no calls); a case
+    function that called another would be counted twice.
+    """
+    calls = Counter()
+    for attr, fn in list(vars(fuzz).items()):
+        if attr.startswith("_") and attr.endswith("_case"):
+
+            def counted(args, attr=attr, fn=fn):
+                calls[attr, args[0]] += 1
+                return fn(args)
+
+            monkeypatch.setattr(fuzz, attr, counted)
+    results = run_all(10, seed=0)
+    assert sum(calls.values()) == sum(r.cases for r in results) == 67
+    assert calls == {
+        ("_sondow_case", 0): 10,
+        ("_tangency_case", 101): 10,
+        ("_lambert_case", 202): 10,
+        ("_converse_case", 303): 1,
+        ("_converse_degenerate_case", 304): 1,
+        ("_replay_case", 404): 10,
+        ("_invariance_case", 505): 5,
+        ("_angle_case", 606): 10,
+        ("_ft_ht_case", 707): 10,
+    }
+
+
+@pytest.mark.parametrize("cases", [0, -5])
+def test_nonpositive_cases_raise(cases):
+    with pytest.raises(ValueError, match=f"cases must be at least 1, got {cases}"):
+        run_all(cases)
+    for name in SUITES:
+        with pytest.raises(ValueError, match=f"cases must be at least 1, got {cases}"):
+            run_suite(name, cases, seed=1)
 
 
 def _fail_with_index(args):
