@@ -115,11 +115,7 @@ class Line:
         function of the line (used by chord parametrizations that need a
         well-defined rational parameter).
         """
-        g = math.gcd(self.a, self.b)
-        dx, dy = self.b // g, -(self.a // g)
-        if dx < 0 or (dx == 0 and dy < 0):
-            dx, dy = -dx, -dy
-        return dx, dy
+        return _primitive_direction(self.b, -self.a)
 
     def normal(self) -> tuple[int, int]:
         """Primitive integer normal (a, b)/gcd, keeping the stored sign."""
@@ -175,6 +171,15 @@ def _common(*points: Point) -> tuple[int, list[tuple[int, int]]]:
         x, y = p.x, p.y
         numerators.append((x.numerator * (w // x.denominator), y.numerator * (w // y.denominator)))
     return w, numerators
+
+
+def _primitive_direction(dx: int, dy: int) -> tuple[int, int]:
+    """(dx, dy) divided by its gcd, with the first nonzero component positive."""
+    g = math.gcd(dx, dy)
+    dx, dy = dx // g, dy // g
+    if dx < 0 or (dx == 0 and dy < 0):
+        dx, dy = -dx, -dy
+    return dx, dy
 
 
 def parallel_through(line: Line, p: Point) -> Line:
@@ -250,15 +255,23 @@ def second_intersection(line: Line, circle: Circle, p: Point) -> Point:
     No square root is ever taken, which is what keeps the kernel inside the
     rationals.  If the line is tangent at p the second root is t = 0 and p
     itself is returned.
+
+    Over the shared denominator W of p = (X, Y)/W and center = (CX, CY)/W,
+    with radius^2 = R/Q and e = (X - CX, Y - CY), p is on the circle exactly
+    when Q*|e|^2 == R*W^2, and with s = d.e and n = |d|^2 the answer is
+    (n*X - 2s*dx, n*Y - 2s*dy)/(n*W); its two coordinates are the only
+    Fractions built.
     """
     if not line.contains(p):
         raise PointNotIncident(f"{p} is not on {line}")
-    if not on_circle(circle, p):
+    w, [(x, y), (cx, cy)] = _common(p, circle.center)
+    ex, ey = x - cx, y - cy
+    r = circle.radius_sq
+    if (ex * ex + ey * ey) * r.denominator != r.numerator * w * w:
         raise PointNotIncident(f"{p} is not on the circle")
     dx, dy = line.direction()
-    d = point(dx, dy)
-    t = Fraction(-2 * dot(d, p - circle.center), dot(d, d))
-    return p + scale(d, t)
+    n, s = dx * dx + dy * dy, dx * ex + dy * ey
+    return Point(Fraction(n * x - 2 * s * dx, n * w), Fraction(n * y - 2 * s * dy, n * w))
 
 
 def circle_point(circle: Circle, q: Point, t: Rational | None) -> Point:
@@ -283,10 +296,20 @@ def circle_through_points(p: Point, q: Point, t: Rational) -> Circle:
     The center is midpoint(p, q) + t*d with d the primitive integer direction
     of the perpendicular bisector of pq; t -> circle is injective and reaches
     every circle through p and q with rational center.
+
+    Over the shared denominator W of p = (PX, PY)/W and q = (QX, QY)/W, d is
+    the primitive quarter turn of Q - P under ``Line.direction``'s sign rule.
+    With t = tn/td and D = 2*W*td, the center is
+    ((PX + QX)*td + 2*W*tn*d)/D and center - p = ((QX - PX)*td + 2*W*tn*d)/D,
+    so the center's coordinates and radius^2 are the only Fractions built.
     """
     if p == q:
         raise CoincidentPoints("circle family needs two distinct points")
-    mid = midpoint(p, q)
-    dx, dy = perpendicular_bisector(p, q).direction()
-    center = Point(mid.x + t * dx, mid.y + t * dy)
-    return Circle(center, dist_sq(center, p))
+    w, [(px, py), (qx, qy)] = _common(p, q)
+    dx, dy = _primitive_direction(py - qy, qx - px)
+    tn, td = t.numerator, t.denominator
+    den = 2 * w * td
+    kx, ky = 2 * w * tn * dx, 2 * w * tn * dy
+    ex, ey = (qx - px) * td + kx, (qy - py) * td + ky
+    center = Point(Fraction((px + qx) * td + kx, den), Fraction((py + qy) * td + ky, den))
+    return Circle(center, Fraction(ex * ex + ey * ey, den * den))

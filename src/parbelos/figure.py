@@ -41,7 +41,6 @@ from .parabola import (
     RIGHT,
     Parabola,
     Side,
-    canonical_elements,
     contains_point,
     is_tangent,
     parabola_from_latus_rectum,
@@ -148,8 +147,6 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
 
     diagonal = line_through(t1, t3)
     bisector = perpendicular_through(cusp_line, c2)
-    axis1 = canonical_elements(inner1).axis
-    axis2 = canonical_elements(inner2).axis
     return ParbelosFigure(
         C1=c1,
         C2=c2,
@@ -172,8 +169,8 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
         contact_T=line_intersection(diagonal, bisector),
         bisector=bisector,
         H=line_intersection(bisector, outer.directrix),
-        A1=line_intersection(axis1, inner2.directrix),
-        A3=line_intersection(axis2, inner1.directrix),
+        A1=line_intersection(inner1._axis, inner2.directrix),
+        A3=line_intersection(inner2._axis, inner1.directrix),
     )
 
 

@@ -14,6 +14,7 @@ import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -134,23 +135,29 @@ def rand_distinct_parameters(rng: random.Random, count: int) -> list[Fraction]:
     return sorted(values)
 
 
+def _workers() -> int:
+    return os.cpu_count() or 1
+
+
+def _process_pool(parallel: bool):
+    """The one process pool a run shares across its suite parts, or none."""
+    return ProcessPoolExecutor(max_workers=_workers()) if parallel else nullcontext()
+
+
 def _run_cases(
-    name: str, cases: int, seed: int, one_case, scale: int, parallel: bool = False
+    name: str, cases: int, seed: int, one_case, scale: int, pool: ProcessPoolExecutor | None = None
 ) -> SuiteResult:
     args = [(seed, i, scale) for i in range(cases)]
-    if parallel and cases > 1:
-        failures: list[str] = []
-        workers = os.cpu_count() or 1
+    failures: list[str] = []
+    if pool is not None and cases > 1:
         # About four chunks per worker, as multiprocessing.Pool.map sizes them,
         # so a short suite still reaches every worker.
-        chunksize = -(-cases // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(one_case, args, chunksize=chunksize):
-                failures.extend(result)
-        return SuiteResult(name, cases, failures)
-    failures = []
-    for arg in args:
-        failures.extend(one_case(arg))
+        chunksize = -(-cases // (4 * _workers()))
+        for result in pool.map(one_case, args, chunksize=chunksize):
+            failures.extend(result)
+    else:
+        for arg in args:
+            failures.extend(one_case(arg))
     return SuiteResult(name, cases, failures)
 
 
@@ -370,17 +377,27 @@ def _require_cases(cases: int) -> None:
         raise ValueError(f"cases must be at least 1, got {cases}")
 
 
-def run_suite(
-    name: str, cases: int, seed: int, max_height: int = DEFAULT_MAX_HEIGHT, parallel: bool = False
+def _run_suite(
+    name: str, cases: int, seed: int, scale: int, pool: ProcessPoolExecutor | None
 ) -> SuiteResult:
-    """Run the suite ``name`` of :data:`SUITES` on ``cases`` cases from ``seed``."""
-    _require_cases(cases)
-    scale = height_scale(max_height)
     parts = [
-        _run_cases(name, max(1, cases // divisor), seed + k, globals()[case_name], scale, parallel)
+        _run_cases(name, max(1, cases // divisor), seed + k, globals()[case_name], scale, pool)
         for k, (case_name, divisor) in enumerate(SUITES[name].parts)
     ]
     return SuiteResult(name, sum(p.cases for p in parts), [f for p in parts for f in p.failures])
+
+
+def run_suite(
+    name: str, cases: int, seed: int, max_height: int = DEFAULT_MAX_HEIGHT, parallel: bool = False
+) -> SuiteResult:
+    """Run the suite ``name`` of :data:`SUITES` on ``cases`` cases from ``seed``.
+
+    With ``parallel`` its parts share one process pool.
+    """
+    _require_cases(cases)
+    scale = height_scale(max_height)
+    with _process_pool(parallel and cases > 1) as pool:
+        return _run_suite(name, cases, seed, scale, pool)
 
 
 def run_all(
@@ -389,9 +406,14 @@ def run_all(
     max_height: int = DEFAULT_MAX_HEIGHT,
     parallel: bool = False,
 ) -> list[SuiteResult]:
-    """Every suite of :data:`SUITES`, each given its share of one case count."""
+    """Every suite of :data:`SUITES`, each given its share of one case count.
+
+    With ``parallel`` every suite runs on one process pool, opened once.
+    """
     _require_cases(cases)
-    return [
-        run_suite(name, max(1, cases // row.share), seed + row.seed_offset, max_height, parallel)
-        for name, row in SUITES.items()
-    ]
+    scale = height_scale(max_height)
+    with _process_pool(parallel and cases > 1) as pool:
+        return [
+            _run_suite(name, max(1, cases // row.share), seed + row.seed_offset, scale, pool)
+            for name, row in SUITES.items()
+        ]

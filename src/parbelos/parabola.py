@@ -18,7 +18,14 @@ polynomial identity in the numerators, so no Fraction is built (the latus
 construction builds just the focus).  The derivations of the vertex, axis,
 supporting line and chord points stay on Fraction, whose reduction after each
 step keeps operands short at large heights; cross-multiplied, they ran
-1.4-3.7x slower on 3300-bit inputs.
+1.4-3.7x slower on 3300-bit inputs, and integer forms of the axis and the
+supporting line, though about 5x faster at 13 bits, ran 1.5-3.6x slower there.
+
+Each derived element is memoised on its own and derived only when read:
+``is_tangent`` reads the supporting line, ``point_at_parameter`` and
+``parameter_of`` the vertex and the supporting line, and ``build_parbelos``
+the axes of the inner parabolas.  Only :func:`canonical_elements` derives the
+latus endpoints.
 """
 
 from __future__ import annotations
@@ -61,10 +68,12 @@ class CanonicalElements:
 class Parabola:
     """A parabola given by its focus and directrix.
 
-    The derived quantities (axis direction, focal scale, canonical elements)
-    are computed on first use and kept in the instance ``__dict__``, where
-    ``cached_property`` may write even on a frozen dataclass.  Equality and
-    hash read only the two fields, and pickling drops the memo.
+    Each derived quantity (vertex, axis, supporting line, axis direction,
+    focal scale, and the canonical elements with their latus endpoints) is
+    computed on first use and kept in the instance ``__dict__``, where
+    ``cached_property`` may write even on a frozen dataclass; the canonical
+    elements reuse the memoised vertex, axis and supporting line.  Equality
+    and hash read only the two fields, and pickling drops the memo.
     """
 
     focus: Point
@@ -91,16 +100,26 @@ class Parabola:
         return Fraction(abs(line.evaluate(self.focus)) * g, 2 * (line.a**2 + line.b**2))
 
     @cached_property
+    def _vertex(self) -> Point:
+        return midpoint(self.focus, pedal_point(self.focus, self.directrix))
+
+    @cached_property
+    def _axis(self) -> Line:
+        return perpendicular_through(self.directrix, self.focus)
+
+    @cached_property
+    def _supporting_line(self) -> Line:
+        return parallel_through(self.directrix, self._vertex)
+
+    @cached_property
     def _elements(self) -> CanonicalElements:
-        focus, directrix = self.focus, self.directrix
-        foot = pedal_point(focus, directrix)
-        vertex = midpoint(focus, foot)
-        ux, uy = directrix.direction()
+        focus = self.focus
+        ux, uy = self.directrix.direction()
         offset = scale(point(ux, uy), 2 * self._focal_scale)
         return CanonicalElements(
-            vertex=vertex,
-            axis=perpendicular_through(directrix, focus),
-            supporting_line=parallel_through(directrix, vertex),
+            vertex=self._vertex,
+            axis=self._axis,
+            supporting_line=self._supporting_line,
             latus_endpoints=Segment(focus + offset, focus - offset),
         )
 
@@ -171,23 +190,21 @@ def point_at_parameter(parabola: Parabola, t: Rational) -> Point:
     scale.  Each rational t names a distinct parabola point and t = 0 is the
     vertex, which is all the fuzz harnesses rely on.
     """
-    elements = canonical_elements(parabola)
-    ux, uy = elements.supporting_line.direction()
+    ux, uy = parabola._supporting_line.direction()
     nx, ny = axis_direction(parabola)
     k = focal_scale(parabola)
     along = scale(point(ux, uy), t)
     up = scale(point(nx, ny), t * t / (4 * k))
-    return elements.vertex + along + up
+    return parabola._vertex + along + up
 
 
 def parameter_of(parabola: Parabola, p: Point) -> Rational:
     """Inverse of :func:`point_at_parameter` for points on the parabola."""
     if not contains_point(parabola, p):
         raise PointNotOnParabola(f"{p} is not on the parabola")
-    elements = canonical_elements(parabola)
-    ux, uy = elements.supporting_line.direction()
+    ux, uy = parabola._supporting_line.direction()
     u = point(ux, uy)
-    offset = p - elements.vertex
+    offset = p - parabola._vertex
     return (offset.x * u.x + offset.y * u.y) / (u.x * u.x + u.y * u.y)
 
 
@@ -231,6 +248,6 @@ def is_tangent(parabola: Parabola, line: Line) -> bool:
     """
     w, [(x, y)] = _common(parabola.focus)
     a, b = line.a, line.b
-    s = canonical_elements(parabola).supporting_line
+    s = parabola._supporting_line
     v = a * x + b * y + line.c * w
     return (a * a + b * b) * (s.a * x + s.b * y + s.c * w) == v * (s.a * a + s.b * b)

@@ -1,6 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 
+import pytest
+
+import parbelos
 from parbelos.cli import main
 
 DATA = resources.files("parbelos") / "data"
@@ -272,3 +279,25 @@ def test_render_digits_too_long_to_print_exit_2(tmp_path, capsys):
     assert out == ""
     assert err == "error: the drawing has an integer of more than 4300 digits, too long to print\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("fuzz", "--cases", "10", "--seed", "3"), ("check", str(DATA / "sondow.geo"), "--json")],
+    ids=["fuzz", "check-json"],
+)
+def test_certification_is_the_same_under_optimize(argv):
+    """``python -O`` strips asserts; no verdict or exit code may depend on them."""
+    paths = (str(pathlib.Path(parbelos.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def run_cli(*flags):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "parbelos.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return done.returncode, done.stdout
+
+    plain = run_cli()
+    assert plain[0] == 0 and plain[1]
+    assert run_cli("-O") == plain

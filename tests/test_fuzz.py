@@ -1,4 +1,5 @@
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from parbelos import fuzz
 from parbelos.fuzz import (
     SUITES,
     _case_rng,
+    _process_pool,
     _run_cases,
     height_scale,
     rand_cusps,
@@ -154,6 +156,27 @@ def _fail_with_index(args):
 def test_parallel_keeps_case_and_failure_order():
     for cases in (2, 21, 200):
         serial = _run_cases("order", cases, 9, _fail_with_index, 0)
-        parallel = _run_cases("order", cases, 9, _fail_with_index, 0, parallel=True)
+        with _process_pool(True) as pool:
+            parallel = _run_cases("order", cases, 9, _fail_with_index, 0, pool)
         assert serial.failures == [f"9:{i}" for i in range(cases)]
         assert parallel == serial
+
+
+def test_parallel_run_opens_one_pool(monkeypatch):
+    """One pool per run_all or run_suite call, shared by every suite part."""
+    opened = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fuzz, "ProcessPoolExecutor", CountedPool)
+    parallel = run_all(30, 5, parallel=True)
+    assert len(opened) == 1
+    assert parallel == run_all(30, 5)
+    assert len(opened) == 1
+    # both parts of the converse suite get more than one case at 40 cases
+    parallel = run_suite("converse lambert", 40, 3, parallel=True)
+    assert len(opened) == 2
+    assert parallel == run_suite("converse lambert", 40, 3)

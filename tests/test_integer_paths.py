@@ -1,9 +1,11 @@
 """The integer paths of the kernel against the Fraction formulas they
-replaced: Line canonicalisation, Line.contains and line_through, and the
+replaced: Line canonicalisation, Line.contains and line_through, the
 parabola primitives contains_point, is_tangent, tangent_at and
-parabola_from_latus_rectum; the per-instance memo of Parabola; and a count of
-the Fractions each integer path builds, so a timing-free test notices when
-Fraction arithmetic comes back onto one of them.
+parabola_from_latus_rectum, and the circle constructions second_intersection
+and circle_through_points; the per-element memo of Parabola, and which
+callers leave the latus endpoints underived; and a count of the Fractions
+each integer path builds, so a timing-free test notices when Fraction
+arithmetic comes back onto one of them.
 
 Heights cover both regimes the kernel runs in: about 13 bits (fuzz and
 figure inputs) and about 3300 bits (cusp coordinates below 10^1000).
@@ -17,19 +19,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parbelos.errors import CoincidentPoints, DegenerateLine, DegenerateSide, PointNotOnParabola
+from parbelos.errors import (
+    CoincidentPoints,
+    DegenerateLine,
+    DegenerateSide,
+    PointNotIncident,
+    PointNotOnParabola,
+)
 from parbelos.euclid import (
+    Circle,
     Line,
     Point,
+    circle_through_points,
     dist_sq,
     dist_sq_point_line,
+    dot,
     line_through,
     midpoint,
+    on_circle,
     parallel_through,
     pedal_point,
     perpendicular_bisector,
+    perpendicular_through,
     scale,
+    second_intersection,
 )
+from parbelos.figure import build_parbelos, corollary_checks, sondow_checks
 from parbelos.parabola import (
     Parabola,
     axis_direction,
@@ -176,20 +191,67 @@ def test_elements_derived_once_and_equal_across_equal_parabolas(bits, data):
     assert axis_direction(twin) == axis_direction(parabola)
 
 
+MEMO = ("_vertex", "_axis", "_supporting_line", "_focal_scale", "_axis_direction", "_elements")
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_each_element_derived_once_and_shared_with_canonical_elements(bits, data):
+    parabola = data.draw(parabolas(bits))
+    for name in MEMO:
+        assert getattr(parabola, name) is getattr(parabola, name)
+    elements = canonical_elements(parabola)
+    assert elements.vertex is parabola._vertex
+    assert elements.axis is parabola._axis
+    assert elements.supporting_line is parabola._supporting_line
+    assert parabola._vertex == midpoint(parabola.focus, pedal_point(parabola.focus, parabola.directrix))
+    assert parabola._axis == perpendicular_through(parabola.directrix, parabola.focus)
+    assert parabola._supporting_line == parallel_through(parabola.directrix, parabola._vertex)
+
+
 @pytest.mark.parametrize("bits", HEIGHTS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_equality_hash_and_pickle_ignore_the_memo(bits, data):
     warm = data.draw(parabolas(bits))
     elements = canonical_elements(warm)
+    axis_direction(warm)
     cold = Parabola(warm.focus, warm.directrix)
-    assert "_elements" in vars(warm) and "_elements" not in vars(cold)
+    for name in MEMO:
+        assert name in vars(warm) and name not in vars(cold)
     assert warm == cold and hash(warm) == hash(cold)
     assert pickle.dumps(warm) == pickle.dumps(cold)
     restored = pickle.loads(pickle.dumps(warm))
     assert restored == warm and hash(restored) == hash(warm)
     assert set(vars(restored)) == {"focus", "directrix"}
     assert canonical_elements(restored) == elements
+    for name in MEMO:
+        assert getattr(restored, name) == getattr(warm, name)
+
+
+# Only canonical_elements derives the latus endpoints (the memo entry
+# _elements); the figure, its checks and the parabola primitives never need
+# them.
+
+
+def test_figure_and_its_checks_leave_the_latus_endpoints_underived():
+    c1, c2, c3 = Point(Fraction(-3, 7), Fraction(1, 2)), Point(Fraction(5, 7), 2), Point(3, 5)
+    for side in ("left", "right"):
+        fig = build_parbelos(c1, c2, c3, side)
+        assert all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
+        for parabola in (fig.inner1, fig.inner2, fig.outer):
+            assert "_elements" not in vars(parabola)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_parabola_primitives_leave_the_latus_endpoints_underived(bits, data):
+    parabola = data.draw(parabolas(bits))
+    p = point_at_parameter(parabola, data.draw(rationals(13)))
+    assert is_tangent(parabola, tangent_at(parabola, p))
+    assert "_elements" not in vars(parabola)
 
 
 # --- parabola primitives against the Fraction formulas they replaced ---
@@ -317,6 +379,85 @@ def test_from_latus_rectum_error_order(bits, data):
             build(e1, e2, bad_side)
 
 
+# --- circle constructions against the Fraction formulas they replaced ---
+
+
+def reference_second_intersection(line, circle, p):
+    if not line.contains(p):
+        raise PointNotIncident(f"{p} is not on {line}")
+    if not on_circle(circle, p):
+        raise PointNotIncident(f"{p} is not on the circle")
+    dx, dy = line.direction()
+    d = Point(Fraction(dx), Fraction(dy))
+    t = Fraction(-2 * dot(d, p - circle.center), dot(d, d))
+    return p + scale(d, t)
+
+
+def reference_circle_through_points(p, q, t):
+    if p == q:
+        raise CoincidentPoints("circle family needs two distinct points")
+    mid = midpoint(p, q)
+    dx, dy = perpendicular_bisector(p, q).direction()
+    center = Point(mid.x + t * dx, mid.y + t * dy)
+    return Circle(center, dist_sq(center, p))
+
+
+def circle_and_point(data, bits):
+    center = data.draw(points(bits))
+    p = data.draw(points(bits).filter(lambda p: p != center))
+    return Circle(center, dist_sq(center, p)), p
+
+
+def error_or_result(fn, *args):
+    try:
+        return fn(*args)
+    except (PointNotIncident, CoincidentPoints) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@SETTINGS
+@given(data=st.data())
+def test_second_intersection_matches_fraction_formula(bits, data):
+    circle, p = circle_and_point(data, bits)
+    r = data.draw(points(bits).filter(lambda r: r != p))
+    tangent = perpendicular_through(line_through(circle.center, p), p)
+    secant = line_through(p, r)
+    diameter = line_through(p, circle.center)
+    assert second_intersection(tangent, circle, p) == p
+    for line in (tangent, secant, diameter):
+        other = second_intersection(line, circle, p)
+        assert other == reference_second_intersection(line, circle, p)
+        assert line.contains(other) and on_circle(circle, other)
+    assert second_intersection(diameter, circle, p) == circle.center + (circle.center - p)
+    # a point off the line, then a point on the line but off the circle
+    for line, q in ((secant, circle.center), (diameter, circle.center)):
+        if not (line.contains(q) and on_circle(circle, q)):
+            with pytest.raises(PointNotIncident):
+                second_intersection(line, circle, q)
+            assert error_or_result(second_intersection, line, circle, q) == error_or_result(
+                reference_second_intersection, line, circle, q
+            )
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@SETTINGS
+@given(data=st.data())
+def test_circle_through_points_matches_fraction_formula(bits, data):
+    p, q = data.draw(points(bits)), data.draw(points(bits))
+    for t in (data.draw(ints(bits)), data.draw(rationals(bits)), 0):
+        if p == q:
+            with pytest.raises(CoincidentPoints):
+                circle_through_points(p, q, t)
+            continue
+        circle = circle_through_points(p, q, t)
+        assert circle == reference_circle_through_points(p, q, t)
+        assert on_circle(circle, p) and on_circle(circle, q)
+    if p != q:
+        assert circle_through_points(p, q, 0).center == midpoint(p, q)
+        assert circle_through_points(q, p, Fraction(2, 3)) == circle_through_points(p, q, Fraction(2, 3))
+
+
 # --- Fraction construction counts on the integer paths ---
 
 
@@ -357,3 +498,28 @@ def test_from_latus_rectum_builds_two_fractions(bits, monkeypatch):
     counter = count_fractions(monkeypatch)
     parabola_from_latus_rectum(e1, e2, "right")
     assert counter[0] == 2  # the focus coordinates
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_second_intersection_builds_two_fractions(bits, monkeypatch):
+    center = Point(Fraction(3**bits + 1, 7**20), Fraction(-(5**bits), 11))
+    p = Point(Fraction(2**bits - 3, 13), Fraction(17, 2**bits + 1))
+    circle = Circle(center, dist_sq(center, p))
+    secant = line_through(p, Point(Fraction(-5, 3), Fraction(7**bits, 2)))
+    tangent = perpendicular_through(line_through(center, p), p)
+    counter = count_fractions(monkeypatch)
+    for line in (secant, tangent):
+        counter[0] = 0
+        second_intersection(line, circle, p)
+        assert counter[0] == 2  # the two coordinates of the answer
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_circle_through_points_builds_three_fractions(bits, monkeypatch):
+    p = Point(Fraction(3**bits + 1, 7**20), Fraction(-(5**bits), 11))
+    q = Point(Fraction(2**bits - 3, 13), Fraction(17, 2**bits + 1))
+    counter = count_fractions(monkeypatch)
+    for t in (Fraction(2**bits + 5, 3), 7):
+        counter[0] = 0
+        circle_through_points(p, q, t)
+        assert counter[0] == 3  # the center's coordinates and radius^2
