@@ -37,6 +37,7 @@ from .euclid import (
     cross,
     dist_sq,
     dist_sq_point_line,
+    equidistant,
     is_collinear,
     is_perpendicular,
     line_intersection,
@@ -382,8 +383,10 @@ def _tangent(g: Parabola, line: Line):
 
 
 def _equidistant(p: Point, a: Point, b: Point):
-    da, db = dist_sq(p, a), dist_sq(p, b)
-    return da == db, {"dist_sq_first": value_json(da), "dist_sq_second": value_json(db)}
+    return equidistant(p, a, b), {
+        "dist_sq_first": value_json(dist_sq(p, a)),
+        "dist_sq_second": value_json(dist_sq(p, b)),
+    }
 
 
 def _perpendicular(l1: Line, l2: Line):

@@ -1,8 +1,22 @@
 """Exception hierarchy shared by the geometry kernel and its frontends."""
 
+import re
+
+# Runs of more than 40 digits, which error text prints by their length.  The
+# pattern is compiled on first use (``re`` caches it), not at import.
+_LONG_DIGITS = r"\d{41,}"
+
 
 class GeometryError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Its text prints each run of more than 40 digits as ``<N digits>``, so an
+    error about a point with huge coordinates stays one short line.  Reports,
+    JSON and SVG output are not error text and stay exact.
+    """
+
+    def __str__(self) -> str:
+        return re.sub(_LONG_DIGITS, lambda m: f"<{len(m.group())} digits>", super().__str__())
 
 
 class ZeroDenominator(GeometryError):

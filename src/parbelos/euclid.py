@@ -6,6 +6,12 @@ equality of lines is structural equality; circles store the squared radius
 The one operation that looks like it should leave the rationals --
 intersecting a line with a circle -- is done with a known point on both via
 Vieta's root factoring, which keeps the whole kernel rational-closed.
+
+The predicates ``Line.contains``, ``on_circle`` and ``equidistant`` and the
+constructions ``line_through``, ``second_intersection`` and
+``circle_through_points`` write their points over one shared denominator
+(``_common``) and work on the integer numerators, so they build no
+intermediate Fractions.
 """
 
 from __future__ import annotations
@@ -242,8 +248,28 @@ def circumcircle(a: Point, b: Point, c: Point) -> Circle:
     return Circle(center, dist_sq(center, a))
 
 
+def _circle_offset(circle: Circle, p: Point) -> tuple[bool, int, int, int, int, int]:
+    """Whether p is on the circle, with the integers that decided it.
+
+    Over the shared denominator W of p = (X, Y)/W and center = (CX, CY)/W,
+    with radius^2 = R/Q and e = (X - CX, Y - CY), p is on the circle exactly
+    when Q*|e|^2 == R*W^2.  Returns (verdict, W, X, Y, ex, ey).
+    """
+    w, [(x, y), (cx, cy)] = _common(p, circle.center)
+    ex, ey = x - cx, y - cy
+    r = circle.radius_sq
+    return (ex * ex + ey * ey) * r.denominator == r.numerator * w * w, w, x, y, ex, ey
+
+
 def on_circle(circle: Circle, p: Point) -> bool:
-    return dist_sq(circle.center, p) == circle.radius_sq
+    return _circle_offset(circle, p)[0]
+
+
+def equidistant(p: Point, a: Point, b: Point) -> bool:
+    """|P - A|^2 == |P - B|^2, over the shared denominator of the three points."""
+    _, [(px, py), (ax, ay), (bx, by)] = _common(p, a, b)
+    ux, uy, vx, vy = px - ax, py - ay, px - bx, py - by
+    return ux * ux + uy * uy == vx * vx + vy * vy
 
 
 def second_intersection(line: Line, circle: Circle, p: Point) -> Point:
@@ -257,17 +283,14 @@ def second_intersection(line: Line, circle: Circle, p: Point) -> Point:
     itself is returned.
 
     Over the shared denominator W of p = (X, Y)/W and center = (CX, CY)/W,
-    with radius^2 = R/Q and e = (X - CX, Y - CY), p is on the circle exactly
-    when Q*|e|^2 == R*W^2, and with s = d.e and n = |d|^2 the answer is
-    (n*X - 2s*dx, n*Y - 2s*dy)/(n*W); its two coordinates are the only
-    Fractions built.
+    with e = (X - CX, Y - CY) (see :func:`_circle_offset`), s = d.e and
+    n = |d|^2, the answer is (n*X - 2s*dx, n*Y - 2s*dy)/(n*W); its two
+    coordinates are the only Fractions built.
     """
     if not line.contains(p):
         raise PointNotIncident(f"{p} is not on {line}")
-    w, [(x, y), (cx, cy)] = _common(p, circle.center)
-    ex, ey = x - cx, y - cy
-    r = circle.radius_sq
-    if (ex * ex + ey * ey) * r.denominator != r.numerator * w * w:
+    on, w, x, y, ex, ey = _circle_offset(circle, p)
+    if not on:
         raise PointNotIncident(f"{p} is not on the circle")
     dx, dy = line.direction()
     n, s = dx * dx + dy * dy, dx * ex + dy * ey

@@ -23,9 +23,11 @@ from .euclid import (
     Circle,
     Line,
     Point,
+    _common,
     circumcircle,
     dist_sq,
     dot,
+    equidistant,
     is_collinear,
     is_parallel,
     line_intersection,
@@ -175,22 +177,23 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
 
 
 def _square_check(fig: ParbelosFigure) -> bool:
-    """square_R has four equal sides at right angles, centered where r is."""
-    r1, r2, r3, r4 = fig.square_R
-    sides = (r2 - r1, r3 - r2, r4 - r3, r1 - r4)
-    lengths = {dot(v, v) for v in sides}
-    if len(lengths) != 1:
+    """square_R has four equal sides at right angles, centered where r is.
+
+    Decided on the integer numerators of the nine points over their shared
+    denominator; each centre test p + q == 2*O needs no halving.
+    """
+    _, [r1, r2, r3, r4, o, c2, t1, t2, t3] = _common(
+        *fig.square_R, fig.center_O, fig.C2, fig.T1, fig.T2, fig.T3
+    )
+    sides = [(q[0] - p[0], q[1] - p[1]) for p, q in ((r1, r2), (r2, r3), (r3, r4), (r4, r1))]
+    if len({x * x + y * y for x, y in sides}) != 1:
         return False
-    if any(dot(sides[i], sides[(i + 1) % 4]) != 0 for i in range(4)):
+    if any(u[0] * v[0] + u[1] * v[1] != 0 for u, v in zip(sides, sides[1:] + sides[:1])):
         return False
-    center_of_square = midpoint(r1, r3)
-    if center_of_square != midpoint(r2, r4):
-        return False
-    # r's center: both diagonals of the tangent rectangle must agree on it.
-    return (
-        center_of_square == fig.center_O
-        and fig.center_O == midpoint(fig.C2, fig.T2)
-        and fig.center_O == midpoint(fig.T1, fig.T3)
+    # Both diagonals of the square, and of the tangent rectangle r, meet at O.
+    twice_o = (2 * o[0], 2 * o[1])
+    return all(
+        (p[0] + q[0], p[1] + q[1]) == twice_o for p, q in ((r1, r3), (r2, r4), (c2, t2), (t1, t3))
     )
 
 
@@ -215,7 +218,7 @@ def sondow_checks(fig: ParbelosFigure) -> list[tuple[str, str, bool]]:
         (
             "FT equals HT",
             "FT differs from HT",
-            dist_sq(fig.focus_F, fig.contact_T) == dist_sq(fig.H, fig.contact_T),
+            equidistant(fig.contact_T, fig.focus_F, fig.H),
         ),
         (
             "focus on circumcircle",
@@ -236,7 +239,7 @@ def corollary_checks(fig: ParbelosFigure) -> list[tuple[str, str, bool]]:
         (
             "F equidistant from T1 and T3",
             "F not equidistant from T1 and T3",
-            dist_sq(fig.focus_F, fig.T1) == dist_sq(fig.focus_F, fig.T3),
+            equidistant(fig.focus_F, fig.T1, fig.T3),
         ),
         (
             "H on circumcircle",
@@ -246,7 +249,7 @@ def corollary_checks(fig: ParbelosFigure) -> list[tuple[str, str, bool]]:
         (
             "H equidistant from T1 and T3",
             "H not equidistant from T1 and T3",
-            dist_sq(fig.H, fig.T1) == dist_sq(fig.H, fig.T3),
+            equidistant(fig.H, fig.T1, fig.T3),
         ),
         (
             "A1 and A3 on circumcircle",
@@ -256,8 +259,7 @@ def corollary_checks(fig: ParbelosFigure) -> list[tuple[str, str, bool]]:
         (
             "A1 and A3 equidistant from C2 and T2",
             "A1 or A3 not equidistant from C2 and T2",
-            dist_sq(fig.A1, fig.C2) == dist_sq(fig.A1, fig.T2)
-            and dist_sq(fig.A3, fig.C2) == dist_sq(fig.A3, fig.T2),
+            equidistant(fig.A1, fig.C2, fig.T2) and equidistant(fig.A3, fig.C2, fig.T2),
         ),
     ]
 

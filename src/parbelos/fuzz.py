@@ -27,6 +27,7 @@ from .euclid import (
     circle_through_points,
     dist_sq,
     dot,
+    equidistant,
     line_intersection,
     line_through,
     perpendicular_bisector,
@@ -340,7 +341,7 @@ def _ft_ht_case(args: tuple[int, int, int]) -> list[str]:
     rng = _case_rng(seed, index)
     c1, c2, c3, side = rand_cusps(rng, scale)
     fig = build_parbelos(c1, c2, c3, side)
-    if dist_sq(fig.focus_F, fig.contact_T) != dist_sq(fig.H, fig.contact_T):
+    if not equidistant(fig.contact_T, fig.focus_F, fig.H):
         return [f"case {index}: |F-contact|^2 != |H-contact|^2"]
     return []
 

@@ -67,16 +67,25 @@ def to_decimal_string(value: Rational, digits: int = 12) -> str:
     """Decimal rendering of an exact rational, for reports and SVG only.
 
     Rounds to ``digits`` fractional digits (half away from zero) using integer
-    arithmetic, then strips trailing zeros.  This is the only place the
-    package converts out of exact form.
+    arithmetic, then strips trailing zeros.  This and
+    :func:`ratio_to_decimal_string` are the only places the package converts
+    out of exact form.
+    """
+    return ratio_to_decimal_string(value.numerator, value.denominator, digits)
+
+
+def ratio_to_decimal_string(numerator: int, denominator: int, digits: int = 12) -> str:
+    """:func:`to_decimal_string` of numerator/denominator, for denominator > 0.
+
+    The pair need not be reduced: rounding half away from zero compares twice
+    the remainder with the denominator, and both scale by the same k in
+    k*n/k*d, so every such pair gives the same digits.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    n, d = value.numerator, value.denominator
-    negative = n < 0
-    scaled = abs(n) * 10**digits
-    whole, rem = divmod(scaled, d)
-    if 2 * rem >= d:
+    negative = numerator < 0
+    whole, rem = divmod(abs(numerator) * 10**digits, denominator)
+    if 2 * rem >= denominator:
         whole += 1
     text = str(whole).rjust(digits + 1, "0")
     int_part, frac_part = (text, "") if digits == 0 else (text[:-digits], text[-digits:])

@@ -2,11 +2,13 @@
 
 A parabola arc is exactly a quadratic Bezier curve whose control point is the
 intersection of the endpoint tangents, so arcs are emitted as ``Q`` path
-segments with an exactly computed control point; coordinates stay rational
-until the final string conversion.  The y axis is flipped from SVG's
-screen-down convention to the usual mathematical orientation, and output is
-byte-stable for fixed inputs: fixed element order, fixed formatting, no
-floating point anywhere.
+segments with an exactly computed control point (:func:`arc_between` builds
+an arc from its two endpoints and certifies it).  Coordinates stay rational
+until the final string conversion: the canvas map is exact and runs in
+integers, and each canvas coordinate is rounded once to a decimal string.
+The y axis is flipped from SVG's screen-down convention to the usual
+mathematical orientation, and output is byte-stable for fixed inputs: fixed
+element order, fixed formatting, no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -16,17 +18,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyScene, PointNotOnParabola
-from .euclid import Circle, Line, Point, line_intersection, point, scale
+from .euclid import Circle, Line, Point, _common, line_intersection, point
 from .figure import NAMED_POINTS, ParbelosFigure
 from .parabola import (
     Parabola,
     contains_point,
     focal_scale,
-    parameter_of,
     point_at_parameter,
     tangent_at,
 )
-from .rational import Rational, to_decimal_string
+from .rational import Rational, ratio_to_decimal_string
 
 
 @dataclass(frozen=True)
@@ -55,34 +56,44 @@ class CircleElement:
 
 @dataclass(frozen=True)
 class ArcElement:
-    """Parabola arc over a parameter range, with its exact Bezier data.
+    """Parabola arc between two of its points, with its exact Bezier data.
 
     The control point is the intersection of the endpoint tangents; the arc
     IS the quadratic Bezier on (p0, control, p1).  Built via
-    :func:`parabola_arc`, which certifies that identity exactly.
+    :func:`arc_between`, which certifies that identity exactly.
     """
 
     parabola: Parabola
-    t0: Rational
-    t1: Rational
     p0: Point
     p1: Point
     control: Point
 
 
-def parabola_arc(parabola: Parabola, t0: Rational, t1: Rational) -> ArcElement:
-    """Arc between two parameters; rejects the degenerate zero-length arc."""
-    if t0 == t1:
-        raise EmptyScene(f"degenerate arc: t0 = t1 = {t0}")
-    p0 = point_at_parameter(parabola, t0)
-    p1 = point_at_parameter(parabola, t1)
+def arc_between(parabola: Parabola, p0: Point, p1: Point) -> ArcElement:
+    """Arc between two points of the parabola; rejects the zero-length arc.
+
+    ``tangent_at`` raises :class:`PointNotOnParabola` for an endpoint off the
+    parabola.  Over the shared denominator W of p0, control and p1, the
+    Bezier midpoint is (X0 + 2*XC + X1, Y0 + 2*YC + Y1)/4W.
+    """
+    if p0 == p1:
+        raise EmptyScene(f"degenerate arc: p0 = p1 = {p0}")
     control = line_intersection(tangent_at(parabola, p0), tangent_at(parabola, p1))
     # The quadratic Bezier with this control point must retrace the parabola;
     # check its midpoint B(1/2) = (p0 + 2*control + p1)/4 exactly.
-    bezier_mid = scale(p0 + scale(control, 2) + p1, Fraction(1, 4))
+    w, [(x0, y0), (xc, yc), (x1, y1)] = _common(p0, control, p1)
+    bezier_mid = Point(Fraction(x0 + 2 * xc + x1, 4 * w), Fraction(y0 + 2 * yc + y1, 4 * w))
     if not contains_point(parabola, bezier_mid):
         raise PointNotOnParabola(f"Bezier control point {control} is off the parabola")
-    return ArcElement(parabola, t0, t1, p0, p1, control)
+    return ArcElement(parabola, p0, p1, control)
+
+
+def parabola_arc(parabola: Parabola, t0: Rational, t1: Rational) -> ArcElement:
+    """Arc between two parameters of :func:`point_at_parameter`.
+
+    The parametrisation is injective, so t0 == t1 is the zero-length arc.
+    """
+    return arc_between(parabola, point_at_parameter(parabola, t0), point_at_parameter(parabola, t1))
 
 
 @dataclass
@@ -118,7 +129,7 @@ def figure_scene(fig: ParbelosFigure) -> Scene:
         (fig.inner2, fig.C2, fig.C3),
         (fig.outer, fig.C1, fig.C3),
     ):
-        scene.add_arc(parabola, parameter_of(parabola, start), parameter_of(parabola, end))
+        scene.arcs.append(arc_between(parabola, start, end))
     scene.add_circle(fig.circumcircle_K)
     scene.add_segment(fig.C1, fig.C3, "baseline")
     for a, b in ((fig.C2, fig.T1), (fig.T1, fig.T2), (fig.T2, fig.T3), (fig.T3, fig.C2)):
@@ -164,11 +175,25 @@ def _sqrt_decimal(value: Rational, digits: int) -> str:
     # sqrt(n/d) * 10^digits = sqrt(n*d*10^(2*digits)) / d
     root = math.isqrt(num * den * 10 ** (2 * digits))
     rounded = (2 * root + den) // (2 * den)
-    return to_decimal_string(Fraction(rounded, 10**digits), digits)
+    return ratio_to_decimal_string(rounded, 10**digits, digits)
+
+
+def _over_one_denominator(scale: Rational, offset: Rational) -> tuple[int, int, int]:
+    """Integers (S, O, D) with scale = S/D and offset = O/D, D their lcm."""
+    d = math.lcm(scale.denominator, offset.denominator)
+    s, o = scale.numerator * (d // scale.denominator), offset.numerator * (d // offset.denominator)
+    return s, o, d
 
 
 class _Frame:
-    """Exact affine map from math coordinates to the SVG canvas (y flipped)."""
+    """Exact affine map from math coordinates to the SVG canvas (y flipped).
+
+    Each axis keeps its scale and offset over one denominator D, so with
+    scale = S/D and offset = O/D the canvas x of v = n/d is the unreduced
+    ratio (n*S + d*O)/(d*D), rounded once; no Fraction is built per
+    coordinate.  ``shift`` moves the result by a whole number of canvas
+    units (the labels sit 5 right of and 5 above their points).
+    """
 
     def __init__(self, bounds, width: int, height: int, margin: int, digits: int):
         xmin, ymin, xmax, ymax = bounds
@@ -190,18 +215,21 @@ class _Frame:
         self.x_hi = (width - self.offset_x) / self.scale
         self.y_lo = (self.offset_y - height) / self.scale
         self.y_hi = self.offset_y / self.scale
+        self._sx, self._ox, self._dx = _over_one_denominator(self.scale, self.offset_x)
+        self._sy, self._oy, self._dy = _over_one_denominator(self.scale, self.offset_y)
 
-    def x(self, v: Rational) -> str:
-        return to_decimal_string(v * self.scale + self.offset_x, self.digits)
+    def x(self, v: Rational, shift: int = 0) -> str:
+        n, d = v.numerator, v.denominator
+        num = n * self._sx + d * (self._ox + shift * self._dx)
+        return ratio_to_decimal_string(num, d * self._dx, self.digits)
 
-    def y(self, v: Rational) -> str:
-        return to_decimal_string(self.offset_y - v * self.scale, self.digits)
+    def y(self, v: Rational, shift: int = 0) -> str:
+        n, d = v.numerator, v.denominator
+        num = d * (self._oy + shift * self._dy) - n * self._sy
+        return ratio_to_decimal_string(num, d * self._dy, self.digits)
 
     def xy(self, p: Point) -> str:
         return f"{self.x(p.x)} {self.y(p.y)}"
-
-    def length(self, v: Rational) -> str:
-        return to_decimal_string(v * self.scale, self.digits)
 
 
 def _scene_bounds(scene: Scene):
@@ -313,8 +341,6 @@ def render_svg(
             f'<circle class="dot" cx="{frame.x(lp.at.x)}" cy="{frame.y(lp.at.y)}" r="3"/>'
         )
     for lp in scene.points:
-        x = to_decimal_string(lp.at.x * frame.scale + frame.offset_x + 5, decimal_digits)
-        y = to_decimal_string(frame.offset_y - lp.at.y * frame.scale - 5, decimal_digits)
-        out.append(f'<text x="{x}" y="{y}">{lp.label}</text>')
+        out.append(f'<text x="{frame.x(lp.at.x, 5)}" y="{frame.y(lp.at.y, -5)}">{lp.label}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -281,23 +281,41 @@ def test_render_digits_too_long_to_print_exit_2(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_kernel_error_prints_long_numbers_by_digit_count(tmp_path, capsys):
+    script = tmp_path / "long.geo"
+    script.write_text(f"let P0 = point({'7' * 2000}, 0)\nlet X0 = line(P0, P0)\n")
+    code, out, err = run(capsys, "check", str(script))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2, col 1: no unique line through (<2000 digits>, 0) twice\n"
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize(
     "argv",
-    [("fuzz", "--cases", "10", "--seed", "3"), ("check", str(DATA / "sondow.geo"), "--json")],
-    ids=["fuzz", "check-json"],
+    [
+        ("fuzz", "--cases", "10", "--seed", "3"),
+        ("check", str(DATA / "sondow.geo"), "--json"),
+        ("render", str(DATA / "sondow.geo"), "--svg", "OUT.svg"),
+    ],
+    ids=["fuzz", "check-json", "render"],
 )
-def test_certification_is_the_same_under_optimize(argv):
-    """``python -O`` strips asserts; no verdict or exit code may depend on them."""
+def test_certification_is_the_same_under_optimize(argv, tmp_path):
+    """``python -O`` strips asserts; no verdict, exit code or output may depend on them."""
     paths = (str(pathlib.Path(parbelos.__file__).parents[1]), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    target = tmp_path / "out.svg"
+    argv = [str(target) if arg == "OUT.svg" else arg for arg in argv]
 
     def run_cli(*flags):
+        target.unlink(missing_ok=True)
         done = subprocess.run(
             [sys.executable, *flags, "-m", "parbelos.cli", *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        return done.returncode, done.stdout
+        return done.returncode, done.stdout, target.read_bytes() if target.exists() else None
 
     plain = run_cli()
     assert plain[0] == 0 and plain[1]
+    assert (plain[2] is not None) == ("render" in argv)
     assert run_cli("-O") == plain

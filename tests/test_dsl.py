@@ -239,6 +239,17 @@ def test_witnesses_are_exact():
     assert equi.passed and equi.witness == {"dist_sq_first": "25", "dist_sq_second": "25"}
 
 
+def test_equidistant_verdict_is_the_kernel_predicate(monkeypatch):
+    import parbelos.dsl as dsl
+
+    source = "let A = point(0,0)\nlet B = point(3,4)\nlet C = point(6,8)\nassert equidistant(B, A, C)"
+    assert evaluate(parse_script(source)).assertions[0].passed
+    monkeypatch.setattr(dsl, "equidistant", lambda p, a, b: False)
+    result = evaluate(parse_script(source)).assertions[0]
+    assert not result.passed
+    assert result.witness == {"dist_sq_first": "25", "dist_sq_second": "25"}
+
+
 @pytest.mark.parametrize("literal", ["1/0", "-3/0", "7" * 4301, "1/" + "7" * 4301])
 def test_bad_literal_is_a_syntax_error_at_its_position(literal):
     with pytest.raises(GeoSyntaxError) as exc:

@@ -23,6 +23,7 @@ from parbelos.euclid import (
     cross,
     dist_sq,
     dot,
+    equidistant,
     is_collinear,
     is_parallel,
     is_perpendicular,
@@ -309,3 +310,22 @@ def test_parallel_through():
     line = Line(2, 3, 7)
     shifted = parallel_through(line, point(1, 1))
     assert is_parallel(line, shifted) and shifted.contains(point(1, 1))
+
+
+def test_equidistant_examples():
+    assert equidistant(point(0, 0), point(3, 4), point(-5, 0))
+    assert equidistant(point(F(1, 2), F(1, 3)), point(F(1, 2), F(4, 3)), point(F(3, 2), F(1, 3)))
+    assert not equidistant(point(0, 0), point(3, 4), point(4, 4))
+
+
+# --- error text ---
+
+
+def test_error_text_prints_digit_runs_over_40_by_their_length():
+    forty, long = "1" * 40, "2" * 41
+    err = CoincidentPoints(f"no unique line through ({forty}, -{long}/3) twice")
+    assert str(err) == f"no unique line through ({forty}, -<41 digits>/3) twice"
+    assert err.args == (f"no unique line through ({forty}, -{long}/3) twice",)
+    with pytest.raises(CoincidentPoints) as exc:
+        line_through(point(7**2000, 0), point(7**2000, 0))
+    assert str(exc.value) == "no unique line through (<1691 digits>, 0) twice"

@@ -1,16 +1,19 @@
 """The integer paths of the kernel against the Fraction formulas they
 replaced: Line canonicalisation, Line.contains and line_through, the
 parabola primitives contains_point, is_tangent, tangent_at and
-parabola_from_latus_rectum, and the circle constructions second_intersection
-and circle_through_points; the per-element memo of Parabola, and which
-callers leave the latus endpoints underived; and a count of the Fractions
-each integer path builds, so a timing-free test notices when Fraction
-arithmetic comes back onto one of them.
+parabola_from_latus_rectum, the circle constructions second_intersection
+and circle_through_points, the figure checks on_circle, equidistant and
+_square_check, and the drawing (arc_between and the SVG canvas map); the
+per-element memo of Parabola, and which callers leave which elements
+underived; and a count of the Fractions each integer path builds, so a
+timing-free test notices when Fraction arithmetic comes back onto one of
+them.
 
 Heights cover both regimes the kernel runs in: about 13 bits (fuzz and
 figure inputs) and about 3300 bits (cusp coordinates below 10^1000).
 """
 
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -23,6 +26,7 @@ from parbelos.errors import (
     CoincidentPoints,
     DegenerateLine,
     DegenerateSide,
+    EmptyScene,
     PointNotIncident,
     PointNotOnParabola,
 )
@@ -30,10 +34,13 @@ from parbelos.euclid import (
     Circle,
     Line,
     Point,
+    _common,
     circle_through_points,
     dist_sq,
     dist_sq_point_line,
     dot,
+    equidistant,
+    line_intersection,
     line_through,
     midpoint,
     on_circle,
@@ -44,7 +51,7 @@ from parbelos.euclid import (
     scale,
     second_intersection,
 )
-from parbelos.figure import build_parbelos, corollary_checks, sondow_checks
+from parbelos.figure import _square_check, build_parbelos, corollary_checks, sondow_checks
 from parbelos.parabola import (
     Parabola,
     axis_direction,
@@ -53,9 +60,12 @@ from parbelos.parabola import (
     focal_scale,
     is_tangent,
     parabola_from_latus_rectum,
+    parameter_of,
     point_at_parameter,
     tangent_at,
 )
+from parbelos.rational import ratio_to_decimal_string, to_decimal_string
+from parbelos.svg import _Frame, arc_between, figure_scene, parabola_arc, render_svg
 
 HEIGHTS = (13, 3300)
 
@@ -523,3 +533,222 @@ def test_circle_through_points_builds_three_fractions(bits, monkeypatch):
         counter[0] = 0
         circle_through_points(p, q, t)
         assert counter[0] == 3  # the center's coordinates and radius^2
+
+
+# --- figure checks against the Fraction formulas they replaced ---
+
+# The properties below build figures and arcs, or draw 3300-bit circles, so
+# they draw fewer examples than the ones above.
+LIGHT = settings(max_examples=25, deadline=None)
+FIGURES = settings(max_examples=8, deadline=None)
+
+
+def reference_on_circle(circle, p):
+    return dist_sq(circle.center, p) == circle.radius_sq
+
+
+def reference_equidistant(p, a, b):
+    return dist_sq(p, a) == dist_sq(p, b)
+
+
+def reference_square_check(fig):
+    r1, r2, r3, r4 = fig.square_R
+    sides = (r2 - r1, r3 - r2, r4 - r3, r1 - r4)
+    if len({dot(v, v) for v in sides}) != 1:
+        return False
+    if any(dot(sides[i], sides[(i + 1) % 4]) != 0 for i in range(4)):
+        return False
+    center_of_square = midpoint(r1, r3)
+    if center_of_square != midpoint(r2, r4):
+        return False
+    return (
+        center_of_square == fig.center_O
+        and fig.center_O == midpoint(fig.C2, fig.T2)
+        and fig.center_O == midpoint(fig.T1, fig.T3)
+    )
+
+
+def nudged(p, *others, axis=0):
+    """p moved by 1/W along x (axis 0) or y, W the shared denominator of p and others.
+
+    Every difference of coordinates among these points is a multiple of 1/W,
+    so the move changes a squared distance from p by 2*delta/W + 1/W^2, which
+    is never zero.
+    """
+    step = Fraction(1, _common(p, *others)[0])
+    return Point(p.x + step, p.y) if axis == 0 else Point(p.x, p.y + step)
+
+
+def fractions_in_unit_interval():
+    return st.integers(2, 2**13).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: Fraction(n, d)))
+
+
+def cusps(bits):
+    """Collinear C1, C2 = C1 + t*(C3 - C1) and C3 with 0 < t < 1."""
+    steps = points(bits).filter(lambda d: d.x != 0 or d.y != 0)
+    return st.builds(
+        lambda c1, d, t: (c1, Point(c1.x + t * d.x, c1.y + t * d.y), c1 + d),
+        points(bits),
+        steps,
+        fractions_in_unit_interval(),
+    )
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@LIGHT
+@given(data=st.data())
+def test_on_circle_matches_fraction_formula(bits, data):
+    circle, p = circle_and_point(data, bits)
+    r = data.draw(points(bits).filter(lambda r: r != p))
+    q = second_intersection(line_through(p, r), circle, p)  # on the circle, other denominators
+    off = nudged(p, circle.center)
+    for candidate in (p, q, off, r, circle.center):
+        assert on_circle(circle, candidate) == reference_on_circle(circle, candidate)
+    assert on_circle(circle, p) and on_circle(circle, q)
+    assert not on_circle(circle, off) and not on_circle(circle, circle.center)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@LIGHT
+@given(data=st.data())
+def test_equidistant_matches_fraction_formula(bits, data):
+    a = data.draw(points(bits))
+    b = data.draw(points(bits).filter(lambda b: b != a))
+    t = data.draw(rationals(bits))
+    # a point of the perpendicular bisector of ab
+    p = Point((a.x + b.x) / 2 + t * (a.y - b.y), (a.y + b.y) / 2 + t * (b.x - a.x))
+    off = nudged(p, a, b, axis=0 if a.x != b.x else 1)
+    r = data.draw(points(bits))
+    for candidate in (p, off, r, a):
+        assert equidistant(candidate, a, b) == reference_equidistant(candidate, a, b)
+    assert equidistant(p, a, b) and equidistant(p, b, a)
+    assert not equidistant(off, a, b) and not equidistant(a, a, b)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@FIGURES
+@given(data=st.data())
+def test_square_check_matches_fraction_formula(bits, data):
+    c1, c2, c3 = data.draw(cusps(bits))
+    fig = build_parbelos(c1, c2, c3, data.draw(st.sampled_from(("left", "right"))))
+    r1, r2, r3, r4 = fig.square_R
+    mutants = (
+        dataclasses.replace(fig, square_R=(nudged(r1, r2, r3, r4), r2, r3, r4)),
+        dataclasses.replace(fig, square_R=(r1, r2, nudged(r3, r1, r2, r4, axis=1), r4)),
+        dataclasses.replace(fig, square_R=(r2, r1, r3, r4)),  # a diagonal taken as a side
+        dataclasses.replace(fig, center_O=nudged(fig.center_O, fig.C2, fig.T2)),
+    )
+    assert _square_check(fig) and reference_square_check(fig)
+    for mutant in mutants:
+        assert not _square_check(mutant) and not reference_square_check(mutant)
+
+
+# --- the drawing: arcs from their endpoints and the integer canvas map ---
+
+
+def reference_parabola_arc(parabola, t0, t1):
+    """The arc's (p0, p1, control) as built from parameters, with a Fraction Bezier midpoint."""
+    p0, p1 = point_at_parameter(parabola, t0), point_at_parameter(parabola, t1)
+    control = line_intersection(tangent_at(parabola, p0), tangent_at(parabola, p1))
+    assert contains_point(parabola, scale(p0 + scale(control, 2) + p1, Fraction(1, 4)))
+    return p0, p1, control
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@FIGURES
+@given(data=st.data())
+def test_arc_between_matches_parabola_arc(bits, data):
+    parabola = data.draw(parabolas(bits))
+    t0, t1 = data.draw(rationals(13)), data.draw(rationals(13))
+    p0, p1 = point_at_parameter(parabola, t0), point_at_parameter(parabola, t1)
+    if t0 == t1:
+        for build in (lambda: arc_between(parabola, p0, p1), lambda: parabola_arc(parabola, t0, t1)):
+            with pytest.raises(EmptyScene):
+                build()
+        return
+    arc = arc_between(parabola, p0, p1)
+    assert arc == parabola_arc(parabola, t0, t1)
+    assert (arc.p0, arc.p1, arc.control) == reference_parabola_arc(parabola, t0, t1)
+    with pytest.raises(PointNotOnParabola):
+        arc_between(parabola, p0, parabola.focus)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@FIGURES
+@given(data=st.data())
+def test_figure_scene_arcs_match_the_parameter_round_trip(bits, data):
+    c1, c2, c3 = data.draw(cusps(bits))
+    fig = build_parbelos(c1, c2, c3, data.draw(st.sampled_from(("left", "right"))))
+    spans = ((fig.inner1, fig.C1, fig.C2), (fig.inner2, fig.C2, fig.C3), (fig.outer, fig.C1, fig.C3))
+    arcs = figure_scene(fig).arcs
+    assert len(arcs) == len(spans)
+    for arc, (parabola, start, end) in zip(arcs, spans):
+        assert arc == parabola_arc(parabola, parameter_of(parabola, start), parameter_of(parabola, end))
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@SETTINGS
+@given(data=st.data())
+def test_unreduced_ratio_rounds_like_its_fraction(bits, data):
+    digits = data.draw(st.integers(0, 20))
+    k = data.draw(st.integers(1, 2**bits))
+    tie = Fraction(2 * data.draw(ints(bits)) + 1, 2 * 10**digits)  # exactly half a last digit
+    for v in (data.draw(rationals(bits)), tie, -tie):
+        assert ratio_to_decimal_string(k * v.numerator, k * v.denominator, digits) == to_decimal_string(v, digits)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@SETTINGS
+@given(data=st.data())
+def test_canvas_map_matches_fraction_formula(bits, data):
+    x0, x1, y0, y1 = (data.draw(rationals(bits)) for _ in range(4))
+    xmin, xmax, ymin, ymax = min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)
+    width, height = data.draw(st.integers(100, 1200)), data.draw(st.integers(100, 1200))
+    margin = data.draw(st.integers(0, 40))
+    digits = data.draw(st.sampled_from((0, 12)))
+    frame = _Frame((xmin, ymin, xmax, ymax), width, height, margin, digits)
+    # left of and above the canvas: negative canvas coordinates
+    far_left, far_up = xmin - width / frame.scale, ymax + height / frame.scale
+    xs = [data.draw(rationals(bits)), xmin, xmax, far_left]
+    ys = [data.draw(rationals(bits)), ymin, ymax, far_up]
+    for shift in (0, 5, -5):
+        for v in xs:
+            assert frame.x(v, shift) == to_decimal_string(v * frame.scale + frame.offset_x + shift, digits)
+        for v in ys:
+            assert frame.y(v, shift) == to_decimal_string(frame.offset_y - v * frame.scale + shift, digits)
+    assert frame.x(far_left).startswith("-") and frame.y(far_up).startswith("-")
+
+
+C1_TALL = Point(Fraction(3**2000 + 1, 7**20), Fraction(-(5**1400), 11))
+STEP_TALL = Point(Fraction(2**3300 - 3, 13), Fraction(17, 2**3300 + 1))
+FIGURE_CUSPS = {
+    13: (Point(Fraction(-3, 7), Fraction(1, 2)), Point(Fraction(5, 7), 2), Point(3, 5)),
+    3300: (C1_TALL, C1_TALL + scale(STEP_TALL, Fraction(2, 7)), C1_TALL + STEP_TALL),
+}
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_drawing_leaves_the_inner_vertex_and_supporting_line_underived(bits):
+    for side in ("left", "right"):
+        fig = build_parbelos(*FIGURE_CUSPS[bits], side)
+        assert all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
+        render_svg(figure_scene(fig))
+        for parabola in (fig.inner1, fig.inner2):
+            assert "_vertex" not in vars(parabola)
+            assert "_supporting_line" not in vars(parabola)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_render_svg_builds_no_fraction_per_coordinate(bits, monkeypatch):
+    fig = build_parbelos(*FIGURE_CUSPS[bits], "right")
+    scene = figure_scene(fig)
+    crowded = figure_scene(fig)  # the same bounds, with every point, segment and arc twice
+    crowded.points.extend(scene.points)
+    crowded.segments.extend(scene.segments)
+    crowded.arcs.extend(scene.arcs)
+    counter = count_fractions(monkeypatch)
+    render_svg(scene)
+    once = counter[0]
+    counter[0] = 0
+    render_svg(crowded)
+    assert counter[0] == once
