@@ -10,8 +10,8 @@ Subcommands:
 
     check FILE.geo [--json]
         Parse and evaluate a construction script.  Exit 0 when all
-        assertions pass, 1 when an assertion fails, 2 on a parse or
-        evaluation error.
+        assertions pass, 1 when an assertion fails, 2 on an unreadable or
+        non-UTF-8 script or a parse or evaluation error.
 
     fuzz [--cases N] [--seed S] [--max-height H] [--parallel]
         Seeded randomized invariant suites; cusp coordinates have numerators
@@ -20,9 +20,10 @@ Subcommands:
 
     render FILE.geo --svg OUT.svg [--width W] [--height H] [--margin M] [--digits D]
         Evaluate a script and render its drawable bindings.  Exit 0 when
-        OUT.svg is written, 2 on a parse or evaluation error, an empty
-        scene, an unwritable OUT.svg, a W or H that is not positive, a
-        margin that leaves no drawing area, or a negative D.
+        OUT.svg is written, 2 on an unreadable or non-UTF-8 script, a parse
+        or evaluation error, an empty scene, an unwritable OUT.svg, a W or
+        H that is not positive, a margin that leaves no drawing area, or a
+        negative D.
 """
 
 from __future__ import annotations
@@ -107,6 +108,18 @@ def _cmd_parbelos(argv: list[str]) -> int:
     return 0 if overall else 1
 
 
+def _read_script(path: str) -> str | None:
+    """The text of a UTF-8 script, or None after one ``error:`` line on stderr."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path} is not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
+    return None
+
+
 def _cmd_check(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="parbelos check", description="evaluate a construction script"
@@ -114,11 +127,8 @@ def _cmd_check(argv: list[str]) -> int:
     parser.add_argument("file", metavar="FILE.geo")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
-    try:
-        with open(args.file, encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    source = _read_script(args.file)
+    if source is None:
         return 2
     try:
         report = evaluate(parse_script(source))
@@ -186,9 +196,10 @@ def _cmd_render(argv: list[str]) -> int:
         if bad:
             print(f"error: {problem}", file=sys.stderr)
             return 2
+    source = _read_script(args.file)
+    if source is None:
+        return 2
     try:
-        with open(args.file, encoding="utf-8") as handle:
-            source = handle.read()
         report = evaluate(parse_script(source))
         document = render_svg(
             bindings_scene(report.bindings),

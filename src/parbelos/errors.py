@@ -91,7 +91,7 @@ class DegenerateSide(GeometryError):
 
 
 class InvalidRotation(GeometryError):
-    """(p, q) does not define a rational rotation: p^2 + q^2 is not a rational square."""
+    """A similarity was asked for with the multiplier m = 0, which maps every point to one."""
 
 
 class EmptyScene(GeometryError):

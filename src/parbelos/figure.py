@@ -14,8 +14,7 @@ frame, which is what makes the similarity-invariance checks meaningful.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import CuspNotInterior, CuspsNotCollinear, DegenerateSide, InvalidRotation
@@ -48,7 +47,6 @@ from .parabola import (
     parabola_from_latus_rectum,
     tangent_at,
 )
-from .rational import Rational
 from .theorems import TheoremReport
 
 
@@ -299,43 +297,50 @@ def verify_corollaries(fig: ParbelosFigure) -> TheoremReport:
     )
 
 
-def rational_sqrt(value: Rational) -> Rational | None:
-    """Exact square root of a rational, or None when it is irrational."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
+def similarity(m: Point, shift: Point):
+    """The map z -> m*z + shift on complex numbers z = x + iy, for a rational m != 0.
 
-
-def similarity_transform(
-    inputs: tuple[Point, Point, Point, Side],
-    s: Rational,
-    rot: tuple[Rational, Rational],
-    shift: Point,
-) -> tuple[Point, Point, Point, Side]:
-    """Apply x -> s * R * x + shift to the three cusps.
-
-    R is the rational rotation built from (p, q): it requires p^2 + q^2 to be
-    the square of a rational (Pythagorean-triple rotations, so coordinates
-    stay rational).  The side selector transports unchanged because the map
-    preserves orientation.
+    It maps points, lines, circles, parabolas, tuples of these and whole
+    figures, field by field.  Squared lengths scale by |m|^2, so any rational m
+    keeps a figure rational, and orientation is kept, so a figure's side
+    carries over.  With m = (MA + i*MB)/MD and shift = (SX, SY)/SD in integers,
+    a point over its denominator W maps to one Fraction per coordinate, as
+    x -> ((MA*X - MB*Y)*SD + SX*MD*W)/(MD*W*SD), and a line's normal (a, b)
+    turns to (a*MA - b*MB, a*MB + b*MA) in an integer triple.
     """
-    c1, c2, c3, side = inputs
-    if s <= 0:
-        raise InvalidRotation(f"scale must be positive, got {s}")
-    p, q = Fraction(rot[0]), Fraction(rot[1])
-    hyp = rational_sqrt(p * p + q * q)
-    if hyp is None or hyp == 0:
-        raise InvalidRotation(f"(p, q) = ({p}, {q}) does not give a rational rotation")
+    if m.x == 0 and m.y == 0:
+        raise InvalidRotation("similarity needs a nonzero multiplier m")
+    md, [(ma, mb)] = _common(m)
+    sd, [(sx, sy)] = _common(shift)
+    norm = ma * ma + mb * mb
+    scale_sq = Fraction(norm, md * md)
+    k = md * sd
 
-    def apply(pt: Point) -> Point:
-        x = s * (p * pt.x - q * pt.y) / hyp + shift.x
-        y = s * (q * pt.x + p * pt.y) / hyp + shift.y
-        return Point(x, y)
+    def map_point(p: Point) -> Point:
+        w, [(x, y)] = _common(p)
+        den = k * w
+        return Point(
+            Fraction((ma * x - mb * y) * sd + sx * md * w, den),
+            Fraction((mb * x + ma * y) * sd + sy * md * w, den),
+        )
 
-    return apply(c1), apply(c2), apply(c3), side
+    def map_line(line: Line) -> Line:
+        a = line.a * ma - line.b * mb
+        b = line.a * mb + line.b * ma
+        return Line(a * k, b * k, norm * line.c * sd - (a * sx + b * sy) * md)
 
+    maps = {
+        Point: map_point,
+        Line: map_line,
+        Circle: lambda c: Circle(map_point(c.center), c.radius_sq * scale_sq),
+        Parabola: lambda p: Parabola(map_point(p.focus), map_line(p.directrix)),
+        tuple: lambda values: tuple(image(v) for v in values),
+        ParbelosFigure: lambda fig: ParbelosFigure(
+            *(image(getattr(fig, f.name)) for f in fields(ParbelosFigure))
+        ),
+    }
 
+    def image(value):
+        return maps[type(value)](value)
+
+    return image

@@ -15,7 +15,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,12 +34,7 @@ from .euclid import (
     perpendicular_through,
     point,
 )
-from .figure import (
-    build_parbelos,
-    corollary_checks,
-    similarity_transform,
-    sondow_checks,
-)
+from .figure import build_parbelos, corollary_checks, similarity, sondow_checks
 from .parabola import (
     LEFT,
     RIGHT,
@@ -72,10 +67,6 @@ def _case_rng(seed: int, index: int) -> random.Random:
 
 def rand_rational(rng: random.Random, max_num: int, max_den: int) -> Fraction:
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-
-
-def rand_positive_rational(rng: random.Random, max_num: int, max_den: int) -> Fraction:
-    return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
 
 
 def rand_side(rng: random.Random) -> Side:
@@ -276,34 +267,23 @@ def _replay_case(args: tuple[int, int, int]) -> list[str]:
     return failures
 
 
-def rand_rotation(rng: random.Random) -> tuple[Fraction, Fraction]:
-    """Rational rotation from a random Pythagorean pair (m^2-n^2, 2mn)."""
-    m = rng.randint(2, 12)
-    n = rng.randint(1, m - 1)
-    p, q = Fraction(m * m - n * n), Fraction(2 * m * n)
-    if rng.random() < 0.5:
-        p, q = q, p
-    if rng.random() < 0.5:
-        q = -q
-    k = rand_positive_rational(rng, 12, 12)
-    return p * k, q * k
-
-
-def _verdicts(fig) -> list[tuple[str, bool]]:
-    return [(label, ok) for label, _, ok in sondow_checks(fig) + corollary_checks(fig)]
-
-
 def _invariance_case(args: tuple[int, int, int]) -> list[str]:
+    """The figure of T(cusps) is T(figure of cusps), field by field, for z -> m*z + shift."""
     seed, index, scale = args
     rng = _case_rng(seed, index)
-    inputs = rand_cusps(rng, scale)
-    s = rand_positive_rational(rng, 12, 12)
-    rot = rand_rotation(rng)
+    c1, c2, c3, side = rand_cusps(rng, scale)
+    while True:
+        m = Point(rand_rational(rng, 12, 12), rand_rational(rng, 12, 12))
+        if m.x or m.y:
+            break
     shift = Point(rand_rational(rng, 30, 12), rand_rational(rng, 30, 12))
-    before = build_parbelos(*inputs)
-    after = build_parbelos(*similarity_transform(inputs, s, rot, shift))
-    if _verdicts(before) != _verdicts(after):
-        return [f"case {index}: verdicts changed under similarity (s={s}, rot={rot})"]
+    t = similarity(m, shift)
+    moved = build_parbelos(t(c1), t(c2), t(c3), side)
+    expected = t(build_parbelos(c1, c2, c3, side))
+    if moved != expected:
+        names = [f.name for f in fields(moved)]
+        differ = ", ".join(n for n in names if getattr(moved, n) != getattr(expected, n))
+        return [f"case {index}: T(figure) differs at {differ} for T(z) = {m}*z + {shift}"]
     return []
 
 

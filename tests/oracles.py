@@ -97,3 +97,25 @@ def parbelos_closed_forms(a, b) -> dict[str, object]:
         "FT1_sq": (a * a + b * b) / 4,
         "A1C2_sq": (a * a + b * b) / 4,
     }
+
+
+def transported_closed_forms(c1: XY, c3: XY, t, side: str) -> dict[str, object]:
+    """``parbelos_closed_forms(t, 1 - t)`` moved onto the cusp line C1 -> C3.
+
+    The similarity z -> C1 + (C3 - C1)*z on complex numbers, after z -> conj(z)
+    when ``side`` is "right", takes the cusps 0, t, 1 to C1, C1 + t*(C3 - C1)
+    and C3, and the whole figure with them: each named point moves by it, and
+    each squared length scales by |C3 - C1|^2.
+    """
+    t = F(t)
+    x1, y1 = F(c1[0]), F(c1[1])
+    dx, dy = F(c3[0]) - x1, F(c3[1]) - y1
+    flip = -1 if side == "right" else 1
+
+    def move(value):
+        if isinstance(value, tuple):
+            x, y = value[0], flip * value[1]
+            return (x1 + dx * x - dy * y, y1 + dy * x + dx * y)
+        return value * (dx * dx + dy * dy)
+
+    return {name: move(value) for name, value in parbelos_closed_forms(t, 1 - t).items()}

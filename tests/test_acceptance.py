@@ -113,7 +113,7 @@ def test_criterion_07_invariance_100(capsys):
     result = run_suite("similarity invariance", 100, seed=7)
     ok = result.passed and result.cases == 100
     with capsys.disabled():
-        report(7, "verdicts invariant under 100 rational similarities", ok)
+        report(7, "figure of mapped cusps equals mapped figure under 100 rational similarities", ok)
 
 
 def test_criterion_08_ft_equals_ht_everywhere(capsys):

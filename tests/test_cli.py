@@ -108,6 +108,23 @@ def test_check_missing_file_exit_2(capsys):
     assert "error" in err
 
 
+def test_unreadable_scripts_exit_2_with_one_error_line(tmp_path, capsys):
+    """A script that is not UTF-8, or not there, ends both commands with exit 2."""
+    script = tmp_path / "latin1.geo"
+    script.write_bytes(b"let A = point(0, 0)\n# caf\xe9 \xff\n")
+    missing = tmp_path / "no-such-file.geo"
+    out_svg = tmp_path / "o.svg"
+    for path, message in (
+        (script, f"error: {script} is not UTF-8 text: invalid continuation byte at byte 25\n"),
+        (missing, f"error: [Errno 2] No such file or directory: '{missing}'\n"),
+    ):
+        commands = (("check",), ("check", "--json"), ("render", "--svg", str(out_svg)))
+        for command, *flags in commands:
+            code, out, err = run(capsys, command, str(path), *flags)
+            assert (code, out, err) == (2, "", message)
+    assert not out_svg.exists()
+
+
 def test_fuzz_small(capsys):
     code, out, _ = run(capsys, "fuzz", "--cases", "8", "--seed", "3")
     assert code == 0

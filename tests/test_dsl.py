@@ -387,8 +387,8 @@ SCRIPT_ARGS = st.one_of(
 )
 
 
-@st.composite
-def scripts(draw):
+def ill_formed_lines(draw):
+    """Statements of any row with arguments of any kind, count or spelling."""
     lines = []
     for _ in range(draw(st.integers(1, 8))):
         name = draw(st.sampled_from(sorted(CONSTRUCTOR_KINDS) + sorted(PREDICATE_KINDS)))
@@ -398,6 +398,70 @@ def scripts(draw):
         # One statement in ten puts a predicate after `let` or a constructor after `assert`.
         is_let = (name in CONSTRUCTOR_KINDS) != (draw(st.integers(0, 9)) == 0)
         lines.append(f"let {draw(st.sampled_from(SCRIPT_NAMES))} = {call}" if is_let else f"assert {call}")
+    return lines
+
+
+# The kind each constructor binds, and the fields a bound figure offers per kind.
+CONSTRUCTOR_RESULTS = {
+    "point": "point",
+    "line": "line",
+    "circle3": "circle",
+    "circle2": "circle",
+    "parabola_latus": "parabola",
+    "tangent_at": "line",
+    "pedal": "point",
+    "perp": "line",
+    "intersect": "point",
+    "second_intersect": "point",
+    "parbelos": "figure",
+}
+FIGURE_FIELDS = {
+    "point": ("C1", "C3", "T1", "F", "contact"),
+    "line": ("diagonal", "tangent_at_C1"),
+    "circle": ("K",),
+    "parabola": ("outer", "inner1"),
+}
+
+
+def well_typed_lines(draw):
+    """Statements of rows whose arguments have the row's kinds.
+
+    Each argument is an earlier binding of its kind (a figure's field among
+    them), a small literal or a side, so a script fails only where the kernel
+    refuses a construction.  A row's arguments of one kind are distinct
+    bindings while there are enough of them.
+    """
+    bound = {kind: [] for kind in FIGURE_FIELDS}
+    lines = []
+    for i in range(draw(st.integers(1, 8))):
+        every = [name for names in bound.values() for name in names]
+        choices = {
+            "rational": SMALL_LITERALS,
+            "side": st.sampled_from(("left", "right")),
+            "any": st.one_of(SMALL_LITERALS, *([st.sampled_from(every)] if every else [])),
+            **{kind: st.sampled_from(names) for kind, names in bound.items() if names},
+        }
+        rows = [row for row in SIGNATURES if set(row[2]) <= set(choices)]
+        head, name, kinds = draw(st.sampled_from(rows))
+        unused = {kind: draw(st.permutations(names)) for kind, names in bound.items() if names}
+        args = [unused[kind].pop() if unused.get(kind) else draw(choices[kind]) for kind in kinds]
+        call = f"{name}({', '.join(args)})"
+        if head.startswith("assert"):
+            lines.append(f"assert {call}")
+            continue
+        lines.append(f"let X{i} = {call}")
+        if CONSTRUCTOR_RESULTS[name] == "figure":
+            for kind, fields in FIGURE_FIELDS.items():
+                bound[kind] += [f"X{i}.{field}" for field in fields]
+        else:
+            bound[CONSTRUCTOR_RESULTS[name]].append(f"X{i}")
+    return lines
+
+
+@st.composite
+def scripts(draw):
+    """Well-typed scripts in three draws of four, the rest ill-formed."""
+    lines = well_typed_lines(draw) if draw(st.integers(0, 3)) else ill_formed_lines(draw)
     return "\n".join(lines) + "\n"
 
 

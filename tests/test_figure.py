@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from parbelos.dsl import _FIGURE_ALIASES
@@ -13,6 +15,7 @@ from parbelos.errors import (
     InvalidRotation,
 )
 from parbelos.euclid import (
+    Circle,
     Line,
     Point,
     dist_sq,
@@ -27,8 +30,7 @@ from parbelos.figure import (
     ParbelosFigure,
     build_parbelos,
     corollary_checks,
-    rational_sqrt,
-    similarity_transform,
+    similarity,
     sondow_checks,
     verify_corollaries,
     verify_sondow,
@@ -202,40 +204,65 @@ def test_axis_aligned_family_1000_instances():
         assert is_perpendicular(fig.tangent_at_C3, fig.tangent_at_C2_right)
 
 
-def test_rational_sqrt():
-    assert rational_sqrt(F(9, 4)) == F(3, 2)
-    assert rational_sqrt(F(2)) is None
-    assert rational_sqrt(F(0)) == 0
-    assert rational_sqrt(F(-4)) is None
+def slanted_cusps():
+    """(C1, C3, t) with C1, C3 on a line of any slope and 0 < t < 1."""
+    coordinates = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+    xys = st.tuples(coordinates, coordinates)
+    unit = st.integers(2, 10**4).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: F(n, d)))
+    return st.tuples(xys, xys, unit).filter(lambda draw: draw[0] != draw[1])
 
 
-def test_similarity_transform_examples():
-    inputs = (point(0, 0), point(1, 0), point(4, 0), LEFT)
-    c1, c2, c3, side = similarity_transform(inputs, F(1), (F(3), F(4)), point(0, 0))
-    assert (c1, c2, c3) == (point(0, 0), Point(F(3, 5), F(4, 5)), Point(F(12, 5), F(16, 5)))
-    assert side == LEFT
-    c1, c2, c3, side = similarity_transform(inputs, F(2), (F(1), F(0)), point(1, 1))
-    assert (c1, c2, c3) == (point(1, 1), point(3, 1), point(9, 1))
-    with pytest.raises(InvalidRotation):
-        similarity_transform(inputs, F(1), (F(1), F(1)), point(0, 0))
-    with pytest.raises(InvalidRotation):
-        similarity_transform(inputs, F(-1), (F(3), F(4)), point(0, 0))
+@settings(max_examples=100, deadline=None)
+@given(slanted_cusps(), st.sampled_from((LEFT, RIGHT)))
+def test_figure_matches_closed_forms_on_every_cusp_line(cusps, side):
+    """The kernel's figure against the closed forms moved onto the cusp line."""
+    (x1, y1), (x3, y3), t = cusps
+    c1, c3 = Point(x1, y1), Point(x3, y3)
+    c2 = Point(x1 + t * (x3 - x1), y1 + t * (y3 - y1))
+    fig = build_parbelos(c1, c2, c3, side)
+    forms = oracles.transported_closed_forms((x1, y1), (x3, y3), t, side)
+    for name, field in NAMED_POINTS[3:]:
+        assert getattr(fig, field) == xy(forms[name]), name
+    assert fig.circumcircle_K.radius_sq == forms["radius_sq"]
+    assert dist_sq(fig.focus_F, fig.contact_T) == forms["FT_sq"]
 
 
-def test_verdicts_invariant_under_similarity():
-    inputs = (point(0, 0), point(1, 0), point(4, 0), LEFT)
-    baseline = [
-        (label, ok) for label, _, ok in sondow_checks(P13) + corollary_checks(P13)
+def test_similarity_examples():
+    turn = similarity(point(3, 4), point(0, 0))  # z -> (3 + 4i) z
+    assert turn(point(1, 0)) == point(3, 4)
+    assert turn(point(0, 1)) == point(-4, 3)
+    assert turn((point(1, 0), point(0, 0))) == (point(3, 4), point(0, 0))
+    halve = similarity(Point(F(1, 2), F(0)), point(1, 1))
+    assert halve(point(4, 0)) == point(3, 1)
+    assert halve(Circle(point(0, 0), F(4))) == Circle(point(1, 1), F(1))
+    # |1 + i| = sqrt(2) is irrational; the image is rational all the same.
+    tilt = similarity(point(1, 1), Point(F(1, 3), F(0)))
+    assert tilt(Line(0, 1, 0)) == line_through(tilt(point(0, 0)), tilt(point(1, 0)))
+    assert tilt(Circle(point(1, 0), F(1, 2))) == Circle(Point(F(4, 3), F(1)), F(1))
+    parabola = P13.outer
+    moved = tilt(parabola)
+    assert moved.focus == tilt(parabola.focus)
+    assert moved.directrix == tilt(parabola.directrix)
+    for bad in (point(0, 0), Point(F(0), F(0, 5))):
+        with pytest.raises(InvalidRotation, match="nonzero multiplier"):
+            similarity(bad, point(1, 1))
+
+
+def test_figure_commutes_with_similarity():
+    """build_parbelos(T(cusps)) == T(build_parbelos(cusps)), every field, both sides."""
+    maps = [
+        (point(3, 4), point(0, 0)),
+        (point(2, -1), point(-3, 7)),
+        (Point(F(1, 3), F(5, 7)), Point(F(1, 2), F(9, 7))),
+        (point(-1, 0), point(0, 0)),
     ]
-    transforms = [
-        (F(1), (F(3), F(4)), point(0, 0)),
-        (F(2), (F(5), F(-12)), point(-3, 7)),
-        (F(1, 3), (F(8), F(15)), Point(F(1, 2), F(9, 7))),
-    ]
-    for s, rot, shift in transforms:
-        fig = build_parbelos(*similarity_transform(inputs, s, rot, shift))
-        moved = [(label, ok) for label, _, ok in sondow_checks(fig) + corollary_checks(fig)]
-        assert moved == baseline
+    for side in (LEFT, RIGHT):
+        fig = build_axis_aligned(1, 3, side)
+        for m, shift in maps:
+            t = similarity(m, shift)
+            moved = build_parbelos(t(fig.C1), t(fig.C2), t(fig.C3), side)
+            assert moved == t(fig)
+            assert verify_sondow(moved).verdict and verify_corollaries(moved).verdict
 
 
 def test_converse_lambert_replays_diagonal():

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -12,7 +13,6 @@ from parbelos.fuzz import (
     _run_cases,
     height_scale,
     rand_cusps,
-    rand_rotation,
     run_all,
     run_suite,
 )
@@ -65,15 +65,6 @@ def test_height_scale_rejects_heights_below_22():
     for max_height in (21, 10, 1, 0, -1):
         with pytest.raises(ValueError, match="at least 22"):
             height_scale(max_height)
-
-
-def test_rotation_generator_is_always_valid():
-    from parbelos.figure import rational_sqrt
-
-    for i in range(200):
-        rng = _case_rng(7, i)
-        p, q = rand_rotation(rng)
-        assert rational_sqrt(p * p + q * q) is not None
 
 
 # (cases, seed) of each suite's clean run.
@@ -137,6 +128,25 @@ def test_case_functions_are_looked_up_when_a_suite_runs(monkeypatch):
         ("_angle_case", 606): 10,
         ("_ft_ht_case", 707): 10,
     }
+
+
+def test_invariance_suite_catches_a_frame_dependent_figure(monkeypatch):
+    """A1 and A3 swapped only when C1.x < C3.x: every verdict still holds.
+
+    The checks are symmetric in A1 and A3, so only the comparison of whole
+    figures under a similarity sees the swap.
+    """
+    build = fuzz.build_parbelos
+
+    def swapped(c1, c2, c3, side):
+        fig = build(c1, c2, c3, side)
+        return dataclasses.replace(fig, A1=fig.A3, A3=fig.A1) if c1.x < c3.x else fig
+
+    monkeypatch.setattr(fuzz, "build_parbelos", swapped)
+    assert run_suite("sondow+corollaries", 20, 6).passed
+    result = run_suite("similarity invariance", 20, 6)
+    assert not result.passed
+    assert all(" differs at A1, A3 for " in failure for failure in result.failures)
 
 
 @pytest.mark.parametrize("cases", [0, -5])

@@ -3,11 +3,11 @@ replaced: Line canonicalisation, Line.contains and line_through, the
 parabola primitives contains_point, is_tangent, tangent_at and
 parabola_from_latus_rectum, the circle constructions second_intersection
 and circle_through_points, the figure checks on_circle, equidistant and
-_square_check, and the drawing (arc_between and the SVG canvas map); the
-per-element memo of Parabola, and which callers leave which elements
-underived; and a count of the Fractions each integer path builds, so a
-timing-free test notices when Fraction arithmetic comes back onto one of
-them.
+_square_check, the drawing (arc_between and the SVG canvas map) and the
+similarity map z -> m*z + shift; the per-element memo of Parabola, and
+which callers leave which elements underived; and a count of the
+Fractions each integer path builds, so a timing-free test notices when
+Fraction arithmetic comes back onto one of them.
 
 Heights cover both regimes the kernel runs in: about 13 bits (fuzz and
 figure inputs) and about 3300 bits (cusp coordinates below 10^1000).
@@ -36,10 +36,12 @@ from parbelos.euclid import (
     Point,
     _common,
     circle_through_points,
+    circumcircle,
     dist_sq,
     dist_sq_point_line,
     dot,
     equidistant,
+    is_collinear,
     line_intersection,
     line_through,
     midpoint,
@@ -51,7 +53,13 @@ from parbelos.euclid import (
     scale,
     second_intersection,
 )
-from parbelos.figure import _square_check, build_parbelos, corollary_checks, sondow_checks
+from parbelos.figure import (
+    _square_check,
+    build_parbelos,
+    corollary_checks,
+    similarity,
+    sondow_checks,
+)
 from parbelos.parabola import (
     Parabola,
     axis_direction,
@@ -752,3 +760,49 @@ def test_render_svg_builds_no_fraction_per_coordinate(bits, monkeypatch):
     counter[0] = 0
     render_svg(crowded)
     assert counter[0] == once
+
+
+# --- the similarity map z -> m*z + shift ---
+
+
+def reference_similarity(m, shift, p):
+    return Point(m.x * p.x - m.y * p.y + shift.x, m.y * p.x + m.x * p.y + shift.y)
+
+
+def multipliers(bits):
+    return points(bits).filter(lambda m: m.x != 0 or m.y != 0)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@SETTINGS
+@given(data=st.data())
+def test_similarity_matches_fraction_formula(bits, data):
+    m, shift = data.draw(multipliers(bits)), data.draw(points(bits))
+    p, q = data.draw(points(bits)), data.draw(points(bits))
+    t = similarity(m, shift)
+    assert t(p) == reference_similarity(m, shift, p)
+    if p != q:
+        moved = line_through(reference_similarity(m, shift, p), reference_similarity(m, shift, q))
+        assert t(line_through(p, q)) == moved
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@HEAVY
+@given(data=st.data())
+def test_similarity_keeps_incidence(bits, data):
+    """Images of lines, circles and parabolas hold the images of their points, and only those."""
+    t = similarity(data.draw(multipliers(bits)), data.draw(points(bits)))
+    p, q, r = (data.draw(points(bits)) for _ in range(3))
+    if p == q:
+        return
+    line = line_through(p, q)
+    assert t(line).contains(t(p)) and t(line).contains(t(q))
+    assert not t(line).contains(t(Point(p.x + line.a, p.y + line.b)))
+    if not is_collinear(p, q, r):
+        circle = circumcircle(p, q, r)
+        assert all(on_circle(t(circle), t(x)) for x in (p, q, r))
+        assert not on_circle(t(circle), t(nudged(r, circle.center)))
+    parabola = parabola_from_latus_rectum(p, q, data.draw(st.sampled_from(("left", "right"))))
+    x = on_parabola(data, parabola)
+    assert contains_point(t(parabola), t(x))
+    assert not contains_point(t(parabola), t(parabola.focus))
