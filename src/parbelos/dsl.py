@@ -51,7 +51,6 @@ from .figure import NAMED_POINTS, ParbelosFigure, build_parbelos
 from .jsonio import value_json
 from .parabola import (
     Parabola,
-    canonical_elements,
     contains_point,
     is_tangent,
     parabola_from_latus_rectum,
@@ -171,7 +170,7 @@ _SIDES = ("left", "right")
 _KEYWORDS = {"let", "assert", *_SIDES}
 
 _TOKEN_RE = re.compile(
-    r"(?P<rational>[+-]?\d+(?:/\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),=.])|(?P<bad>\S)"
+    r"(?P<rational>[+-]?[0-9]+(?:/[0-9]+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),=.])|(?P<bad>\S)"
 )
 
 
@@ -378,7 +377,7 @@ def _on_parabola(g: Parabola, p: Point):
 def _tangent(g: Parabola, line: Line):
     return is_tangent(g, line), {
         "focus_pedal": value_json(pedal_point(g.focus, line)),
-        "supporting_line": value_json(canonical_elements(g).supporting_line),
+        "supporting_line": value_json(g.supporting_line),
     }
 
 

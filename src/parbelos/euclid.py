@@ -142,19 +142,6 @@ class Circle:
             raise DegenerateCircle(f"radius_sq must be positive, got {self.radius_sq}")
 
 
-@dataclass(frozen=True)
-class Segment:
-    p: Point
-    q: Point
-
-    def __post_init__(self):
-        if self.p == self.q:
-            raise CoincidentPoints("segment endpoints coincide")
-
-    def endpoints(self) -> frozenset[Point]:
-        return frozenset((self.p, self.q))
-
-
 def line_through(p: Point, q: Point) -> Line:
     """Canonical line containing two distinct points."""
     if p == q:

@@ -169,8 +169,8 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
         contact_T=line_intersection(diagonal, bisector),
         bisector=bisector,
         H=line_intersection(bisector, outer.directrix),
-        A1=line_intersection(inner1._axis, inner2.directrix),
-        A3=line_intersection(inner2._axis, inner1.directrix),
+        A1=line_intersection(inner1.axis, inner2.directrix),
+        A3=line_intersection(inner2.axis, inner1.directrix),
     )
 
 

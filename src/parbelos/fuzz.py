@@ -40,7 +40,6 @@ from .parabola import (
     RIGHT,
     Parabola,
     Side,
-    canonical_elements,
     is_tangent,
     parabola_from_latus_rectum,
     point_at_parameter,
@@ -293,8 +292,7 @@ def latus_angle_failures(parabola: Parabola, label: str) -> list[str]:
     This is the rational restatement of the tangent making an angle of pi/4
     with the latus rectum (cos^2 = 1/2, cleared of square roots).
     """
-    elements = canonical_elements(parabola)
-    e1, e2 = elements.latus_endpoints.p, elements.latus_endpoints.q
+    e1, e2 = parabola.latus_endpoints
     u = e2 - e1
     failures = []
     for endpoint in (e1, e2):

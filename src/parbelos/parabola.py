@@ -21,11 +21,11 @@ step keeps operands short at large heights; cross-multiplied, they ran
 1.4-3.7x slower on 3300-bit inputs, and integer forms of the axis and the
 supporting line, though about 5x faster at 13 bits, ran 1.5-3.6x slower there.
 
-Each derived element is memoised on its own and derived only when read:
-``is_tangent`` reads the supporting line, ``point_at_parameter`` and
-``parameter_of`` the vertex and the supporting line, and ``build_parbelos``
-the axes of the inner parabolas.  Only :func:`canonical_elements` derives the
-latus endpoints.
+The elements are properties of :class:`Parabola`, each memoised on its own
+and derived only when read: ``is_tangent`` reads the supporting line,
+``point_at_parameter`` the vertex, supporting line, axis direction and focal
+scale, ``build_parbelos`` the axes of the inner parabolas, and the pi/4
+latus-angle suite and the drawing of a parabola binding the latus endpoints.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .errors import CoincidentPoints, DegenerateSide, FocusOnDirectrix, PointNot
 from .euclid import (
     Line,
     Point,
-    Segment,
     _common,
     midpoint,
     parallel_through,
@@ -57,23 +56,14 @@ RIGHT: Side = "right"
 
 
 @dataclass(frozen=True)
-class CanonicalElements:
-    vertex: Point
-    axis: Line
-    supporting_line: Line
-    latus_endpoints: Segment
-
-
-@dataclass(frozen=True)
 class Parabola:
     """A parabola given by its focus and directrix.
 
-    Each derived quantity (vertex, axis, supporting line, axis direction,
-    focal scale, and the canonical elements with their latus endpoints) is
-    computed on first use and kept in the instance ``__dict__``, where
-    ``cached_property`` may write even on a frozen dataclass; the canonical
-    elements reuse the memoised vertex, axis and supporting line.  Equality
-    and hash read only the two fields, and pickling drops the memo.
+    Its elements are the properties ``vertex``, ``axis``, ``supporting_line``,
+    ``axis_direction``, ``focal_scale`` and ``latus_endpoints``.  Each is
+    computed on first read and kept in the instance ``__dict__``, where
+    ``cached_property`` may write even on a frozen dataclass.  Equality and
+    hash read only the two fields, and pickling drops the memo.
     """
 
     focus: Point
@@ -87,56 +77,42 @@ class Parabola:
         return {"focus": self.focus, "directrix": self.directrix}
 
     @cached_property
-    def _axis_direction(self) -> tuple[int, int]:
+    def axis_direction(self) -> tuple[int, int]:
+        """Primitive integer normal of the directrix, oriented toward the opening."""
         nx, ny = self.directrix.normal()
         if self.directrix.evaluate(self.focus) < 0:
             nx, ny = -nx, -ny
         return nx, ny
 
     @cached_property
-    def _focal_scale(self) -> Rational:
+    def focal_scale(self) -> Rational:
+        """The rational k > 0 with focus = vertex + k * axis_direction."""
         line = self.directrix
         g = math.gcd(line.a, line.b)
         return Fraction(abs(line.evaluate(self.focus)) * g, 2 * (line.a**2 + line.b**2))
 
     @cached_property
-    def _vertex(self) -> Point:
+    def vertex(self) -> Point:
+        """The midpoint of the focus and its pedal on the directrix."""
         return midpoint(self.focus, pedal_point(self.focus, self.directrix))
 
     @cached_property
-    def _axis(self) -> Line:
+    def axis(self) -> Line:
+        """The line through the focus perpendicular to the directrix."""
         return perpendicular_through(self.directrix, self.focus)
 
     @cached_property
-    def _supporting_line(self) -> Line:
-        return parallel_through(self.directrix, self._vertex)
+    def supporting_line(self) -> Line:
+        """The tangent at the vertex, parallel to the directrix."""
+        return parallel_through(self.directrix, self.vertex)
 
     @cached_property
-    def _elements(self) -> CanonicalElements:
-        focus = self.focus
+    def latus_endpoints(self) -> tuple[Point, Point]:
+        """focus - 2k*u and focus + 2k*u, u the primitive direction of the
+        directrix: :func:`point_at_parameter` at -2k and 2k, in that order."""
         ux, uy = self.directrix.direction()
-        offset = scale(point(ux, uy), 2 * self._focal_scale)
-        return CanonicalElements(
-            vertex=self._vertex,
-            axis=self._axis,
-            supporting_line=self._supporting_line,
-            latus_endpoints=Segment(focus + offset, focus - offset),
-        )
-
-
-def axis_direction(parabola: Parabola) -> tuple[int, int]:
-    """Primitive integer normal of the directrix, oriented toward the opening."""
-    return parabola._axis_direction
-
-
-def focal_scale(parabola: Parabola) -> Rational:
-    """The rational k > 0 with focus = vertex + k * axis_direction."""
-    return parabola._focal_scale
-
-
-def canonical_elements(parabola: Parabola) -> CanonicalElements:
-    """Vertex, axis, supporting line and latus endpoints, all exact."""
-    return parabola._elements
+        offset = scale(point(ux, uy), 2 * self.focal_scale)
+        return self.focus - offset, self.focus + offset
 
 
 def parabola_from_latus_rectum(e1: Point, e2: Point, side: Side) -> Parabola:
@@ -190,22 +166,11 @@ def point_at_parameter(parabola: Parabola, t: Rational) -> Point:
     scale.  Each rational t names a distinct parabola point and t = 0 is the
     vertex, which is all the fuzz harnesses rely on.
     """
-    ux, uy = parabola._supporting_line.direction()
-    nx, ny = axis_direction(parabola)
-    k = focal_scale(parabola)
+    ux, uy = parabola.supporting_line.direction()
+    nx, ny = parabola.axis_direction
     along = scale(point(ux, uy), t)
-    up = scale(point(nx, ny), t * t / (4 * k))
-    return parabola._vertex + along + up
-
-
-def parameter_of(parabola: Parabola, p: Point) -> Rational:
-    """Inverse of :func:`point_at_parameter` for points on the parabola."""
-    if not contains_point(parabola, p):
-        raise PointNotOnParabola(f"{p} is not on the parabola")
-    ux, uy = parabola._supporting_line.direction()
-    u = point(ux, uy)
-    offset = p - parabola._vertex
-    return (offset.x * u.x + offset.y * u.y) / (u.x * u.x + u.y * u.y)
+    up = scale(point(nx, ny), t * t / (4 * parabola.focal_scale))
+    return parabola.vertex + along + up
 
 
 def tangent_at(parabola: Parabola, p: Point) -> Line:
@@ -248,6 +213,6 @@ def is_tangent(parabola: Parabola, line: Line) -> bool:
     """
     w, [(x, y)] = _common(parabola.focus)
     a, b = line.a, line.b
-    s = parabola._supporting_line
+    s = parabola.supporting_line
     v = a * x + b * y + line.c * w
     return (a * a + b * b) * (s.a * x + s.b * y + s.c * w) == v * (s.a * a + s.b * b)

@@ -20,7 +20,7 @@ from .errors import ZeroDenominator
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def make_rational(numerator: int, denominator: int = 1) -> Rational:
@@ -33,10 +33,11 @@ def make_rational(numerator: int, denominator: int = 1) -> Rational:
 def parse_rational(text: str) -> Rational:
     """Parse the textual form ``p/q`` (or plain ``p``).
 
-    An optional leading sign is allowed; whitespace is not.  The denominator,
-    when present, is an unsigned integer.
+    An optional leading sign is allowed; whitespace is not, a trailing newline
+    included.  The digits are ASCII 0-9.  The denominator, when present, is an
+    unsigned integer.
     """
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))

@@ -20,13 +20,7 @@ from fractions import Fraction
 from .errors import EmptyScene, PointNotOnParabola
 from .euclid import Circle, Line, Point, _common, line_intersection, point
 from .figure import NAMED_POINTS, ParbelosFigure
-from .parabola import (
-    Parabola,
-    contains_point,
-    focal_scale,
-    point_at_parameter,
-    tangent_at,
-)
+from .parabola import Parabola, contains_point, tangent_at
 from .rational import Rational, ratio_to_decimal_string
 
 
@@ -88,14 +82,6 @@ def arc_between(parabola: Parabola, p0: Point, p1: Point) -> ArcElement:
     return ArcElement(parabola, p0, p1, control)
 
 
-def parabola_arc(parabola: Parabola, t0: Rational, t1: Rational) -> ArcElement:
-    """Arc between two parameters of :func:`point_at_parameter`.
-
-    The parametrisation is injective, so t0 == t1 is the zero-length arc.
-    """
-    return arc_between(parabola, point_at_parameter(parabola, t0), point_at_parameter(parabola, t1))
-
-
 @dataclass
 class Scene:
     points: list[LabeledPoint] = field(default_factory=list)
@@ -115,9 +101,6 @@ class Scene:
 
     def add_circle(self, circle: Circle) -> None:
         self.circles.append(CircleElement(circle))
-
-    def add_arc(self, parabola: Parabola, t0: Rational, t1: Rational) -> None:
-        self.arcs.append(parabola_arc(parabola, t0, t1))
 
 
 def figure_scene(fig: ParbelosFigure) -> Scene:
@@ -157,8 +140,7 @@ def bindings_scene(bindings: dict[str, object]) -> Scene:
         elif isinstance(value, Circle):
             scene.add_circle(value)
         elif isinstance(value, Parabola):
-            half_latus = 2 * focal_scale(value)
-            scene.add_arc(value, -half_latus, half_latus)
+            scene.arcs.append(arc_between(value, *value.latus_endpoints))
         elif isinstance(value, ParbelosFigure):
             sub = figure_scene(value)
             scene.points.extend(sub.points)

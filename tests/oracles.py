@@ -7,6 +7,7 @@ a matching bug in the expected values.  Results are plain tuples.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 F = Fraction
@@ -54,6 +55,21 @@ def stereographic(t) -> XY:
     """Rational point of the unit circle for slope parameter t from (-1, 0)."""
     t = F(t)
     return ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+
+
+def chord_parameter(p: XY, focus: XY, a: int, b: int) -> Fraction:
+    """The t of ``point_at_parameter`` naming the point p of the parabola
+    with this focus and the directrix a*x + b*y + c = 0.
+
+    The point is vertex + t*u + s*n with u = (b, -a)/gcd(a, b), sign-fixed so
+    its first nonzero entry is positive, and n normal to u; the focus is
+    vertex + k*n, so t is the component of p - focus along u.
+    """
+    g = math.gcd(a, b)
+    ux, uy = b // g, -a // g
+    if ux < 0 or (ux == 0 and uy < 0):
+        ux, uy = -ux, -uy
+    return F((p[0] - focus[0]) * ux + (p[1] - focus[1]) * uy, ux * ux + uy * uy)
 
 
 def upward_parabola_point(h, v, f, x) -> XY:

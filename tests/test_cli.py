@@ -219,6 +219,16 @@ def test_fuzz_nonpositive_max_height_exit_2(capsys):
         assert err.startswith("error: --max-height") and err.count("\n") == 1
 
 
+def test_non_ascii_digit_in_a_cusp_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--c1", "\u0660,0", "--c2", "1,0", "--c3", "4,0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["parbelos parbelos: error: argument --c1: not a rational literal: '\u0660'"]
+
+
 def test_parbelos_unwritable_svg_exit_2(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "fig.svg"
     code, _, err = run(capsys, "--c1", "0,0", "--c2", "1,0", "--c3", "4,0", "--svg", str(target))

@@ -258,6 +258,14 @@ def test_bad_literal_is_a_syntax_error_at_its_position(literal):
     assert len(str(exc.value)) < 100
 
 
+@pytest.mark.parametrize("literal, col", [("\u0663", 14), ("1\u0663", 15)])
+def test_non_ascii_digit_is_an_unexpected_character_at_its_column(literal, col):
+    # ARABIC-INDIC THREE is a Unicode digit, but a literal is ASCII 0-9 only
+    with pytest.raises(GeoSyntaxError) as exc:
+        parse_script(f"let A = point(0, 0)\nassert eq(A, {literal})")
+    assert str(exc.value) == f"line 2, col {col}: unexpected character '\u0663'"
+
+
 # Valid literals whose products outgrow the 4300 digits Python prints.
 WIDE = "9" * 3000
 UNPRINTABLE_SCRIPTS = {

@@ -16,7 +16,6 @@ from parbelos.euclid import (
     Circle,
     Line,
     Point,
-    Segment,
     circle_point,
     circle_through_points,
     circumcircle,
@@ -293,14 +292,10 @@ def test_circle_through_points_family():
             seen[t] = circle
 
 
-# --- segments and helpers ---
+# --- helpers ---
 
 
-def test_segment_and_midpoint():
-    seg = Segment(point(0, 0), point(2, 2))
-    assert seg.endpoints() == frozenset((point(0, 0), point(2, 2)))
-    with pytest.raises(CoincidentPoints):
-        Segment(point(1, 1), point(1, 1))
+def test_midpoint_dist_sq_and_cross():
     assert midpoint(point(0, 0), point(1, 3)) == Point(F(1, 2), F(3, 2))
     assert dist_sq(point(0, 0), point(3, 4)) == 25
     assert cross(point(1, 0), point(0, 1)) == 1

@@ -36,7 +36,7 @@ from parbelos.figure import (
     verify_sondow,
 )
 from parbelos.jsonio import figure_json, verification_json
-from parbelos.parabola import LEFT, RIGHT, canonical_elements, contains_point, is_tangent
+from parbelos.parabola import LEFT, RIGHT, contains_point, is_tangent
 from parbelos.theorems import converse_lambert
 
 F = Fraction
@@ -99,9 +99,8 @@ def test_figure_certified_by_kernel_predicates():
 
 def test_symmetric_instance_contact_at_vertex():
     fig = build_axis_aligned(1, 1)
-    elements = canonical_elements(fig.outer)
-    assert fig.contact_T == elements.vertex
-    assert fig.bisector == elements.axis
+    assert fig.contact_T == fig.outer.vertex
+    assert fig.bisector == fig.outer.axis
     assert verify_sondow(fig).verdict and verify_corollaries(fig).verdict
 
 
@@ -127,10 +126,7 @@ def test_square_sides_are_axes_and_directrix():
     assert line_through(r1, r2) == line_through(P13.C1, P13.C3)
     assert line_through(r3, r4) == P13.outer.directrix
     sides = {line_through(r2, r3), line_through(r4, r1)}
-    assert sides == {
-        canonical_elements(P13.inner1).axis,
-        canonical_elements(P13.inner2).axis,
-    }
+    assert sides == {P13.inner1.axis, P13.inner2.axis}
 
 
 def test_build_rejects_bad_cusps():

@@ -17,11 +17,14 @@ import dataclasses
 import math
 import pickle
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from parbelos.dsl import evaluate, parse_script
 from parbelos.errors import (
     CoincidentPoints,
     DegenerateLine,
@@ -50,6 +53,7 @@ from parbelos.euclid import (
     pedal_point,
     perpendicular_bisector,
     perpendicular_through,
+    point,
     scale,
     second_intersection,
 )
@@ -62,18 +66,14 @@ from parbelos.figure import (
 )
 from parbelos.parabola import (
     Parabola,
-    axis_direction,
-    canonical_elements,
     contains_point,
-    focal_scale,
     is_tangent,
     parabola_from_latus_rectum,
-    parameter_of,
     point_at_parameter,
     tangent_at,
 )
 from parbelos.rational import ratio_to_decimal_string, to_decimal_string
-from parbelos.svg import _Frame, arc_between, figure_scene, parabola_arc, render_svg
+from parbelos.svg import _Frame, arc_between, bindings_scene, figure_scene, render_svg
 
 HEIGHTS = (13, 3300)
 
@@ -193,39 +193,33 @@ def parabolas(bits):
     )
 
 
+MEMO = ("vertex", "axis", "supporting_line", "focal_scale", "axis_direction", "latus_endpoints")
+
+
 @pytest.mark.parametrize("bits", HEIGHTS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_elements_derived_once_and_equal_across_equal_parabolas(bits, data):
     parabola = data.draw(parabolas(bits))
-    first = canonical_elements(parabola)
-    assert canonical_elements(parabola) is first
-    assert focal_scale(parabola) is focal_scale(parabola)
-    assert axis_direction(parabola) is axis_direction(parabola)
     twin = Parabola(parabola.focus, parabola.directrix)
-    assert canonical_elements(twin) == first
-    assert canonical_elements(twin) is not first
-    assert focal_scale(twin) == focal_scale(parabola)
-    assert axis_direction(twin) == axis_direction(parabola)
-
-
-MEMO = ("_vertex", "_axis", "_supporting_line", "_focal_scale", "_axis_direction", "_elements")
+    for name in MEMO:
+        first = getattr(parabola, name)
+        assert getattr(parabola, name) is first
+        assert getattr(twin, name) == first
+    assert twin.latus_endpoints is not parabola.latus_endpoints
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_each_element_derived_once_and_shared_with_canonical_elements(bits, data):
+def test_each_element_derived_once_from_focus_and_directrix(bits, data):
     parabola = data.draw(parabolas(bits))
     for name in MEMO:
         assert getattr(parabola, name) is getattr(parabola, name)
-    elements = canonical_elements(parabola)
-    assert elements.vertex is parabola._vertex
-    assert elements.axis is parabola._axis
-    assert elements.supporting_line is parabola._supporting_line
-    assert parabola._vertex == midpoint(parabola.focus, pedal_point(parabola.focus, parabola.directrix))
-    assert parabola._axis == perpendicular_through(parabola.directrix, parabola.focus)
-    assert parabola._supporting_line == parallel_through(parabola.directrix, parabola._vertex)
+    assert parabola.vertex == midpoint(parabola.focus, pedal_point(parabola.focus, parabola.directrix))
+    assert parabola.axis == perpendicular_through(parabola.directrix, parabola.focus)
+    assert parabola.supporting_line == parallel_through(parabola.directrix, parabola.vertex)
+    assert parabola.vertex + scale(point(*parabola.axis_direction), parabola.focal_scale) == parabola.focus
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -233,8 +227,8 @@ def test_each_element_derived_once_and_shared_with_canonical_elements(bits, data
 @given(data=st.data())
 def test_equality_hash_and_pickle_ignore_the_memo(bits, data):
     warm = data.draw(parabolas(bits))
-    elements = canonical_elements(warm)
-    axis_direction(warm)
+    for name in MEMO:
+        getattr(warm, name)
     cold = Parabola(warm.focus, warm.directrix)
     for name in MEMO:
         assert name in vars(warm) and name not in vars(cold)
@@ -243,14 +237,12 @@ def test_equality_hash_and_pickle_ignore_the_memo(bits, data):
     restored = pickle.loads(pickle.dumps(warm))
     assert restored == warm and hash(restored) == hash(warm)
     assert set(vars(restored)) == {"focus", "directrix"}
-    assert canonical_elements(restored) == elements
     for name in MEMO:
         assert getattr(restored, name) == getattr(warm, name)
 
 
-# Only canonical_elements derives the latus endpoints (the memo entry
-# _elements); the figure, its checks and the parabola primitives never need
-# them.
+# The figure, its checks, the parabola primitives and the DSL's witnesses
+# never need the latus endpoints, so they leave that memo entry underived.
 
 
 def test_figure_and_its_checks_leave_the_latus_endpoints_underived():
@@ -259,7 +251,17 @@ def test_figure_and_its_checks_leave_the_latus_endpoints_underived():
         fig = build_parbelos(c1, c2, c3, side)
         assert all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
         for parabola in (fig.inner1, fig.inner2, fig.outer):
-            assert "_elements" not in vars(parabola)
+            assert "latus_endpoints" not in vars(parabola)
+
+
+def test_sondow_script_leaves_the_latus_endpoints_underived():
+    source = (resources.files("parbelos") / "data" / "sondow.geo").read_text(encoding="utf-8")
+    report = evaluate(parse_script(source))
+    assert report.assertions and all(result.passed for result in report.assertions)
+    fig = report.bindings["P"]
+    bindings_scene(report.bindings)
+    for parabola in (fig.outer, fig.inner1, fig.inner2):
+        assert "latus_endpoints" not in vars(parabola)
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -269,7 +271,7 @@ def test_parabola_primitives_leave_the_latus_endpoints_underived(bits, data):
     parabola = data.draw(parabolas(bits))
     p = point_at_parameter(parabola, data.draw(rationals(13)))
     assert is_tangent(parabola, tangent_at(parabola, p))
-    assert "_elements" not in vars(parabola)
+    assert "latus_endpoints" not in vars(parabola)
 
 
 # --- parabola primitives against the Fraction formulas they replaced ---
@@ -281,7 +283,7 @@ def reference_contains_point(parabola, p):
 
 def reference_is_tangent(parabola, line):
     pedal = pedal_point(parabola.focus, line)
-    return canonical_elements(parabola).supporting_line.contains(pedal)
+    return parabola.supporting_line.contains(pedal)
 
 
 def reference_tangent_at(parabola, p):
@@ -321,8 +323,7 @@ def test_contains_point_matches_fraction_formula(bits, data):
     p = on_parabola(data, parabola)
     nudge = data.draw(rationals(bits).filter(bool))
     off = data.draw(points(bits))
-    vertex = canonical_elements(parabola).vertex
-    candidates = (p, vertex, Point(p.x + nudge, p.y), Point(p.x, p.y + nudge), off)
+    candidates = (p, parabola.vertex, Point(p.x + nudge, p.y), Point(p.x, p.y + nudge), off)
     for candidate in candidates:
         assert contains_point(parabola, candidate) == reference_contains_point(parabola, candidate)
     assert contains_point(parabola, p)
@@ -337,7 +338,7 @@ def test_is_tangent_matches_fraction_formula(bits, data):
     p, q = on_parabola(data, parabola), on_parabola(data, parabola)
     shift = data.draw(ints(bits).filter(bool))
     tangent = tangent_at(parabola, p)
-    lines = [tangent, Line(tangent.a, tangent.b, tangent.c + shift), canonical_elements(parabola).axis]
+    lines = [tangent, Line(tangent.a, tangent.b, tangent.c + shift), parabola.axis]
     if p != q:
         lines.append(line_through(p, q))
     for line in lines:
@@ -353,18 +354,24 @@ def test_is_tangent_matches_fraction_formula(bits, data):
 @given(data=st.data())
 def test_tangent_at_matches_pedal_bisector(bits, data):
     parabola = data.draw(parabolas(bits))
-    elements = canonical_elements(parabola)
-    points_on = (
-        on_parabola(data, parabola),
-        elements.vertex,
-        elements.latus_endpoints.p,
-        elements.latus_endpoints.q,
-    )
-    for p in points_on:
+    for p in (on_parabola(data, parabola), parabola.vertex, *parabola.latus_endpoints):
         assert tangent_at(parabola, p) == reference_tangent_at(parabola, p)
-    assert tangent_at(parabola, elements.vertex) == elements.supporting_line
+    assert tangent_at(parabola, parabola.vertex) == parabola.supporting_line
     with pytest.raises(PointNotOnParabola):
         tangent_at(parabola, parabola.focus)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@HEAVY
+@given(data=st.data())
+def test_latus_endpoints_are_parameters_minus_and_plus_2k_and_drawn_in_that_order(bits, data):
+    parabola = data.draw(parabolas(bits))
+    k = parabola.focal_scale
+    ends = (point_at_parameter(parabola, -2 * k), point_at_parameter(parabola, 2 * k))
+    assert parabola.latus_endpoints == ends
+    # a fresh twin, so the drawing derives the endpoints itself
+    (arc,) = bindings_scene({"G": Parabola(parabola.focus, parabola.directrix)}).arcs
+    assert (arc.p0, arc.p1) == ends
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -380,7 +387,7 @@ def test_from_latus_rectum_matches_fraction_construction(bits, data):
         built = parabola_from_latus_rectum(e1, e2, side)
         reference = reference_from_latus(e1, e2, side)
         assert (built.focus, built.directrix) == (reference.focus, reference.directrix)
-        assert canonical_elements(built).latus_endpoints.endpoints() == {e1, e2}
+        assert set(built.latus_endpoints) == {e1, e2}
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -501,7 +508,7 @@ def test_parabola_predicates_build_no_fraction(bits, monkeypatch):
     q = point_at_parameter(parabola, Fraction(-7, 5))
     secant = line_through(p, q)
     tangent = tangent_at(parabola, p)
-    canonical_elements(parabola)  # warm the memo is_tangent reads
+    parabola.supporting_line  # warm the memo is_tangent reads
     counter = count_fractions(monkeypatch)
     assert contains_point(parabola, p) and not contains_point(parabola, parabola.focus)
     assert is_tangent(parabola, tangent) and not is_tangent(parabola, secant)
@@ -662,6 +669,13 @@ def reference_parabola_arc(parabola, t0, t1):
     return p0, p1, control
 
 
+def reference_parameter_of(parabola, p):
+    """The inverse of point_at_parameter, for p on the parabola."""
+    assert contains_point(parabola, p)
+    focus, directrix = parabola.focus, parabola.directrix
+    return oracles.chord_parameter((p.x, p.y), (focus.x, focus.y), directrix.a, directrix.b)
+
+
 @pytest.mark.parametrize("bits", HEIGHTS)
 @FIGURES
 @given(data=st.data())
@@ -670,12 +684,10 @@ def test_arc_between_matches_parabola_arc(bits, data):
     t0, t1 = data.draw(rationals(13)), data.draw(rationals(13))
     p0, p1 = point_at_parameter(parabola, t0), point_at_parameter(parabola, t1)
     if t0 == t1:
-        for build in (lambda: arc_between(parabola, p0, p1), lambda: parabola_arc(parabola, t0, t1)):
-            with pytest.raises(EmptyScene):
-                build()
+        with pytest.raises(EmptyScene):
+            arc_between(parabola, p0, p1)
         return
     arc = arc_between(parabola, p0, p1)
-    assert arc == parabola_arc(parabola, t0, t1)
     assert (arc.p0, arc.p1, arc.control) == reference_parabola_arc(parabola, t0, t1)
     with pytest.raises(PointNotOnParabola):
         arc_between(parabola, p0, parabola.focus)
@@ -691,7 +703,8 @@ def test_figure_scene_arcs_match_the_parameter_round_trip(bits, data):
     arcs = figure_scene(fig).arcs
     assert len(arcs) == len(spans)
     for arc, (parabola, start, end) in zip(arcs, spans):
-        assert arc == parabola_arc(parabola, parameter_of(parabola, start), parameter_of(parabola, end))
+        t0, t1 = (reference_parameter_of(parabola, p) for p in (start, end))
+        assert (arc.p0, arc.p1, arc.control) == reference_parabola_arc(parabola, t0, t1)
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -742,8 +755,8 @@ def test_drawing_leaves_the_inner_vertex_and_supporting_line_underived(bits):
         assert all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
         render_svg(figure_scene(fig))
         for parabola in (fig.inner1, fig.inner2):
-            assert "_vertex" not in vars(parabola)
-            assert "_supporting_line" not in vars(parabola)
+            assert "vertex" not in vars(parabola)
+            assert "supporting_line" not in vars(parabola)
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)

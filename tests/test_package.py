@@ -1,0 +1,45 @@
+"""Static checks on the package source, with the standard library's ``ast``.
+
+No linter ships with the project, so these stand in for the two checks that
+matter after a deletion: a module still importing a name it no longer uses,
+and the package's ``__all__`` drifting from what ``__init__.py`` imports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import parbelos
+
+PACKAGE = pathlib.Path(parbelos.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert unused == {}
+
+
+def test_all_matches_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    public = {name for name in imported_names(tree) if not name.startswith("_")}
+    assert len(parbelos.__all__) == len(set(parbelos.__all__))
+    assert [name for name in parbelos.__all__ if not hasattr(parbelos, name)] == []
+    assert public - set(parbelos.__all__) == set()

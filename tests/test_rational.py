@@ -46,7 +46,9 @@ def test_parse_format_round_trip():
     assert format_rational(F(4)) == "4"
 
 
-@pytest.mark.parametrize("bad", ["", " 1/2", "1/2 ", "1 / 2", "1.5", "a", "1/-2", "--1", "1//2"])
+@pytest.mark.parametrize(
+    "bad", ["", " 1/2", "1/2 ", "1 / 2", "1.5", "a", "1/-2", "--1", "1//2", "1/2\n", "\u0663", "1/\u0662"]
+)
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -6,12 +6,12 @@ import pytest
 from parbelos.errors import EmptyScene, PointNotOnParabola
 from parbelos.euclid import Line, Point, line_intersection, point
 from parbelos.figure import build_parbelos
-from parbelos.parabola import LEFT, Parabola, tangent_at
+from parbelos.parabola import LEFT, Parabola, point_at_parameter, tangent_at
 from parbelos.svg import (
     Scene,
+    arc_between,
     bindings_scene,
     figure_scene,
-    parabola_arc,
     render_svg,
 )
 
@@ -23,8 +23,7 @@ OUTER = Parabola(point(2, 0), Line(0, 1, 2))
 
 
 def test_arc_control_point_is_tangent_intersection():
-    arc = parabola_arc(OUTER, F(-2), F(2))  # cusp to cusp on the outer parabola
-    assert arc.p0 == point(0, 0) and arc.p1 == point(4, 0)
+    arc = arc_between(OUTER, point(0, 0), point(4, 0))  # cusp to cusp on the outer parabola
     expected = line_intersection(tangent_at(OUTER, arc.p0), tangent_at(OUTER, arc.p1))
     assert arc.control == expected == point(2, -2)  # the control point IS T2
 
@@ -38,7 +37,7 @@ def test_arc_control_points_random_parameters():
         t1 = F(rng.randint(-30, 30), rng.randint(1, 7))
         if t0 == t1:
             continue
-        arc = parabola_arc(OUTER, t0, t1)
+        arc = arc_between(OUTER, point_at_parameter(OUTER, t0), point_at_parameter(OUTER, t1))
         tangents = tangent_at(OUTER, arc.p0), tangent_at(OUTER, arc.p1)
         assert arc.control == line_intersection(*tangents)
         assert isinstance(arc.control, Point)  # exact rational, pre-serialization
@@ -46,7 +45,7 @@ def test_arc_control_points_random_parameters():
 
 def test_degenerate_arc_rejected():
     with pytest.raises(EmptyScene):
-        parabola_arc(OUTER, F(0), F(0))
+        arc_between(OUTER, point(2, -1), point(2, -1))
 
 
 _OPTIMIZED_ARC_SCRIPT = """
@@ -64,7 +63,7 @@ print("exit", main(["--c1", "0,0", "--c2", "1,0", "--c3", "4,0", "--svg", sys.ar
 real = svg.line_intersection
 svg.line_intersection = lambda l1, l2: real(l1, l2) + point(0, Fraction(1, 7))
 try:
-    svg.parabola_arc(Parabola(point(2, 0), Line(0, 1, 2)), Fraction(-2), Fraction(2))
+    svg.arc_between(Parabola(point(2, 0), Line(0, 1, 2)), point(0, 0), point(4, 0))
 except PointNotOnParabola:
     print("forged control rejected")
 """
@@ -94,7 +93,7 @@ def test_forged_control_point_rejected(monkeypatch):
 
     monkeypatch.setattr(svg, "line_intersection", lambda l1, l2: point(2, -1))
     with pytest.raises(PointNotOnParabola):
-        parabola_arc(OUTER, F(-2), F(2))
+        arc_between(OUTER, point(0, 0), point(4, 0))
 
 
 def test_empty_scene_rejected():
@@ -149,9 +148,9 @@ let K = circle2(A, B, 1)
     scene = bindings_scene(report.bindings)
     assert [p.label for p in scene.points] == ["A", "B"]
     assert len(scene.lines) == 1 and len(scene.circles) == 1 and len(scene.arcs) == 1
-    # parabola renders its latus arc, endpoints at the latus endpoints
+    # a parabola renders its latus arc, from the first latus endpoint to the second
     arc = scene.arcs[0]
-    assert {arc.p0, arc.p1} == {point(0, 0), point(4, 0)}
+    assert (arc.p0, arc.p1) == report.bindings["G"].latus_endpoints == (point(0, 0), point(4, 0))
     document = render_svg(scene)
     assert document.count('class="line"') == 1
     assert "<path" in document
