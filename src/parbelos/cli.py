@@ -22,8 +22,8 @@ Subcommands:
         Evaluate a script and render its drawable bindings.  Exit 0 when
         OUT.svg is written, 2 on an unreadable or non-UTF-8 script, a parse
         or evaluation error, an empty scene, an unwritable OUT.svg, a W or
-        H that is not positive, a margin that leaves no drawing area, or a
-        negative D.
+        H that is not positive, a margin that leaves no drawing area, a
+        negative D, or a D above the interpreter's limit on printed digits.
 """
 
 from __future__ import annotations
@@ -187,11 +187,15 @@ def _cmd_render(argv: list[str]) -> int:
     parser.add_argument("--digits", type=int, default=12)
     args = parser.parse_args(argv)
     drawable = min(args.width, args.height) - 2 * args.margin
+    # A coordinate rounded to more digits than the interpreter prints (0: no
+    # limit) can never be written, so say so before evaluating anything.
+    limit = sys.get_int_max_str_digits()
     for bad, problem in (
         (args.width <= 0, f"--width must be positive, got {args.width}"),
         (args.height <= 0, f"--height must be positive, got {args.height}"),
         (drawable <= 0, f"--margin {args.margin} leaves no drawing area"),
         (args.digits < 0, f"--digits must not be negative, got {args.digits}"),
+        (0 < limit < args.digits, too_long_to_print("the drawing")),
     ):
         if bad:
             print(f"error: {problem}", file=sys.stderr)

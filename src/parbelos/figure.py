@@ -133,14 +133,14 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
     t3 = line_intersection(tangent_at_c3, for_t3)
     t2 = line_intersection(tangent_at_c1, tangent_at_c3)
 
+    # C2 is on the cusp line, so the square's side through C2 is that line.
     cusp_line = line_through(c1, c3)
-    side_c2 = parallel_through(cusp_line, c2)
     side_t2 = parallel_through(cusp_line, t2)
     side_t1 = perpendicular_through(cusp_line, t1)
     side_t3 = perpendicular_through(cusp_line, t3)
     square = (
-        line_intersection(side_t1, side_c2),
-        line_intersection(side_t3, side_c2),
+        line_intersection(side_t1, cusp_line),
+        line_intersection(side_t3, cusp_line),
         line_intersection(side_t3, side_t2),
         line_intersection(side_t1, side_t2),
     )

@@ -2,13 +2,18 @@
 
 A parabola arc is exactly a quadratic Bezier curve whose control point is the
 intersection of the endpoint tangents, so arcs are emitted as ``Q`` path
-segments with an exactly computed control point (:func:`arc_between` builds
-an arc from its two endpoints and certifies it).  Coordinates stay rational
-until the final string conversion: the canvas map is exact and runs in
-integers, and each canvas coordinate is rounded once to a decimal string.
-The y axis is flipped from SVG's screen-down convention to the usual
-mathematical orientation, and output is byte-stable for fixed inputs: fixed
-element order, fixed formatting, no floating point anywhere.
+segments with an exact control point.  Every arc passes one five-condition
+certificate, decided in integers: both endpoints on the parabola, the control
+point on the tangent at each, and the Bezier midpoint on the parabola.  The
+figure's arcs take the corners T1, T3 and T2 of its tangent rectangle as
+their control points; :func:`arc_between` finds the control point of any
+other arc from the endpoint tangents.  Coordinates stay rational until the
+final string conversion: the scene's bounds are found by integer keys, the
+canvas map is exact and runs in integers, and each point is mapped and
+rounded once per render.  The y axis is flipped from SVG's screen-down
+convention to the usual mathematical orientation, and output is byte-stable
+for fixed inputs: fixed element order, fixed formatting, no floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from .errors import EmptyScene, PointNotOnParabola
 from .euclid import Circle, Line, Point, _common, line_intersection, point
 from .figure import NAMED_POINTS, ParbelosFigure
-from .parabola import Parabola, contains_point, tangent_at
+from .parabola import Parabola, tangent_at
 from .rational import Rational, ratio_to_decimal_string
 
 
@@ -54,7 +59,7 @@ class ArcElement:
 
     The control point is the intersection of the endpoint tangents; the arc
     IS the quadratic Bezier on (p0, control, p1).  Built via
-    :func:`arc_between`, which certifies that identity exactly.
+    :func:`_certified_arc`, which certifies that identity exactly.
     """
 
     parabola: Parabola
@@ -63,23 +68,59 @@ class ArcElement:
     control: Point
 
 
-def arc_between(parabola: Parabola, p0: Point, p1: Point) -> ArcElement:
-    """Arc between two points of the parabola; rejects the zero-length arc.
+def _certified_arc(parabola: Parabola, p0: Point, control: Point, p1: Point) -> ArcElement:
+    """The arc of ``parabola`` from p0 to p1 as the quadratic Bezier on
+    (p0, control, p1), once that Bezier is certified to retrace it.
 
-    ``tangent_at`` raises :class:`PointNotOnParabola` for an endpoint off the
-    parabola.  Over the shared denominator W of p0, control and p1, the
-    Bezier midpoint is (X0 + 2*XC + X1, Y0 + 2*YC + Y1)/4W.
+    Besides p0 != p1, five conditions are checked: p0 and p1 lie on the
+    parabola, control lies on the tangent at each of them, and the Bezier
+    midpoint (p0 + 2*control + p1)/4 lies on the parabola.  Five such
+    conditions fix a conic, so the Bezier is the parabola's arc.  Over the
+    shared denominator W of the three points and the focus (FX, FY)/W, with
+    the directrix a*x + b*y + c and n = a^2 + b^2, a point (X, Y)/(s*W) is on
+    the parabola when n*((X - s*FX)^2 + (Y - s*FY)^2) == (a*X + b*Y + s*c*W)^2
+    (s = 4 for the midpoint), and the tangent at an endpoint (X, Y)/W has the
+    normal g = n*(X - FX, Y - FY) - v*(a, b) with v = a*X + b*Y + c*W (see
+    ``parabola.tangent_at``).  Every failure raises
+    :class:`PointNotOnParabola`; none is an ``assert``.
     """
     if p0 == p1:
         raise EmptyScene(f"degenerate arc: p0 = p1 = {p0}")
-    control = line_intersection(tangent_at(parabola, p0), tangent_at(parabola, p1))
-    # The quadratic Bezier with this control point must retrace the parabola;
-    # check its midpoint B(1/2) = (p0 + 2*control + p1)/4 exactly.
-    w, [(x0, y0), (xc, yc), (x1, y1)] = _common(p0, control, p1)
-    bezier_mid = Point(Fraction(x0 + 2 * xc + x1, 4 * w), Fraction(y0 + 2 * yc + y1, 4 * w))
-    if not contains_point(parabola, bezier_mid):
+    w, [(x0, y0), (xc, yc), (x1, y1), (fx, fy)] = _common(p0, control, p1, parabola.focus)
+    line = parabola.directrix
+    a, b, c = line.a, line.b, line.c
+    n = a * a + b * b
+
+    def off_parabola(x: int, y: int, s: int) -> bool:
+        dx, dy = x - s * fx, y - s * fy
+        v = a * x + b * y + s * c * w
+        return (dx * dx + dy * dy) * n != v * v
+
+    for x, y, end in ((x0, y0, p0), (x1, y1, p1)):
+        if off_parabola(x, y, 1):
+            raise PointNotOnParabola(f"arc endpoint {end} is not on the parabola")
+        v = a * x + b * y + c * w
+        gx, gy = n * (x - fx) - v * a, n * (y - fy) - v * b
+        if gx * (xc - x) + gy * (yc - y) != 0:
+            raise PointNotOnParabola(f"Bezier control point {control} is off the tangent at {end}")
+    if off_parabola(x0 + 2 * xc + x1, y0 + 2 * yc + y1, 4):
         raise PointNotOnParabola(f"Bezier control point {control} is off the parabola")
     return ArcElement(parabola, p0, p1, control)
+
+
+def arc_between(parabola: Parabola, p0: Point, p1: Point) -> ArcElement:
+    """Arc between two points of the parabola; rejects the zero-length arc.
+
+    The control point is the intersection of the tangents at p0 and p1
+    (``tangent_at`` raises :class:`PointNotOnParabola` for an endpoint off the
+    parabola), and :func:`_certified_arc` certifies the arc.  Equal endpoints
+    have one tangent and no control point; the certificate rejects them
+    before it reads the control point.
+    """
+    if p0 == p1:
+        return _certified_arc(parabola, p0, p0, p1)
+    control = line_intersection(tangent_at(parabola, p0), tangent_at(parabola, p1))
+    return _certified_arc(parabola, p0, control, p1)
 
 
 @dataclass
@@ -105,14 +146,20 @@ class Scene:
 
 def figure_scene(fig: ParbelosFigure) -> Scene:
     """The standard rendering of a parbelos figure: three latus arcs, the
-    tangent rectangle and its circumcircle, the square, and the named points."""
+    tangent rectangle and its circumcircle, the square, and the named points.
+
+    The cusp tangents meet at the corners of the tangent rectangle, so each
+    latus arc's control point is one of them: T1 for inner1, T3 for inner2
+    and T2 for the outer parabola.  The certificate rejects a figure whose
+    corners are not where the tangents meet.
+    """
     scene = Scene()
-    for parabola, start, end in (
-        (fig.inner1, fig.C1, fig.C2),
-        (fig.inner2, fig.C2, fig.C3),
-        (fig.outer, fig.C1, fig.C3),
+    for parabola, start, control, end in (
+        (fig.inner1, fig.C1, fig.T1, fig.C2),
+        (fig.inner2, fig.C2, fig.T3, fig.C3),
+        (fig.outer, fig.C1, fig.T2, fig.C3),
     ):
-        scene.arcs.append(arc_between(parabola, start, end))
+        scene.arcs.append(_certified_arc(parabola, start, control, end))
     scene.add_circle(fig.circumcircle_K)
     scene.add_segment(fig.C1, fig.C3, "baseline")
     for a, b in ((fig.C2, fig.T1), (fig.T1, fig.T2), (fig.T2, fig.T3), (fig.T3, fig.C2)):
@@ -210,34 +257,47 @@ class _Frame:
         num = d * (self._oy + shift * self._dy) - n * self._sy
         return ratio_to_decimal_string(num, d * self._dy, self.digits)
 
-    def xy(self, p: Point) -> str:
-        return f"{self.x(p.x)} {self.y(p.y)}"
+
+def _scene_points(scene: Scene):
+    """Every point that frames the scene, with the circles' bounding squares."""
+    for lp in scene.points:
+        yield lp.at
+    for seg in scene.segments:
+        yield seg.a
+        yield seg.b
+    for arc in scene.arcs:
+        yield arc.p0
+        yield arc.p1
+        yield arc.control  # Bezier hull bound
+    for ce in scene.circles:
+        radius_up = Fraction(math.isqrt(math.ceil(ce.circle.radius_sq)) + 1)
+        yield ce.circle.center + point(radius_up, radius_up)
+        yield ce.circle.center - point(radius_up, radius_up)
+
+
+def _min_max(values: list[Rational]) -> tuple[Rational, Rational]:
+    """The least and the greatest of ``values``.
+
+    Each value v = n/d gets the integer key floor(n * 2^64 / d), which never
+    decreases as v grows, so the extremes are among the values with the least
+    and the greatest key; only those are compared exactly.
+    """
+    keys = [(v.numerator << 64) // v.denominator for v in values]
+    lo, hi = min(keys), max(keys)
+    return (
+        min(v for v, k in zip(values, keys) if k == lo),
+        max(v for v, k in zip(values, keys) if k == hi),
+    )
 
 
 def _scene_bounds(scene: Scene):
-    xs: list[Rational] = []
-    ys: list[Rational] = []
-
-    def take(p: Point):
-        xs.append(p.x)
-        ys.append(p.y)
-
-    for lp in scene.points:
-        take(lp.at)
-    for seg in scene.segments:
-        take(seg.a)
-        take(seg.b)
-    for arc in scene.arcs:
-        take(arc.p0)
-        take(arc.p1)
-        take(arc.control)  # Bezier hull bound
-    for ce in scene.circles:
-        radius_up = Fraction(math.isqrt(math.ceil(ce.circle.radius_sq)) + 1)
-        take(ce.circle.center + point(radius_up, radius_up))
-        take(ce.circle.center - point(radius_up, radius_up))
-    if not xs:
+    """(xmin, ymin, xmax, ymax) over the scene's points; a point object that
+    several elements share is read once."""
+    points = list({id(p): p for p in _scene_points(scene)}.values())
+    if not points:
         raise EmptyScene("scene has no bounded drawable elements")
-    return min(xs), min(ys), max(xs), max(ys)
+    (xmin, xmax), (ymin, ymax) = _min_max([p.x for p in points]), _min_max([p.y for p in points])
+    return xmin, ymin, xmax, ymax
 
 
 def _clip_line(line: Line, frame: _Frame) -> tuple[Point, Point] | None:
@@ -289,40 +349,45 @@ def render_svg(
     scene yields byte-identical output.
     """
     frame = _Frame(_scene_bounds(scene), width, height, margin, decimal_digits)
+    # Canvas (x, y) per point object and label shift.  Keyed by id(): hashing
+    # a Point would hash its Fractions.  Each entry holds its point, so no id
+    # is reused while the memo lives.
+    placed: dict[tuple[int, int], tuple[Point, str, str]] = {}
+
+    def at(p: Point, shift: int = 0) -> tuple[str, str]:
+        """Canvas x and y of p, moved ``shift`` units right and up."""
+        key = (id(p), shift)
+        hit = placed.get(key)
+        if hit is None:
+            hit = placed[key] = (p, frame.x(p.x, shift), frame.y(p.y, -shift))
+        return hit[1], hit[2]
+
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f"<style>{_STYLE}</style>",
     ]
     for ce in scene.circles:
-        center = ce.circle.center
-        out.append(
-            f'<circle class="circ" cx="{frame.x(center.x)}" cy="{frame.y(center.y)}" '
-            f'r="{_sqrt_decimal(ce.circle.radius_sq * frame.scale * frame.scale, decimal_digits)}"/>'
-        )
+        cx, cy = at(ce.circle.center)
+        radius = _sqrt_decimal(ce.circle.radius_sq * frame.scale * frame.scale, decimal_digits)
+        out.append(f'<circle class="circ" cx="{cx}" cy="{cy}" r="{radius}"/>')
     for arc in scene.arcs:
-        out.append(
-            f'<path class="arc" d="M {frame.xy(arc.p0)} Q {frame.xy(arc.control)} {frame.xy(arc.p1)}"/>'
-        )
+        (x0, y0), (xc, yc), (x1, y1) = at(arc.p0), at(arc.control), at(arc.p1)
+        out.append(f'<path class="arc" d="M {x0} {y0} Q {xc} {yc} {x1} {y1}"/>')
     for le in scene.lines:
         clipped = _clip_line(le.line, frame)
         if clipped is None:
             continue
-        a, b = clipped
-        out.append(
-            f'<line class="{le.cls}" x1="{frame.x(a.x)}" y1="{frame.y(a.y)}" '
-            f'x2="{frame.x(b.x)}" y2="{frame.y(b.y)}"/>'
-        )
+        (x1, y1), (x2, y2) = at(clipped[0]), at(clipped[1])
+        out.append(f'<line class="{le.cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     for seg in scene.segments:
-        out.append(
-            f'<line class="{seg.cls}" x1="{frame.x(seg.a.x)}" y1="{frame.y(seg.a.y)}" '
-            f'x2="{frame.x(seg.b.x)}" y2="{frame.y(seg.b.y)}"/>'
-        )
+        (x1, y1), (x2, y2) = at(seg.a), at(seg.b)
+        out.append(f'<line class="{seg.cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     for lp in scene.points:
-        out.append(
-            f'<circle class="dot" cx="{frame.x(lp.at.x)}" cy="{frame.y(lp.at.y)}" r="3"/>'
-        )
+        cx, cy = at(lp.at)
+        out.append(f'<circle class="dot" cx="{cx}" cy="{cy}" r="3"/>')
     for lp in scene.points:
-        out.append(f'<text x="{frame.x(lp.at.x, 5)}" y="{frame.y(lp.at.y, -5)}">{lp.label}</text>')
+        x, y = at(lp.at, 5)
+        out.append(f'<text x="{x}" y="{y}">{lp.label}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -306,6 +307,36 @@ def test_render_digits_too_long_to_print_exit_2(tmp_path, capsys):
     assert out == ""
     assert err == "error: the drawing has an integer of more than 4300 digits, too long to print\n"
     assert not target.exists()
+
+
+def test_render_digits_past_the_print_limit_exit_2_before_evaluating(tmp_path, capsys, monkeypatch):
+    import parbelos.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("a script was evaluated for a drawing that can never print")
+
+    monkeypatch.setattr(cli, "parse_script", refuse)
+    monkeypatch.setattr(cli, "evaluate", refuse)
+    target = tmp_path / "out.svg"
+    code, out, err = run(capsys, "render", str(DATA / "sondow.geo"), "--svg", str(target), "--digits", str(10**9))
+    assert code == 2
+    assert out == ""
+    assert err == "error: the drawing has an integer of more than 4300 digits, too long to print\n"
+    assert not target.exists()
+
+
+def test_render_digits_unbounded_when_the_print_limit_is_off(tmp_path, capsys):
+    target = tmp_path / "out.svg"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # 0: the interpreter prints ints of any length
+    try:
+        code, out, err = run(capsys, "render", str(DATA / "sondow.geo"), "--svg", str(target), "--digits", "4400")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert out == f"wrote {target}\n"
+    fractional_digits = [len(m) for m in re.findall(r"\.(\d+)", target.read_text())]
+    assert max(fractional_digits) == 4400
 
 
 def test_kernel_error_prints_long_numbers_by_digit_count(tmp_path, capsys):

@@ -3,11 +3,12 @@ replaced: Line canonicalisation, Line.contains and line_through, the
 parabola primitives contains_point, is_tangent, tangent_at and
 parabola_from_latus_rectum, the circle constructions second_intersection
 and circle_through_points, the figure checks on_circle, equidistant and
-_square_check, the drawing (arc_between and the SVG canvas map) and the
-similarity map z -> m*z + shift; the per-element memo of Parabola, and
-which callers leave which elements underived; and a count of the
-Fractions each integer path builds, so a timing-free test notices when
-Fraction arithmetic comes back onto one of them.
+_square_check, the drawing (arc_between, the scene bounds and the SVG
+canvas map) and the similarity map z -> m*z + shift; the per-element memo
+of Parabola, and which callers leave which elements underived; and counts
+of the Fractions each integer path builds and of the calls the drawing
+makes, so a timing-free test notices when Fraction arithmetic or repeated
+work comes back onto one of them.
 
 Heights cover both regimes the kernel runs in: about 13 bits (fuzz and
 figure inputs) and about 3300 bits (cusp coordinates below 10^1000).
@@ -73,7 +74,15 @@ from parbelos.parabola import (
     tangent_at,
 )
 from parbelos.rational import ratio_to_decimal_string, to_decimal_string
-from parbelos.svg import _Frame, arc_between, bindings_scene, figure_scene, render_svg
+from parbelos.svg import (
+    Scene,
+    _Frame,
+    _scene_bounds,
+    arc_between,
+    bindings_scene,
+    figure_scene,
+    render_svg,
+)
 
 HEIGHTS = (13, 3300)
 
@@ -773,6 +782,65 @@ def test_render_svg_builds_no_fraction_per_coordinate(bits, monkeypatch):
     counter[0] = 0
     render_svg(crowded)
     assert counter[0] == once
+
+
+def count_calls(monkeypatch, owner, name) -> list[int]:
+    """Count calls of ``owner.name`` (until the test ends)."""
+    counter = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return counter
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_figure_scene_builds_no_tangent_and_no_intersection(bits, monkeypatch):
+    import parbelos.svg as svg
+
+    fig = build_parbelos(*FIGURE_CUSPS[bits], "left")
+    tangents = count_calls(monkeypatch, svg, "tangent_at")
+    meets = count_calls(monkeypatch, svg, "line_intersection")
+    figure_scene(fig)
+    assert (tangents[0], meets[0]) == (0, 0)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_render_svg_maps_each_point_object_once(bits, monkeypatch):
+    scene = figure_scene(build_parbelos(*FIGURE_CUSPS[bits], "right"))
+    # every element twice, as the same objects
+    crowded = Scene(*(2 * getattr(scene, f.name) for f in dataclasses.fields(Scene)))
+    counter = count_calls(monkeypatch, _Frame, "x")
+    render_svg(scene)
+    once = counter[0]
+    counter[0] = 0
+    render_svg(crowded)
+    assert counter[0] == once
+
+
+def ties(v: Fraction) -> list[Fraction]:
+    """v and its neighbours 2^-70 away, which share v's first 64 fractional bits."""
+    step = Fraction(1, 2**70)
+    return [v - step, v, v + step]
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@SETTINGS
+@given(data=st.data())
+def test_scene_bounds_match_fraction_min_max(bits, data):
+    base = data.draw(rationals(bits))
+    pool = ties(base) + ties(-base) + [data.draw(rationals(bits)) for _ in range(4)]
+    coordinate = st.sampled_from(pool)
+    points = data.draw(st.lists(st.builds(Point, coordinate, coordinate), min_size=1, max_size=12))
+    scene = Scene()
+    for p in points:
+        scene.add_point(p, "P")
+    scene.add_segment(points[0], points[-1])  # shared point objects count once
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    assert _scene_bounds(scene) == (min(xs), min(ys), max(xs), max(ys))
 
 
 # --- the similarity map z -> m*z + shift ---

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 from fractions import Fraction
 
@@ -49,6 +50,7 @@ def test_degenerate_arc_rejected():
 
 
 _OPTIMIZED_ARC_SCRIPT = """
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -56,10 +58,18 @@ import parbelos.svg as svg
 from parbelos.cli import main
 from parbelos.errors import PointNotOnParabola
 from parbelos.euclid import Line, point
+from parbelos.figure import build_parbelos
 from parbelos.parabola import Parabola
 
 print("optimize", sys.flags.optimize)
 print("exit", main(["--c1", "0,0", "--c2", "1,0", "--c3", "4,0", "--svg", sys.argv[1]]))
+fig = build_parbelos(point(0, 0), point(1, 0), point(4, 0))
+for corner in ("T1", "T2", "T3"):
+    forged = dataclasses.replace(fig, **{corner: getattr(fig, corner) + point(0, Fraction(1, 7))})
+    try:
+        svg.figure_scene(forged)
+    except PointNotOnParabola:
+        print("forged", corner, "rejected")
 real = svg.line_intersection
 svg.line_intersection = lambda l1, l2: real(l1, l2) + point(0, Fraction(1, 7))
 try:
@@ -84,7 +94,13 @@ def test_arc_certificate_holds_under_python_optimize(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "optimize 1"
-    assert lines[-2:] == ["exit 0", "forged control rejected"]
+    assert lines[-5:] == [
+        "exit 0",
+        "forged T1 rejected",
+        "forged T2 rejected",
+        "forged T3 rejected",
+        "forged control rejected",
+    ]
     assert out_svg.read_bytes() == GOLDEN.read_bytes()
 
 
@@ -94,6 +110,14 @@ def test_forged_control_point_rejected(monkeypatch):
     monkeypatch.setattr(svg, "line_intersection", lambda l1, l2: point(2, -1))
     with pytest.raises(PointNotOnParabola):
         arc_between(OUTER, point(0, 0), point(4, 0))
+
+
+@pytest.mark.parametrize("corner", ("T1", "T2", "T3"))
+def test_forged_tangent_rectangle_rejected(corner):
+    # Each corner of the tangent rectangle is the control point of one latus arc.
+    forged = dataclasses.replace(P13, **{corner: getattr(P13, corner) + point(0, F(1, 7))})
+    with pytest.raises(PointNotOnParabola):
+        figure_scene(forged)
 
 
 def test_empty_scene_rejected():
@@ -113,6 +137,8 @@ def test_figure_scene_inventory():
     assert len(scene.points) >= 8
     outer_arc = scene.arcs[2]
     assert outer_arc.control == P13.T2
+    # the corners of the tangent rectangle themselves, not rebuilt copies
+    assert all(arc.control is getattr(P13, c) for arc, c in zip(scene.arcs, ("T1", "T3", "T2")))
 
 
 def test_render_matches_golden_file():
