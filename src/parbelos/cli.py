@@ -109,9 +109,12 @@ def _cmd_parbelos(argv: list[str]) -> int:
 
 
 def _read_script(path: str) -> str | None:
-    """The text of a UTF-8 script, or None after one ``error:`` line on stderr."""
+    """The text of a UTF-8 script, or None after one ``error:`` line on stderr.
+
+    A leading byte-order mark, as some editors save UTF-8, is dropped.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

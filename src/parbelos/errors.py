@@ -74,10 +74,6 @@ class CircleMissesFocusOrI(GeometryError):
     """Circle does not pass through both the focus and the tangent intersection."""
 
 
-class BothIntersectionsDegenerate(GeometryError):
-    """Both chord intersections collapsed onto the tangent intersection point."""
-
-
 class CuspsNotCollinear(GeometryError):
     """Parbelos cusps do not lie on one line."""
 

@@ -28,7 +28,6 @@ from .euclid import (
     dot,
     equidistant,
     is_collinear,
-    is_parallel,
     line_intersection,
     line_through,
     midpoint,
@@ -124,13 +123,12 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
     tangent_at_c2_left = tangent_at(inner1, c2)
     tangent_at_c2_right = tangent_at(inner2, c2)
 
-    # Pair each outer-cusp tangent with the C2 tangent it actually crosses.
-    if is_parallel(tangent_at_c1, tangent_at_c2_left):
-        for_t1, for_t3 = tangent_at_c2_right, tangent_at_c2_left
-    else:
-        for_t1, for_t3 = tangent_at_c2_left, tangent_at_c2_right
-    t1 = line_intersection(tangent_at_c1, for_t1)
-    t3 = line_intersection(tangent_at_c3, for_t3)
+    # The homothety at C1 with ratio t maps outer onto inner1, so the tangent
+    # at C1 is also inner1's, and it meets inner1's tangent at C2 at a right
+    # angle (the tangents at the ends of a latus rectum are perpendicular);
+    # likewise at C3 with inner2.
+    t1 = line_intersection(tangent_at_c1, tangent_at_c2_left)
+    t3 = line_intersection(tangent_at_c3, tangent_at_c2_right)
     t2 = line_intersection(tangent_at_c1, tangent_at_c3)
 
     # C2 is on the cusp line, so the square's side through C2 is that line.

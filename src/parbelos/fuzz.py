@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ParallelLines
 from .euclid import (
     Circle,
     Line,
@@ -218,7 +217,9 @@ def degenerate_converse_circle(parabola: Parabola, l1: Line, crossing: Point) ->
 
     Its center sits on both the perpendicular to l1 at the crossing and the
     focus-crossing perpendicular bisector, which forces the second
-    intersection with l1 to collapse onto the crossing point.
+    intersection with l1 to collapse onto the crossing point.  The two lines
+    always cross: they would be parallel only if the focus were on l1, and
+    the focus lies on no tangent.
     """
     center = line_intersection(
         perpendicular_through(l1, crossing),
@@ -230,17 +231,12 @@ def degenerate_converse_circle(parabola: Parabola, l1: Line, crossing: Point) ->
 def _converse_degenerate_case(args: tuple[int, int, int]) -> list[str]:
     seed, index, _scale = args
     rng = _case_rng(seed, index)
-    while True:
-        parabola = rand_parabola(rng)
-        t1, t2 = rand_distinct_parameters(rng, 2)
-        l1 = tangent_at(parabola, point_at_parameter(parabola, t1))
-        l2 = tangent_at(parabola, point_at_parameter(parabola, t2))
-        crossing = line_intersection(l1, l2)
-        try:
-            circle = degenerate_converse_circle(parabola, l1, crossing)
-        except ParallelLines:
-            continue  # focus-crossing segment parallel to l1; resample
-        break
+    parabola = rand_parabola(rng)
+    t1, t2 = rand_distinct_parameters(rng, 2)
+    l1 = tangent_at(parabola, point_at_parameter(parabola, t1))
+    l2 = tangent_at(parabola, point_at_parameter(parabola, t2))
+    crossing = line_intersection(l1, l2)
+    circle = degenerate_converse_circle(parabola, l1, crossing)
     constructed, report = converse_lambert(parabola, l1, l2, circle)
     failures = []
     if not report.verdict:

@@ -25,7 +25,9 @@ The elements are properties of :class:`Parabola`, each memoised on its own
 and derived only when read: ``is_tangent`` reads the supporting line,
 ``point_at_parameter`` the vertex, supporting line, axis direction and focal
 scale, ``build_parbelos`` the axes of the inner parabolas, and the pi/4
-latus-angle suite and the drawing of a parabola binding the latus endpoints.
+latus-angle suite the latus endpoints.  The drawing of a parabola binding
+reads the latus endpoints and takes the foot of the focus on the directrix
+as its control point.
 """
 
 from __future__ import annotations

@@ -2,30 +2,29 @@
 
 A parabola arc is exactly a quadratic Bezier curve whose control point is the
 intersection of the endpoint tangents, so arcs are emitted as ``Q`` path
-segments with an exact control point.  Every arc passes one five-condition
-certificate, decided in integers: both endpoints on the parabola, the control
-point on the tangent at each, and the Bezier midpoint on the parabola.  The
-figure's arcs take the corners T1, T3 and T2 of its tangent rectangle as
-their control points; :func:`arc_between` finds the control point of any
-other arc from the endpoint tangents.  Coordinates stay rational until the
-final string conversion: the scene's bounds are found by integer keys, the
-canvas map is exact and runs in integers, and each point is mapped and
-rounded once per render.  The y axis is flipped from SVG's screen-down
-convention to the usual mathematical orientation, and output is byte-stable
-for fixed inputs: fixed element order, fixed formatting, no floating point
-anywhere.
+segments with an exact control point.  Every arc passes one certificate,
+decided in integers: both endpoints on the parabola and the control point on
+the tangent at each.  The figure's arcs take the corners T1, T3 and T2 of its
+tangent rectangle as their control points; a parabola binding's latus arc
+takes the foot of its axis on the directrix, where the tangents at the latus
+ends meet.  Coordinates stay rational until the final string conversion: the
+scene's bounds are found by integer keys, the canvas map is exact and runs in
+integers, and each point is mapped and rounded once per render.  The y axis
+is flipped from SVG's screen-down convention to the usual mathematical
+orientation, and output is byte-stable for fixed inputs: fixed element order,
+fixed formatting, no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .errors import EmptyScene, PointNotOnParabola
-from .euclid import Circle, Line, Point, _common, line_intersection, point
+from .euclid import Circle, Line, Point, _common, line_intersection, pedal_point, point
 from .figure import NAMED_POINTS, ParbelosFigure
-from .parabola import Parabola, tangent_at
+from .parabola import Parabola
 from .rational import Rational, ratio_to_decimal_string
 
 
@@ -40,17 +39,6 @@ class SegmentElement:
     a: Point
     b: Point
     cls: str = "segment"
-
-
-@dataclass(frozen=True)
-class LineElement:
-    line: Line
-    cls: str = "line"
-
-
-@dataclass(frozen=True)
-class CircleElement:
-    circle: Circle
 
 
 @dataclass(frozen=True)
@@ -72,63 +60,46 @@ def _certified_arc(parabola: Parabola, p0: Point, control: Point, p1: Point) -> 
     """The arc of ``parabola`` from p0 to p1 as the quadratic Bezier on
     (p0, control, p1), once that Bezier is certified to retrace it.
 
-    Besides p0 != p1, five conditions are checked: p0 and p1 lie on the
-    parabola, control lies on the tangent at each of them, and the Bezier
-    midpoint (p0 + 2*control + p1)/4 lies on the parabola.  Five such
-    conditions fix a conic, so the Bezier is the parabola's arc.  Over the
+    Besides p0 != p1, four conditions are checked: p0 and p1 lie on the
+    parabola, and control lies on the tangent at each of them.  No fifth test
+    (say, the Bezier midpoint on the parabola) could fail after these: two
+    distinct points of a parabola have crossing tangents, so control is
+    their meet.  The conics touching those tangents at p0 and p1 form one
+    pencil, and it holds a single parabola (its other member with a
+    degenerate quadratic part is the doubled chord p0p1).  The Bezier on p0,
+    the meet and p1 is a parabola of that pencil, so it is the arc.  Over the
     shared denominator W of the three points and the focus (FX, FY)/W, with
-    the directrix a*x + b*y + c and n = a^2 + b^2, a point (X, Y)/(s*W) is on
-    the parabola when n*((X - s*FX)^2 + (Y - s*FY)^2) == (a*X + b*Y + s*c*W)^2
-    (s = 4 for the midpoint), and the tangent at an endpoint (X, Y)/W has the
-    normal g = n*(X - FX, Y - FY) - v*(a, b) with v = a*X + b*Y + c*W (see
-    ``parabola.tangent_at``).  Every failure raises
-    :class:`PointNotOnParabola`; none is an ``assert``.
+    the directrix a*x + b*y + c and n = a^2 + b^2, an endpoint (X, Y)/W is on
+    the parabola when n*((X - FX)^2 + (Y - FY)^2) == (a*X + b*Y + c*W)^2,
+    and the tangent there has the normal g = n*(X - FX, Y - FY) - v*(a, b)
+    with v = a*X + b*Y + c*W (see ``parabola.tangent_at``).  Every failure
+    raises :class:`PointNotOnParabola`; none is an ``assert``.  The messages
+    name the points by their role, since a tall point's integers may be past
+    the interpreter's limit for printing them.
     """
     if p0 == p1:
-        raise EmptyScene(f"degenerate arc: p0 = p1 = {p0}")
+        raise EmptyScene("degenerate arc: p0 = p1")
     w, [(x0, y0), (xc, yc), (x1, y1), (fx, fy)] = _common(p0, control, p1, parabola.focus)
     line = parabola.directrix
     a, b, c = line.a, line.b, line.c
     n = a * a + b * b
-
-    def off_parabola(x: int, y: int, s: int) -> bool:
-        dx, dy = x - s * fx, y - s * fy
-        v = a * x + b * y + s * c * w
-        return (dx * dx + dy * dy) * n != v * v
-
-    for x, y, end in ((x0, y0, p0), (x1, y1, p1)):
-        if off_parabola(x, y, 1):
-            raise PointNotOnParabola(f"arc endpoint {end} is not on the parabola")
+    for x, y, end in ((x0, y0, "p0"), (x1, y1, "p1")):
+        dx, dy = x - fx, y - fy
         v = a * x + b * y + c * w
-        gx, gy = n * (x - fx) - v * a, n * (y - fy) - v * b
+        if (dx * dx + dy * dy) * n != v * v:
+            raise PointNotOnParabola(f"arc endpoint {end} is not on the parabola")
+        gx, gy = n * dx - v * a, n * dy - v * b
         if gx * (xc - x) + gy * (yc - y) != 0:
-            raise PointNotOnParabola(f"Bezier control point {control} is off the tangent at {end}")
-    if off_parabola(x0 + 2 * xc + x1, y0 + 2 * yc + y1, 4):
-        raise PointNotOnParabola(f"Bezier control point {control} is off the parabola")
+            raise PointNotOnParabola(f"Bezier control point is off the tangent at {end}")
     return ArcElement(parabola, p0, p1, control)
-
-
-def arc_between(parabola: Parabola, p0: Point, p1: Point) -> ArcElement:
-    """Arc between two points of the parabola; rejects the zero-length arc.
-
-    The control point is the intersection of the tangents at p0 and p1
-    (``tangent_at`` raises :class:`PointNotOnParabola` for an endpoint off the
-    parabola), and :func:`_certified_arc` certifies the arc.  Equal endpoints
-    have one tangent and no control point; the certificate rejects them
-    before it reads the control point.
-    """
-    if p0 == p1:
-        return _certified_arc(parabola, p0, p0, p1)
-    control = line_intersection(tangent_at(parabola, p0), tangent_at(parabola, p1))
-    return _certified_arc(parabola, p0, control, p1)
 
 
 @dataclass
 class Scene:
     points: list[LabeledPoint] = field(default_factory=list)
     segments: list[SegmentElement] = field(default_factory=list)
-    lines: list[LineElement] = field(default_factory=list)
-    circles: list[CircleElement] = field(default_factory=list)
+    lines: list[Line] = field(default_factory=list)
+    circles: list[Circle] = field(default_factory=list)
     arcs: list[ArcElement] = field(default_factory=list)
 
     def add_point(self, at: Point, label: str) -> None:
@@ -136,12 +107,6 @@ class Scene:
 
     def add_segment(self, a: Point, b: Point, cls: str = "segment") -> None:
         self.segments.append(SegmentElement(a, b, cls))
-
-    def add_line(self, line: Line, cls: str = "line") -> None:
-        self.lines.append(LineElement(line, cls))
-
-    def add_circle(self, circle: Circle) -> None:
-        self.circles.append(CircleElement(circle))
 
 
 def figure_scene(fig: ParbelosFigure) -> Scene:
@@ -160,7 +125,7 @@ def figure_scene(fig: ParbelosFigure) -> Scene:
         (fig.outer, fig.C1, fig.T2, fig.C3),
     ):
         scene.arcs.append(_certified_arc(parabola, start, control, end))
-    scene.add_circle(fig.circumcircle_K)
+    scene.circles.append(fig.circumcircle_K)
     scene.add_segment(fig.C1, fig.C3, "baseline")
     for a, b in ((fig.C2, fig.T1), (fig.T1, fig.T2), (fig.T2, fig.T3), (fig.T3, fig.C2)):
         scene.add_segment(a, b, "rectangle")
@@ -177,24 +142,28 @@ def figure_scene(fig: ParbelosFigure) -> Scene:
 
 
 def bindings_scene(bindings: dict[str, object]) -> Scene:
-    """Scene for the drawable values of an evaluated script, in binding order."""
+    """Scene for the drawable values of an evaluated script, in binding order.
+
+    A parabola is drawn as its latus arc.  The tangents at the two ends of a
+    latus rectum meet on the directrix, at the foot of the axis, so that foot
+    is the arc's control point.
+    """
     scene = Scene()
     for name, value in bindings.items():
         if isinstance(value, Point):
             scene.add_point(value, name)
         elif isinstance(value, Line):
-            scene.add_line(value)
+            scene.lines.append(value)
         elif isinstance(value, Circle):
-            scene.add_circle(value)
+            scene.circles.append(value)
         elif isinstance(value, Parabola):
-            scene.arcs.append(arc_between(value, *value.latus_endpoints))
+            e1, e2 = value.latus_endpoints
+            foot = pedal_point(value.focus, value.directrix)
+            scene.arcs.append(_certified_arc(value, e1, foot, e2))
         elif isinstance(value, ParbelosFigure):
             sub = figure_scene(value)
-            scene.points.extend(sub.points)
-            scene.segments.extend(sub.segments)
-            scene.lines.extend(sub.lines)
-            scene.circles.extend(sub.circles)
-            scene.arcs.extend(sub.arcs)
+            for f in fields(Scene):
+                getattr(scene, f.name).extend(getattr(sub, f.name))
     return scene
 
 
@@ -269,10 +238,10 @@ def _scene_points(scene: Scene):
         yield arc.p0
         yield arc.p1
         yield arc.control  # Bezier hull bound
-    for ce in scene.circles:
-        radius_up = Fraction(math.isqrt(math.ceil(ce.circle.radius_sq)) + 1)
-        yield ce.circle.center + point(radius_up, radius_up)
-        yield ce.circle.center - point(radius_up, radius_up)
+    for circle in scene.circles:
+        radius_up = Fraction(math.isqrt(math.ceil(circle.radius_sq)) + 1)
+        yield circle.center + point(radius_up, radius_up)
+        yield circle.center - point(radius_up, radius_up)
 
 
 def _min_max(values: list[Rational]) -> tuple[Rational, Rational]:
@@ -367,19 +336,19 @@ def render_svg(
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f"<style>{_STYLE}</style>",
     ]
-    for ce in scene.circles:
-        cx, cy = at(ce.circle.center)
-        radius = _sqrt_decimal(ce.circle.radius_sq * frame.scale * frame.scale, decimal_digits)
+    for circle in scene.circles:
+        cx, cy = at(circle.center)
+        radius = _sqrt_decimal(circle.radius_sq * frame.scale * frame.scale, decimal_digits)
         out.append(f'<circle class="circ" cx="{cx}" cy="{cy}" r="{radius}"/>')
     for arc in scene.arcs:
         (x0, y0), (xc, yc), (x1, y1) = at(arc.p0), at(arc.control), at(arc.p1)
         out.append(f'<path class="arc" d="M {x0} {y0} Q {xc} {yc} {x1} {y1}"/>')
-    for le in scene.lines:
-        clipped = _clip_line(le.line, frame)
+    for line in scene.lines:
+        clipped = _clip_line(line, frame)
         if clipped is None:
             continue
         (x1, y1), (x2, y2) = at(clipped[0]), at(clipped[1])
-        out.append(f'<line class="{le.cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
+        out.append(f'<line class="line" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     for seg in scene.segments:
         (x1, y1), (x2, y2) = at(seg.a), at(seg.b)
         out.append(f'<line class="{seg.cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')

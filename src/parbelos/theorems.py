@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import (
-    BothIntersectionsDegenerate,
     CircleMissesFocusOrI,
     DegenerateTriangle,
     NotTangent,
@@ -84,7 +83,12 @@ def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
 def lambert_circumcircle_check(
     parabola: Parabola, l1: Line, l2: Line, l3: Line
 ) -> TheoremReport:
-    """Circumcircle of a tangent triangle must pass through the focus."""
+    """Circumcircle of a tangent triangle must pass through the focus.
+
+    Three distinct tangents of a parabola never pass through one point (at
+    most two tangents pass through any point), so pairwise crossing tangents
+    always make a proper triangle.
+    """
     for index, line in enumerate((l1, l2, l3), start=1):
         if not is_tangent(parabola, line):
             raise NotTangent(index)
@@ -94,8 +98,6 @@ def lambert_circumcircle_check(
         p31 = line_intersection(l3, l1)
     except ParallelLines as exc:
         raise DegenerateTriangle("two tangents are parallel") from exc
-    if p12 == p23 or p23 == p31 or p31 == p12:
-        raise DegenerateTriangle("tangents are concurrent")
     circle = circumcircle(p12, p23, p31)
     focus_on_circle = on_circle(circle, parabola.focus)
     return TheoremReport(
@@ -119,10 +121,11 @@ def converse_lambert(
 
     I is the tangent intersection; each tangent meets the circle again at H_i
     (taken via the known-root second intersection, so H_i = I exactly when
-    the circle is tangent to l_i there).  The constructed line joins the two
-    distinct points among {H_1, H_2, I}; when one H_i collapses onto I it is
-    simply the other tangent's chord, i.e. that tangent itself.  The report
-    passes iff the constructed line satisfies the pedal tangency criterion.
+    the circle is tangent to l_i there).  The constructed line is the one
+    chord ``line_through(h1, h2)``.  A circle cannot touch two crossing lines
+    at the same point, so at most one H_i is I, and then the chord is the
+    other tangent itself.  The report passes iff the constructed line
+    satisfies the pedal tangency criterion.
     """
     for index, line in enumerate((l1, l2), start=1):
         if not is_tangent(parabola, line):
@@ -136,16 +139,7 @@ def converse_lambert(
         )
     h1 = second_intersection(l1, circle, intersection)
     h2 = second_intersection(l2, circle, intersection)
-    if h1 == intersection and h2 == intersection:
-        raise BothIntersectionsDegenerate(
-            "circle is tangent to both lines at their intersection"
-        )
-    if h1 == intersection:
-        constructed = line_through(intersection, h2)
-    elif h2 == intersection:
-        constructed = line_through(h1, intersection)
-    else:
-        constructed = line_through(h1, h2)
+    constructed = line_through(h1, h2)
     tangent = is_tangent(parabola, constructed)
     report = TheoremReport(
         name="converse-lambert",

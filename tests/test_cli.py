@@ -126,6 +126,21 @@ def test_unreadable_scripts_exit_2_with_one_error_line(tmp_path, capsys):
     assert not out_svg.exists()
 
 
+def test_script_with_byte_order_mark_reads_as_without(tmp_path, capsys):
+    """A UTF-8 script saved with a leading byte-order mark checks and renders as without it."""
+    plain = (DATA / "sondow.geo").read_bytes()
+    marked = tmp_path / "bom.geo"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain)
+    out_svg = tmp_path / "o.svg"
+    for command in (("check",), ("render", "--svg", str(out_svg))):
+        results = []
+        for script in (DATA / "sondow.geo", marked):
+            code, out, err = run(capsys, command[0], str(script), *command[1:])
+            results.append((code, out, err, out_svg.read_bytes() if out_svg.exists() else None))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+
+
 def test_fuzz_small(capsys):
     code, out, _ = run(capsys, "fuzz", "--cases", "8", "--seed", "3")
     assert code == 0

@@ -36,7 +36,7 @@ from parbelos.figure import (
     verify_sondow,
 )
 from parbelos.jsonio import figure_json, verification_json
-from parbelos.parabola import LEFT, RIGHT, contains_point, is_tangent
+from parbelos.parabola import LEFT, RIGHT, contains_point, is_tangent, tangent_at
 from parbelos.theorems import converse_lambert
 
 F = Fraction
@@ -221,6 +221,11 @@ def test_figure_matches_closed_forms_on_every_cusp_line(cusps, side):
         assert getattr(fig, field) == xy(forms[name]), name
     assert fig.circumcircle_K.radius_sq == forms["radius_sq"]
     assert dist_sq(fig.focus_F, fig.contact_T) == forms["FT_sq"]
+    # The outer cusp tangents are the inner parabolas' too, so T1 pairs C1
+    # with C2-left at a right angle, and T3 pairs C3 with C2-right.
+    assert fig.tangent_at_C1 == tangent_at(fig.inner1, fig.C1)
+    assert fig.tangent_at_C3 == tangent_at(fig.inner2, fig.C3)
+    assert is_perpendicular(fig.tangent_at_C1, fig.tangent_at_C2_left)
 
 
 def test_similarity_examples():

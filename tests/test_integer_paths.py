@@ -3,8 +3,8 @@ replaced: Line canonicalisation, Line.contains and line_through, the
 parabola primitives contains_point, is_tangent, tangent_at and
 parabola_from_latus_rectum, the circle constructions second_intersection
 and circle_through_points, the figure checks on_circle, equidistant and
-_square_check, the drawing (arc_between, the scene bounds and the SVG
-canvas map) and the similarity map z -> m*z + shift; the per-element memo
+_square_check, the drawing (the arc certificate, the scene bounds and the
+SVG canvas map) and the similarity map z -> m*z + shift; the per-element memo
 of Parabola, and which callers leave which elements underived; and counts
 of the Fractions each integer path builds and of the calls the drawing
 makes, so a timing-free test notices when Fraction arithmetic or repeated
@@ -77,8 +77,8 @@ from parbelos.rational import ratio_to_decimal_string, to_decimal_string
 from parbelos.svg import (
     Scene,
     _Frame,
+    _certified_arc,
     _scene_bounds,
-    arc_between,
     bindings_scene,
     figure_scene,
     render_svg,
@@ -688,18 +688,24 @@ def reference_parameter_of(parabola, p):
 @pytest.mark.parametrize("bits", HEIGHTS)
 @FIGURES
 @given(data=st.data())
-def test_arc_between_matches_parabola_arc(bits, data):
+def test_certified_arc_accepts_the_tangent_meet(bits, data):
+    """Two distinct points of a parabola with the meet of their tangents pass
+    the four-condition certificate, and that Bezier's midpoint is on the
+    parabola (``reference_parabola_arc`` asserts it), which is why the
+    certificate needs no midpoint test.  A control point moved off the meet,
+    equal endpoints and an endpoint off the parabola are each rejected."""
     parabola = data.draw(parabolas(bits))
-    t0, t1 = data.draw(rationals(13)), data.draw(rationals(13))
-    p0, p1 = point_at_parameter(parabola, t0), point_at_parameter(parabola, t1)
-    if t0 == t1:
-        with pytest.raises(EmptyScene):
-            arc_between(parabola, p0, p1)
-        return
-    arc = arc_between(parabola, p0, p1)
-    assert (arc.p0, arc.p1, arc.control) == reference_parabola_arc(parabola, t0, t1)
+    t0 = data.draw(rationals(13))
+    t1 = data.draw(rationals(13).filter(lambda t: t != t0))
+    p0, p1, control = reference_parabola_arc(parabola, t0, t1)
+    arc = _certified_arc(parabola, p0, control, p1)
+    assert (arc.parabola, arc.p0, arc.p1, arc.control) == (parabola, p0, p1, control)
     with pytest.raises(PointNotOnParabola):
-        arc_between(parabola, p0, parabola.focus)
+        _certified_arc(parabola, p0, control + Point(Fraction(0), Fraction(1, 7)), p1)
+    with pytest.raises(EmptyScene):
+        _certified_arc(parabola, p0, control, p0)
+    with pytest.raises(PointNotOnParabola):
+        _certified_arc(parabola, p0, control, parabola.focus)
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -801,11 +807,14 @@ def count_calls(monkeypatch, owner, name) -> list[int]:
 def test_figure_scene_builds_no_tangent_and_no_intersection(bits, monkeypatch):
     import parbelos.svg as svg
 
+    # The drawing has no tangent construction to call at all; it reads the
+    # figure's corners and builds neither an intersection nor a pedal.
+    assert not hasattr(svg, "tangent_at")
     fig = build_parbelos(*FIGURE_CUSPS[bits], "left")
-    tangents = count_calls(monkeypatch, svg, "tangent_at")
     meets = count_calls(monkeypatch, svg, "line_intersection")
+    feet = count_calls(monkeypatch, svg, "pedal_point")
     figure_scene(fig)
-    assert (tangents[0], meets[0]) == (0, 0)
+    assert (meets[0], feet[0]) == (0, 0)
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)

@@ -1,8 +1,9 @@
 """Static checks on the package source, with the standard library's ``ast``.
 
-No linter ships with the project, so these stand in for the two checks that
-matter after a deletion: a module still importing a name it no longer uses,
-and the package's ``__all__`` drifting from what ``__init__.py`` imports.
+No linter ships with the project, so these stand in for the three checks
+that matter after a deletion: a module still importing a name it no longer
+uses, the package's ``__all__`` drifting from what ``__init__.py`` imports,
+and an error class that nothing raises any more.
 """
 
 import ast
@@ -43,3 +44,26 @@ def test_all_matches_the_package_imports():
     assert len(parbelos.__all__) == len(set(parbelos.__all__))
     assert [name for name in parbelos.__all__ if not hasattr(parbelos, name)] == []
     assert public - set(parbelos.__all__) == set()
+
+
+def raised_names(tree: ast.Module) -> set[str]:
+    """The names in ``raise X`` and ``raise X(...)`` statements, also as ``module.X``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    """Each error class but the base class is raised somewhere in the package."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        raised |= raised_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert defined - raised - {"GeometryError"} == set()

@@ -1,5 +1,6 @@
 import dataclasses
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from parbelos.errors import EmptyScene, PointNotOnParabola
 from parbelos.euclid import Line, Point, line_intersection, point
 from parbelos.figure import build_parbelos
-from parbelos.parabola import LEFT, Parabola, point_at_parameter, tangent_at
+from parbelos.parabola import LEFT, RIGHT, Parabola, parabola_from_latus_rectum, tangent_at
 from parbelos.svg import (
     Scene,
-    arc_between,
+    _certified_arc,
     bindings_scene,
     figure_scene,
     render_svg,
@@ -23,30 +24,40 @@ P13 = build_parbelos(point(0, 0), point(1, 0), point(4, 0), LEFT)
 OUTER = Parabola(point(2, 0), Line(0, 1, 2))
 
 
+def latus_arc(parabola: Parabola):
+    """The arc a script's parabola binding is drawn with."""
+    (arc,) = bindings_scene({"G": parabola}).arcs
+    return arc
+
+
 def test_arc_control_point_is_tangent_intersection():
-    arc = arc_between(OUTER, point(0, 0), point(4, 0))  # cusp to cusp on the outer parabola
+    arc = latus_arc(OUTER)  # cusp to cusp on the outer parabola
+    assert (arc.p0, arc.p1) == (point(0, 0), point(4, 0))
     expected = line_intersection(tangent_at(OUTER, arc.p0), tangent_at(OUTER, arc.p1))
     assert arc.control == expected == point(2, -2)  # the control point IS T2
 
 
 def test_arc_control_points_random_parameters():
-    import random
-
+    """Latus arcs of parabolas on random rational latera recta, both sides."""
     rng = random.Random(71)
+
+    def coordinate():
+        return F(rng.randint(-30, 30), rng.randint(1, 7))
+
     for _ in range(60):
-        t0 = F(rng.randint(-30, 30), rng.randint(1, 7))
-        t1 = F(rng.randint(-30, 30), rng.randint(1, 7))
-        if t0 == t1:
+        e1, e2 = Point(coordinate(), coordinate()), Point(coordinate(), coordinate())
+        if e1 == e2:
             continue
-        arc = arc_between(OUTER, point_at_parameter(OUTER, t0), point_at_parameter(OUTER, t1))
-        tangents = tangent_at(OUTER, arc.p0), tangent_at(OUTER, arc.p1)
+        arc = latus_arc(parabola_from_latus_rectum(e1, e2, rng.choice((LEFT, RIGHT))))
+        tangents = tangent_at(arc.parabola, arc.p0), tangent_at(arc.parabola, arc.p1)
         assert arc.control == line_intersection(*tangents)
         assert isinstance(arc.control, Point)  # exact rational, pre-serialization
 
 
 def test_degenerate_arc_rejected():
+    vertex = point(2, -1)
     with pytest.raises(EmptyScene):
-        arc_between(OUTER, point(2, -1), point(2, -1))
+        _certified_arc(OUTER, vertex, vertex, vertex)
 
 
 _OPTIMIZED_ARC_SCRIPT = """
@@ -70,10 +81,10 @@ for corner in ("T1", "T2", "T3"):
         svg.figure_scene(forged)
     except PointNotOnParabola:
         print("forged", corner, "rejected")
-real = svg.line_intersection
-svg.line_intersection = lambda l1, l2: real(l1, l2) + point(0, Fraction(1, 7))
+real = svg.pedal_point
+svg.pedal_point = lambda p, line: real(p, line) + point(0, Fraction(1, 7))
 try:
-    svg.arc_between(Parabola(point(2, 0), Line(0, 1, 2)), point(0, 0), point(4, 0))
+    svg.bindings_scene({"G": Parabola(point(2, 0), Line(0, 1, 2))})
 except PointNotOnParabola:
     print("forged control rejected")
 """
@@ -107,9 +118,10 @@ def test_arc_certificate_holds_under_python_optimize(tmp_path):
 def test_forged_control_point_rejected(monkeypatch):
     import parbelos.svg as svg
 
-    monkeypatch.setattr(svg, "line_intersection", lambda l1, l2: point(2, -1))
+    # A parabola binding's control point is the foot of the focus on the directrix.
+    monkeypatch.setattr(svg, "pedal_point", lambda p, line: point(2, -1))
     with pytest.raises(PointNotOnParabola):
-        arc_between(OUTER, point(0, 0), point(4, 0))
+        bindings_scene({"G": OUTER})
 
 
 @pytest.mark.parametrize("corner", ("T1", "T2", "T3"))
@@ -125,7 +137,7 @@ def test_empty_scene_rejected():
         render_svg(Scene())
     # a scene with only an infinite line has nothing to frame either
     scene = Scene()
-    scene.add_line(Line(1, 1, 0))
+    scene.lines.append(Line(1, 1, 0))
     with pytest.raises(EmptyScene):
         render_svg(scene)
 
@@ -186,8 +198,8 @@ def test_clipped_line_endpoints_inside_canvas():
     scene = Scene()
     scene.add_point(point(0, 0), "A")
     scene.add_point(point(10, 10), "B")
-    scene.add_line(Line(1, -1, 0))  # the diagonal through both
-    scene.add_line(Line(1, 0, -100))  # far off-screen: dropped
+    scene.lines.append(Line(1, -1, 0))  # the diagonal through both
+    scene.lines.append(Line(1, 0, -100))  # far off-screen: dropped
     document = render_svg(scene)
     assert document.count('class="line"') == 1
 
