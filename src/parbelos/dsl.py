@@ -471,8 +471,7 @@ def evaluate(program: Program) -> EvalReport:
             raise EvalError(str(exc), stmt.line, stmt.col) from exc
         except ValueError:
             # The only ValueError here: an int past the interpreter's digit
-            # limit turned into text, by a witness, the binding's JSON or a
-            # kernel error message.
+            # limit turned into text, by a witness or the binding's JSON.
             is_let = isinstance(stmt, Let)
             what = f"binding {stmt.name}" if is_let else f"assertion {stmt.call.func}"
             raise EvalError(too_long_to_print(what), stmt.line, stmt.col) from None

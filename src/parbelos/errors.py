@@ -1,22 +1,41 @@
 """Exception hierarchy shared by the geometry kernel and its frontends."""
 
 import re
+import sys
 
 # Runs of more than 40 digits, which error text prints by their length.  The
 # pattern is compiled on first use (``re`` caches it), not at import.
 _LONG_DIGITS = r"\d{41,}"
 
 
+def _printable(value) -> str:
+    """str(value), or a marker when it holds an int too long for the interpreter to print."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
+
+
 class GeometryError(Exception):
     """Base class for every error raised by this package.
 
-    Its text prints each run of more than 40 digits as ``<N digits>``, so an
-    error about a point with huge coordinates stays one short line.  Reports,
-    JSON and SVG output are not error text and stay exact.
+    Raised as ``Error(message)`` or ``Error(template, *values)``: the text
+    fills the template's ``{}`` fields with the values only when it is
+    printed, so an error about a point too long to print (more than
+    ``sys.get_int_max_str_digits()`` digits in one integer) is still raised
+    as itself, and prints that value as ``<more than N digits>``.  The text
+    prints each run of more than 40 digits as ``<N digits>``, so an error
+    about a point with huge coordinates stays one short line.  Reports, JSON
+    and SVG output are not error text and stay exact.
     """
 
     def __str__(self) -> str:
-        return re.sub(_LONG_DIGITS, lambda m: f"<{len(m.group())} digits>", super().__str__())
+        if len(self.args) > 1:
+            template, *values = self.args
+            text = template.format(*map(_printable, values))
+        else:
+            text = super().__str__()
+        return re.sub(_LONG_DIGITS, lambda m: f"<{len(m.group())} digits>", text)
 
 
 class ZeroDenominator(GeometryError):

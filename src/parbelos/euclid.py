@@ -8,10 +8,22 @@ intersecting a line with a circle -- is done with a known point on both via
 Vieta's root factoring, which keeps the whole kernel rational-closed.
 
 The predicates ``Line.contains``, ``on_circle`` and ``equidistant`` and the
-constructions ``line_through``, ``second_intersection`` and
+constructions ``line_through``, ``circumcircle``, ``second_intersection`` and
 ``circle_through_points`` write their points over one shared denominator
 (``_common``) and work on the integer numerators, so they build no
-intermediate Fractions.
+intermediate Fractions.  ``Line`` reduces integer a, b with a Fraction c by
+gcd(a, b, numerator of c) before it clears c's denominator, which is the
+shape ``parallel_through`` and ``perpendicular_through`` hand it.
+
+``pedal_point``, ``midpoint`` and ``line_intersection`` stay on Fraction
+arithmetic.  Their integer forms end in a ``Fraction(n, d)`` whose gcd runs
+over a pair of about twice the input's bits, while Fraction's own ``+`` and
+``*`` reduce by the gcd of the two denominators and skip that final gcd
+(Henrici's method).  On 3300-bit figure points (2 vCPUs, Python 3.11.7) an
+integer ``pedal_point`` ran 1.8-2.6x slower, and an integer ``midpoint`` of
+two 3300-bit points 10x slower.  Fraction operands are written first
+(``p.x * a``), so an int operand takes ``Fraction.__mul__`` and not the
+``__rmul__`` path with its abstract-base-class check.
 """
 
 from __future__ import annotations
@@ -90,14 +102,22 @@ class Line:
 
     def __post_init__(self):
         ia, ib, ic = self.a, self.b, self.c
-        if not (type(ia) is int and type(ib) is int and type(ic) is int):
+        if type(ia) is not int or type(ib) is not int or type(ic) not in (int, Fraction):
             a, b, c = Fraction(ia), Fraction(ib), Fraction(ic)
             mult = math.lcm(a.denominator, b.denominator, c.denominator)
             ia, ib, ic = int(a * mult), int(b * mult), int(c * mult)
         if ia == 0 and ib == 0:
             raise DegenerateLine("line needs (a, b) != (0, 0)")
-        g = math.gcd(ia, ib, ic)
-        ia, ib, ic = ia // g, ib // g, ic // g
+        if type(ic) is int:
+            g = math.gcd(ia, ib, ic)
+            ia, ib, ic = ia // g, ib // g, ic // g
+        else:
+            # Integers a, b and c = n/d in lowest terms: gcd(a*d, b*d, n) is
+            # gcd(a, b, n) because gcd(n, d) = 1, so the triple is divided by it
+            # before d is cleared, and no Fraction is built.
+            n, d = ic.numerator, ic.denominator
+            g = math.gcd(ia, ib, n)
+            ia, ib, ic = ia // g * d, ib // g * d, n // g
         if ia < 0 or (ia == 0 and ib < 0):
             ia, ib, ic = -ia, -ib, -ic
         object.__setattr__(self, "a", ia)
@@ -106,7 +126,7 @@ class Line:
 
     def evaluate(self, p: Point) -> Rational:
         """Signed value a*x + b*y + c; zero exactly on the line."""
-        return self.a * p.x + self.b * p.y + self.c
+        return p.x * self.a + p.y * self.b + self.c
 
     def contains(self, p: Point) -> bool:
         # evaluate(p) == 0 with the denominators cleared: no Fraction is built.
@@ -139,13 +159,13 @@ class Circle:
 
     def __post_init__(self):
         if self.radius_sq <= 0:
-            raise DegenerateCircle(f"radius_sq must be positive, got {self.radius_sq}")
+            raise DegenerateCircle("radius_sq must be positive, got {}", self.radius_sq)
 
 
 def line_through(p: Point, q: Point) -> Line:
     """Canonical line containing two distinct points."""
     if p == q:
-        raise CoincidentPoints(f"no unique line through {p} twice")
+        raise CoincidentPoints("no unique line through {} twice", p)
     pw, [(px, py)] = _common(p)
     qw, [(qx, qy)] = _common(q)
     return Line(py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx)
@@ -177,12 +197,12 @@ def _primitive_direction(dx: int, dy: int) -> tuple[int, int]:
 
 def parallel_through(line: Line, p: Point) -> Line:
     """The line through p parallel to ``line`` (equal to it if p is on it)."""
-    return Line(line.a, line.b, -(line.a * p.x + line.b * p.y))
+    return Line(line.a, line.b, -(p.x * line.a + p.y * line.b))
 
 
 def perpendicular_through(line: Line, p: Point) -> Line:
     """The line through p perpendicular to ``line``; its direction is (a, b)."""
-    return Line(line.b, -line.a, -(line.b * p.x - line.a * p.y))
+    return Line(line.b, -line.a, p.y * line.a - p.x * line.b)
 
 
 def is_parallel(l1: Line, l2: Line) -> bool:
@@ -196,7 +216,7 @@ def is_perpendicular(l1: Line, l2: Line) -> bool:
 def line_intersection(l1: Line, l2: Line) -> Point:
     det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
-        raise ParallelLines(f"{l1} and {l2} do not intersect")
+        raise ParallelLines("{} and {} do not intersect", l1, l2)
     x = Fraction(l1.b * l2.c - l2.b * l1.c, det)
     y = Fraction(l2.a * l1.c - l1.a * l2.c, det)
     return Point(x, y)
@@ -228,11 +248,33 @@ def perpendicular_bisector(p: Point, q: Point) -> Line:
 
 
 def circumcircle(a: Point, b: Point, c: Point) -> Circle:
-    """Unique circle through three points; center from perpendicular bisectors."""
-    if is_collinear(a, b, c):
-        raise DegenerateTriangle(f"collinear or coincident: {a}, {b}, {c}")
-    center = line_intersection(perpendicular_bisector(a, b), perpendicular_bisector(b, c))
-    return Circle(center, dist_sq(center, a))
+    """Unique circle through three points, as one integer determinant.
+
+    Over the shared denominator W of a = (AX, AY)/W, b and c, with
+    u = B - A and v = C - A in those numerators, d = 2*cross(u, v) is zero
+    exactly when the points are collinear or two coincide.  Otherwise the
+    center is a + e/(d*W) with e = (vy*|u|^2 - uy*|v|^2, ux*|v|^2 - vx*|u|^2),
+    and radius^2 = |e|^2/(d*W)^2.  e and d*W are first divided by their gcd:
+    on 3300-bit points with unrelated denominators it has about the bits of
+    W, which the Fractions would otherwise strip from much larger numbers.
+    The center's coordinates, each added to a's over a's own denominator,
+    and radius^2 are the only Fractions built.
+    """
+    w, [(ax, ay), (bx, by), (cx, cy)] = _common(a, b, c)
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+    d = 2 * (ux * vy - uy * vx)
+    if d == 0:
+        raise DegenerateTriangle("collinear or coincident: {}, {}, {}", a, b, c)
+    su, sv = ux * ux + uy * uy, vx * vx + vy * vy
+    ex, ey, den = vy * su - uy * sv, ux * sv - vx * su, d * w
+    g = math.gcd(ex, ey, den)
+    ex, ey, den = ex // g, ey // g, den // g
+    x, y = a.x, a.y
+    center = Point(
+        Fraction(x.numerator * den + ex * x.denominator, x.denominator * den),
+        Fraction(y.numerator * den + ey * y.denominator, y.denominator * den),
+    )
+    return Circle(center, Fraction(ex * ex + ey * ey, den * den))
 
 
 def _circle_offset(circle: Circle, p: Point) -> tuple[bool, int, int, int, int, int]:
@@ -275,10 +317,10 @@ def second_intersection(line: Line, circle: Circle, p: Point) -> Point:
     coordinates are the only Fractions built.
     """
     if not line.contains(p):
-        raise PointNotIncident(f"{p} is not on {line}")
+        raise PointNotIncident("{} is not on {}", p, line)
     on, w, x, y, ex, ey = _circle_offset(circle, p)
     if not on:
-        raise PointNotIncident(f"{p} is not on the circle")
+        raise PointNotIncident("{} is not on the circle", p)
     dx, dy = line.direction()
     n, s = dx * dx + dy * dy, dx * ex + dy * ey
     return Point(Fraction(n * x - 2 * s * dx, n * w), Fraction(n * y - 2 * s * dy, n * w))
@@ -292,7 +334,7 @@ def circle_point(circle: Circle, q: Point, t: Rational | None) -> Point:
     q itself.
     """
     if not on_circle(circle, q):
-        raise PointNotIncident(f"{q} is not on the circle")
+        raise PointNotIncident("{} is not on the circle", q)
     if t is None:
         chord = Line(1, 0, -q.x)
     else:

@@ -25,9 +25,7 @@ from .euclid import (
     _common,
     circumcircle,
     dist_sq,
-    dot,
     equidistant,
-    is_collinear,
     line_intersection,
     line_through,
     midpoint,
@@ -107,12 +105,15 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
         raise DegenerateSide(f"side must be 'left' or 'right', got {side!r}")
     if c1 == c3:
         raise CuspNotInterior("outer cusps coincide")
-    if not is_collinear(c1, c2, c3):
-        raise CuspsNotCollinear(f"{c1}, {c2}, {c3} are not collinear")
-    span = c3 - c1
-    t = dot(c2 - c1, span) / dot(span, span)
-    if not 0 < t < 1:
-        raise CuspNotInterior(f"C2 must lie strictly between C1 and C3 (got t={t})")
+    # u = C2 - C1 and v = C3 - C1 in integers over their shared denominator
+    # (the Fraction differences drop C1's denominators first): C2 is C1 + t*v
+    # with t = dot(u, v)/dot(v, v) when cross(u, v) = 0.
+    _, [(ux, uy), (vx, vy)] = _common(c2 - c1, c3 - c1)
+    if ux * vy - uy * vx != 0:
+        raise CuspsNotCollinear("{}, {}, {} are not collinear", c1, c2, c3)
+    uv, vv = ux * vx + uy * vy, vx * vx + vy * vy
+    if not 0 < uv < vv:
+        raise CuspNotInterior("C2 must lie strictly between C1 and C3 (got t={})", Fraction(uv, vv))
 
     inner1 = parabola_from_latus_rectum(c1, c2, side)
     inner2 = parabola_from_latus_rectum(c2, c3, side)

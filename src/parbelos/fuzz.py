@@ -23,15 +23,14 @@ from .euclid import (
     Circle,
     Line,
     Point,
+    _common,
     circle_through_points,
     dist_sq,
-    dot,
     equidistant,
     line_intersection,
     line_through,
     perpendicular_bisector,
     perpendicular_through,
-    point,
 )
 from .figure import build_parbelos, corollary_checks, similarity, sondow_checks
 from .parabola import (
@@ -286,15 +285,18 @@ def latus_angle_failures(parabola: Parabola, label: str) -> list[str]:
     """Check 2*(d.u)^2 = |d|^2 |u|^2 at both latus endpoints.
 
     This is the rational restatement of the tangent making an angle of pi/4
-    with the latus rectum (cos^2 = 1/2, cleared of square roots).
+    with the latus rectum (cos^2 = 1/2, cleared of square roots).  Both sides
+    are of degree 2 in u, so u = e2 - e1 is taken in integers as U = W*u over
+    the endpoints' shared denominator W, and the test builds no Fraction.
     """
     e1, e2 = parabola.latus_endpoints
-    u = e2 - e1
+    _, [(x1, y1), (x2, y2)] = _common(e1, e2)
+    ux, uy = x2 - x1, y2 - y1
     failures = []
     for endpoint in (e1, e2):
         dx, dy = tangent_at(parabola, endpoint).direction()
-        d = point(dx, dy)
-        if 2 * dot(d, u) ** 2 != dot(d, d) * dot(u, u):
+        du = dx * ux + dy * uy
+        if 2 * du * du != (dx * dx + dy * dy) * (ux * ux + uy * uy):
             failures.append(f"{label}: tangent at {endpoint} is not at pi/4 to the latus rectum")
     return failures
 

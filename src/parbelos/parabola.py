@@ -15,11 +15,12 @@ Membership, tangency, the tangent at a point and the parabola of a latus
 rectum are decided in integers: the points involved are written over one
 shared denominator W (``euclid._common``) and each test or line is a
 polynomial identity in the numerators, so no Fraction is built (the latus
-construction builds just the focus).  The derivations of the vertex, axis,
-supporting line and chord points stay on Fraction, whose reduction after each
-step keeps operands short at large heights; cross-multiplied, they ran
-1.4-3.7x slower on 3300-bit inputs, and integer forms of the axis and the
-supporting line, though about 5x faster at 13 bits, ran 1.5-3.6x slower there.
+construction builds just the focus).  The vertex and chord points stay on
+Fraction, whose reduction after each step keeps operands short at large
+heights; cross-multiplied, they ran 1.4-3.7x slower on 3300-bit inputs.  The
+axis and the supporting line are ``perpendicular_through`` and
+``parallel_through`` of the directrix: their offset is one Fraction, which
+``Line`` reduces by gcd(a, b, numerator) before clearing its denominator.
 
 The elements are properties of :class:`Parabola`, each memoised on its own
 and derived only when read: ``is_tangent`` reads the supporting line,
@@ -73,7 +74,7 @@ class Parabola:
 
     def __post_init__(self):
         if self.directrix.contains(self.focus):
-            raise FocusOnDirectrix(f"focus {self.focus} lies on the directrix")
+            raise FocusOnDirectrix("focus {} lies on the directrix", self.focus)
 
     def __getstate__(self) -> dict:
         return {"focus": self.focus, "directrix": self.directrix}
@@ -193,7 +194,7 @@ def tangent_at(parabola: Parabola, p: Point) -> Line:
     a tangent.
     """
     if not contains_point(parabola, p):
-        raise PointNotOnParabola(f"{p} is not on the parabola")
+        raise PointNotOnParabola("{} is not on the parabola", p)
     w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
     line = parabola.directrix
     n = line.a * line.a + line.b * line.b

@@ -26,7 +26,7 @@ _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 def make_rational(numerator: int, denominator: int = 1) -> Rational:
     """Return numerator/denominator in canonical form; sign lives on the numerator."""
     if denominator == 0:
-        raise ZeroDenominator(f"{numerator}/0 is not a rational")
+        raise ZeroDenominator("{}/0 is not a rational", numerator)
     return Fraction(numerator, denominator)
 
 

@@ -50,7 +50,7 @@ def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
     (both may be true or both false).
     """
     if is_collinear(a, b, c):
-        raise DegenerateTriangle(f"triangle {a}, {b}, {c} is degenerate")
+        raise DegenerateTriangle("triangle {}, {}, {} is degenerate", a, b, c)
     pedal_bc = pedal_point(p, line_through(b, c))
     pedal_ca = pedal_point(p, line_through(c, a))
     pedal_ab = pedal_point(p, line_through(a, b))
@@ -131,7 +131,7 @@ def converse_lambert(
         if not is_tangent(parabola, line):
             raise NotTangent(index)
     if is_parallel(l1, l2):
-        raise ParallelTangents(f"{l1} and {l2} have no intersection")
+        raise ParallelTangents("{} and {} have no intersection", l1, l2)
     intersection = line_intersection(l1, l2)
     if not (on_circle(circle, parabola.focus) and on_circle(circle, intersection)):
         raise CircleMissesFocusOrI(

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from parbelos.errors import (
     DegenerateTriangle,
     ParallelLines,
     PointNotIncident,
+    PointNotOnParabola,
 )
 from parbelos.euclid import (
     Circle,
@@ -35,8 +37,10 @@ from parbelos.euclid import (
     perpendicular_bisector,
     perpendicular_through,
     point,
+    scale,
     second_intersection,
 )
+from parbelos.parabola import parabola_from_latus_rectum, tangent_at
 
 F = Fraction
 
@@ -324,3 +328,20 @@ def test_error_text_prints_digit_runs_over_40_by_their_length():
     with pytest.raises(CoincidentPoints) as exc:
         line_through(point(7**2000, 0), point(7**2000, 0))
     assert str(exc.value) == "no unique line through (<1691 digits>, 0) twice"
+
+
+def test_error_about_a_value_too_long_to_print_keeps_its_class():
+    """A value with an integer past the interpreter's print limit is named by a
+    marker in the error text, and the error is still raised as itself."""
+    huge = Point(F(10**5000 + 1, 3), F(0))
+    marker = f"<more than {sys.get_int_max_str_digits()} digits>"
+    with pytest.raises(CoincidentPoints) as exc:
+        line_through(huge, huge)
+    assert str(exc.value) == f"no unique line through {marker} twice"
+    with pytest.raises(DegenerateTriangle) as exc:
+        circumcircle(point(0, 0), huge, scale(huge, 2))
+    assert str(exc.value) == f"collinear or coincident: (0, 0), {marker}, {marker}"
+    parabola = parabola_from_latus_rectum(point(0, 0), point(2, 0), "left")
+    with pytest.raises(PointNotOnParabola) as exc:
+        tangent_at(parabola, huge)
+    assert str(exc.value) == f"{marker} is not on the parabola"

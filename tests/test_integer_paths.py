@@ -1,14 +1,15 @@
 """The integer paths of the kernel against the Fraction formulas they
-replaced: Line canonicalisation, Line.contains and line_through, the
-parabola primitives contains_point, is_tangent, tangent_at and
-parabola_from_latus_rectum, the circle constructions second_intersection
-and circle_through_points, the figure checks on_circle, equidistant and
+replaced: Line canonicalisation (also of integers a, b with a Fraction c),
+Line.contains and line_through, the parabola primitives contains_point,
+is_tangent, tangent_at and parabola_from_latus_rectum, the pi/4 latus-angle
+check, the circle constructions circumcircle, second_intersection and
+circle_through_points, the figure checks on_circle, equidistant and
 _square_check, the drawing (the arc certificate, the scene bounds and the
 SVG canvas map) and the similarity map z -> m*z + shift; the per-element memo
 of Parabola, and which callers leave which elements underived; and counts
-of the Fractions each integer path builds and of the calls the drawing
-makes, so a timing-free test notices when Fraction arithmetic or repeated
-work comes back onto one of them.
+of the Fractions each integer path builds and of the calls the figure and
+the drawing make, so a timing-free test notices when Fraction arithmetic or
+repeated work comes back onto one of them.
 
 Heights cover both regimes the kernel runs in: about 13 bits (fuzz and
 figure inputs) and about 3300 bits (cusp coordinates below 10^1000).
@@ -30,6 +31,7 @@ from parbelos.errors import (
     CoincidentPoints,
     DegenerateLine,
     DegenerateSide,
+    DegenerateTriangle,
     EmptyScene,
     PointNotIncident,
     PointNotOnParabola,
@@ -65,6 +67,7 @@ from parbelos.figure import (
     similarity,
     sondow_checks,
 )
+from parbelos.fuzz import latus_angle_failures
 from parbelos.parabola import (
     Parabola,
     contains_point,
@@ -158,6 +161,33 @@ def test_rational_triple_canonicalisation_matches_fraction_path(bits, data):
     mult = math.lcm(a.denominator, b.denominator, c.denominator)
     cleared = Line(int(a * mult), int(b * mult), int(c * mult))
     assert cleared == Line(a, b, c)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@SETTINGS
+@given(data=st.data())
+def test_integer_normal_with_fraction_offset_matches_fraction_path(bits, data):
+    """Line(a, b, n/d) is reduced by gcd(a, b, n) before d is cleared."""
+    a, b = data.draw(ints(bits)), data.draw(ints(bits))
+    c = data.draw(rationals(bits))
+    negative_a, negative_b = -abs(a) - 1, -abs(b) - 1
+    for triple_in in (
+        (a, b, c),
+        (a, b, Fraction(0)),
+        (0, b, c),
+        (a, 0, c),
+        (negative_a, b, c),
+        (0, negative_b, c),
+    ):
+        if triple_in[0] == 0 and triple_in[1] == 0:
+            with pytest.raises(DegenerateLine):
+                Line(*triple_in)
+            continue
+        line = Line(*triple_in)
+        assert triple(line) == reference_canonical(*triple_in)
+        assert all(type(v) is int for v in triple(line))
+    with pytest.raises(DegenerateLine):
+        Line(0, 0, c)
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -413,6 +443,40 @@ def test_from_latus_rectum_error_order(bits, data):
             build(e1, e2, bad_side)
 
 
+def reference_latus_angle_failures(parabola, label, tangent=tangent_at):
+    e1, e2 = parabola.latus_endpoints
+    u = e2 - e1
+    failures = []
+    for endpoint in (e1, e2):
+        dx, dy = tangent(parabola, endpoint).direction()
+        d = point(dx, dy)
+        if 2 * dot(d, u) ** 2 != dot(d, d) * dot(u, u):
+            failures.append(f"{label}: tangent at {endpoint} is not at pi/4 to the latus rectum")
+    return failures
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_latus_angle_check_matches_fraction_formula(bits, data):
+    import parbelos.fuzz as fuzz
+
+    parabola = data.draw(parabolas(bits))
+    assert latus_angle_failures(parabola, "p") == reference_latus_angle_failures(parabola, "p") == []
+    # Each tangent turned about its point by the angle whose tangent is k.
+    k = data.draw(st.sampled_from((Fraction(1, 1000), Fraction(-1, 7), Fraction(3, 2**bits))))
+
+    def turned(parabola, p):
+        dx, dy = tangent_at(parabola, p).direction()
+        return line_through(p, p + Point(dx - k * dy, dy + k * dx))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fuzz, "tangent_at", turned)
+        failures = latus_angle_failures(parabola, "p")
+    assert failures == reference_latus_angle_failures(parabola, "p", turned)
+    assert len(failures) == 2
+
+
 # --- circle constructions against the Fraction formulas they replaced ---
 
 
@@ -436,6 +500,13 @@ def reference_circle_through_points(p, q, t):
     return Circle(center, dist_sq(center, p))
 
 
+def reference_circumcircle(a, b, c):
+    if is_collinear(a, b, c):
+        raise DegenerateTriangle(f"collinear or coincident: {a}, {b}, {c}")
+    center = line_intersection(perpendicular_bisector(a, b), perpendicular_bisector(b, c))
+    return Circle(center, dist_sq(center, a))
+
+
 def circle_and_point(data, bits):
     center = data.draw(points(bits))
     p = data.draw(points(bits).filter(lambda p: p != center))
@@ -445,7 +516,7 @@ def circle_and_point(data, bits):
 def error_or_result(fn, *args):
     try:
         return fn(*args)
-    except (PointNotIncident, CoincidentPoints) as exc:
+    except (PointNotIncident, CoincidentPoints, DegenerateTriangle) as exc:
         return type(exc), str(exc)
 
 
@@ -472,6 +543,23 @@ def test_second_intersection_matches_fraction_formula(bits, data):
             assert error_or_result(second_intersection, line, circle, q) == error_or_result(
                 reference_second_intersection, line, circle, q
             )
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_circumcircle_matches_bisector_construction(bits, data):
+    a, b, c = (data.draw(points(bits)) for _ in range(3))
+    t = data.draw(rationals(bits))
+    on_ab = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    for triple_in in ((a, b, c), (c, a, b), (a, b, on_ab), (a, a, c), (a, b, b), (a, b, a)):
+        expected = error_or_result(reference_circumcircle, *triple_in)
+        assert error_or_result(circumcircle, *triple_in) == expected
+        if isinstance(expected, Circle):
+            assert all(on_circle(expected, p) for p in triple_in)
+    for degenerate in ((a, b, on_ab), (a, a, c), (a, b, b), (a, b, a)):
+        with pytest.raises(DegenerateTriangle):
+            circumcircle(*degenerate)
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -546,6 +634,26 @@ def test_second_intersection_builds_two_fractions(bits, monkeypatch):
         counter[0] = 0
         second_intersection(line, circle, p)
         assert counter[0] == 2  # the two coordinates of the answer
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_circumcircle_builds_three_fractions(bits, monkeypatch):
+    a = Point(Fraction(3**bits + 1, 7**20), Fraction(-(5**bits), 11))
+    b = Point(Fraction(2**bits - 3, 13), Fraction(17, 2**bits + 1))
+    c = Point(Fraction(-5, 3), Fraction(7**bits, 2))
+    counter = count_fractions(monkeypatch)
+    circumcircle(a, b, c)
+    assert counter[0] == 3  # the center's coordinates and radius^2
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_line_with_integer_normal_builds_no_fraction(bits, monkeypatch):
+    a, b = 2**bits - 3, -(5**bits)
+    offsets = (Fraction(3**bits + 1, 7**20), Fraction(-(7**bits), 6), Fraction(0))
+    counter = count_fractions(monkeypatch)
+    for c in offsets:
+        Line(a, b, c), Line(0, b, c), Line(a, 0, c)
+    assert counter[0] == 0
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -815,6 +923,21 @@ def test_figure_scene_builds_no_tangent_and_no_intersection(bits, monkeypatch):
     feet = count_calls(monkeypatch, svg, "pedal_point")
     figure_scene(fig)
     assert (meets[0], feet[0]) == (0, 0)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+def test_build_parbelos_builds_no_bisector_and_no_collinearity_test(bits, monkeypatch):
+    import parbelos.euclid as euclid
+    import parbelos.figure as figure
+
+    # The cusp tests are one cross and two dots on integers, and the
+    # circumcircle is one determinant.
+    assert not hasattr(figure, "is_collinear") and not hasattr(figure, "perpendicular_bisector")
+    bisectors = count_calls(monkeypatch, euclid, "perpendicular_bisector")
+    collinear = count_calls(monkeypatch, euclid, "is_collinear")
+    for side in ("left", "right"):
+        build_parbelos(*FIGURE_CUSPS[bits], side)
+    assert (bisectors[0], collinear[0]) == (0, 0)
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
