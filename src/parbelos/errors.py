@@ -23,10 +23,11 @@ class GeometryError(Exception):
     fills the template's ``{}`` fields with the values only when it is
     printed, so an error about a point too long to print (more than
     ``sys.get_int_max_str_digits()`` digits in one integer) is still raised
-    as itself, and prints that value as ``<more than N digits>``.  The text
-    prints each run of more than 40 digits as ``<N digits>``, so an error
-    about a point with huge coordinates stays one short line.  Reports, JSON
-    and SVG output are not error text and stay exact.
+    as itself, and prints that value as ``<more than N digits>``.  ``args``
+    keeps the template and the values as given; ``repr`` shows the text.
+    The text prints each run of more than 40 digits as ``<N digits>``, so an
+    error about a point with huge coordinates stays one short line.
+    Reports, JSON and SVG output are not error text and stay exact.
     """
 
     def __str__(self) -> str:
@@ -36,6 +37,11 @@ class GeometryError(Exception):
         else:
             text = super().__str__()
         return re.sub(_LONG_DIGITS, lambda m: f"<{len(m.group())} digits>", text)
+
+    def __repr__(self) -> str:
+        # Built from the text, not from args: repr of a value too long to
+        # print would raise ValueError in pytest, Hypothesis or %r logging.
+        return f"{type(self).__name__}({str(self)!r})"
 
 
 class ZeroDenominator(GeometryError):

@@ -108,16 +108,12 @@ class Line:
             ia, ib, ic = int(a * mult), int(b * mult), int(c * mult)
         if ia == 0 and ib == 0:
             raise DegenerateLine("line needs (a, b) != (0, 0)")
-        if type(ic) is int:
-            g = math.gcd(ia, ib, ic)
-            ia, ib, ic = ia // g, ib // g, ic // g
-        else:
-            # Integers a, b and c = n/d in lowest terms: gcd(a*d, b*d, n) is
-            # gcd(a, b, n) because gcd(n, d) = 1, so the triple is divided by it
-            # before d is cleared, and no Fraction is built.
-            n, d = ic.numerator, ic.denominator
-            g = math.gcd(ia, ib, n)
-            ia, ib, ic = ia // g * d, ib // g * d, n // g
+        # Integers a, b and c = n/d in lowest terms (d = 1 for an int c):
+        # gcd(a*d, b*d, n) is gcd(a, b, n) because gcd(n, d) = 1, so the triple
+        # is divided by it before d is cleared, and no Fraction is built.
+        n, d = ic.numerator, ic.denominator
+        g = math.gcd(ia, ib, n)
+        ia, ib, ic = ia // g * d, ib // g * d, n // g
         if ia < 0 or (ia == 0 and ib < 0):
             ia, ib, ic = -ia, -ib, -ic
         object.__setattr__(self, "a", ia)

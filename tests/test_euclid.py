@@ -338,6 +338,7 @@ def test_error_about_a_value_too_long_to_print_keeps_its_class():
     with pytest.raises(CoincidentPoints) as exc:
         line_through(huge, huge)
     assert str(exc.value) == f"no unique line through {marker} twice"
+    assert repr(exc.value) == f"CoincidentPoints('no unique line through {marker} twice')"
     with pytest.raises(DegenerateTriangle) as exc:
         circumcircle(point(0, 0), huge, scale(huge, 2))
     assert str(exc.value) == f"collinear or coincident: (0, 0), {marker}, {marker}"

@@ -3,7 +3,8 @@
 No linter ships with the project, so these stand in for the three checks
 that matter after a deletion: a module still importing a name it no longer
 uses, the package's ``__all__`` drifting from what ``__init__.py`` imports,
-and an error class that nothing raises any more.
+and an error class that nothing raises any more; a fourth keeps each error
+template's ``{}`` fields matched to the values raised with it.
 """
 
 import ast
@@ -67,3 +68,25 @@ def test_every_error_class_is_raised():
     for path in PACKAGE.glob("*.py"):
         raised |= raised_names(ast.parse(path.read_text(encoding="utf-8")))
     assert defined - raised - {"GeometryError"} == set()
+
+
+def test_every_error_template_has_one_field_per_value():
+    """``raise Error(template, *values)`` fills each ``{}`` with one value when
+    printed, so a template with more fields than values would make ``str``
+    raise IndexError, and one with fewer would drop a value."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    templates, mismatched = 0, []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) in defined):
+                continue
+            if len(call.args) < 2 or not isinstance(call.args[0], ast.Constant):
+                continue
+            templates += 1
+            template = call.args[0].value
+            fields = template.count("{}")
+            if fields != len(call.args) - 1 or template.count("{") != fields:
+                mismatched.append(f"{path.name}:{node.lineno}")
+    assert templates >= 10 and mismatched == []
