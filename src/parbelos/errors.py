@@ -83,12 +83,14 @@ class PointNotOnParabola(GeometryError):
 class NotTangent(GeometryError):
     """A line required to be tangent to a parabola is not.
 
-    ``index`` is the 1-based position of the offending line argument.
+    Raised as ``NotTangent("line {} is not tangent", index)``; ``index`` is
+    the 1-based position of the offending line argument, read from ``args``
+    so that the error pickles like any other.
     """
 
-    def __init__(self, index: int, message: str = ""):
-        self.index = index
-        super().__init__(message or f"line {index} is not tangent")
+    @property
+    def index(self) -> int:
+        return self.args[1]
 
 
 class ParallelTangents(GeometryError):

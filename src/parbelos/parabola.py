@@ -8,49 +8,35 @@ vertex + k*n for a rational k > 0.  Latus endpoints are then focus ± 2k*u
 (u the primitive direction along the directrix) and the point with chord
 parameter t is vertex + t*u + (t^2 / 4k)*n -- no square roots anywhere.
 
-The tangency predicate is the pedal criterion: a line is tangent exactly when
-the orthogonal projection of the focus onto it lands on the supporting line.
+This module is the one place that turns (focus, directrix) into integer
+tests.  The focal form ``_focal`` -- the equation n*|X - F|^2 - L(X)^2 and its
+gradient at a point over one shared denominator W (``euclid._common``) --
+decides membership and builds the tangent at a point, here and in the
+drawing's arc certificate.  The tangency predicate is the pedal criterion
+(the foot of the focus on a tangent lies on the supporting line), written
+through the directrix, since the supporting line is the directrix moved
+halfway to the focus.  The parabola of a latus rectum is built in integers
+too, with the focus as its only Fractions.
 
-Membership, tangency, the tangent at a point and the parabola of a latus
-rectum are decided in integers: the points involved are written over one
-shared denominator W (``euclid._common``) and each test or line is a
-polynomial identity in the numerators, so no Fraction is built (the latus
-construction builds just the focus).  The vertex and chord points stay on
+The elements are plain properties of :class:`Parabola`, each derived from the
+focus and the directrix when read, without going through another element:
+the axis direction and focal scale from one integer evaluation of the
+directrix at the focus, the supporting line from the directrix and the
+focus, the axis by ``perpendicular_through``.  No path of the package reads
+the vertex; it stays public for library callers.  Chord points stay on
 Fraction, whose reduction after each step keeps operands short at large
-heights; cross-multiplied, they ran 1.4-3.7x slower on 3300-bit inputs.  The
-axis and the supporting line are ``perpendicular_through`` and
-``parallel_through`` of the directrix: their offset is one Fraction, which
-``Line`` reduces by gcd(a, b, numerator) before clearing its denominator.
-
-The elements are properties of :class:`Parabola`, each memoised on its own
-and derived only when read: ``is_tangent`` reads the supporting line,
-``point_at_parameter`` the vertex, supporting line, axis direction and focal
-scale, ``build_parbelos`` the axes of the inner parabolas, and the pi/4
-latus-angle suite the latus endpoints.  The drawing of a parabola binding
-reads the latus endpoints and takes the foot of the focus on the directrix
-as its control point.
+heights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Literal
 
 from .errors import CoincidentPoints, DegenerateSide, FocusOnDirectrix, PointNotOnParabola
-from .euclid import (
-    Line,
-    Point,
-    _common,
-    midpoint,
-    parallel_through,
-    pedal_point,
-    perpendicular_through,
-    point,
-    scale,
-)
+from .euclid import Line, Point, _common, perpendicular_through, point, scale
 from .rational import Rational
 
 Side = Literal["left", "right"]
@@ -63,10 +49,9 @@ class Parabola:
     """A parabola given by its focus and directrix.
 
     Its elements are the properties ``vertex``, ``axis``, ``supporting_line``,
-    ``axis_direction``, ``focal_scale`` and ``latus_endpoints``.  Each is
-    computed on first read and kept in the instance ``__dict__``, where
-    ``cached_property`` may write even on a frozen dataclass.  Equality and
-    hash read only the two fields, and pickling drops the memo.
+    ``axis_direction``, ``focal_scale`` and ``latus_endpoints``, each derived
+    from the focus and the directrix alone whenever it is read.  Equality,
+    hash and pickling see only those two fields.
     """
 
     focus: Point
@@ -76,45 +61,55 @@ class Parabola:
         if self.directrix.contains(self.focus):
             raise FocusOnDirectrix("focus {} lies on the directrix", self.focus)
 
-    def __getstate__(self) -> dict:
-        return {"focus": self.focus, "directrix": self.directrix}
+    def _opening(self) -> tuple[tuple[int, int], Rational]:
+        """(axis_direction, focal_scale) from one integer evaluation
+        v = a*X + b*Y + c*W of the directrix at the focus (X, Y)/W: the
+        normal (a, b)/g, g = gcd(a, b), turned toward the focus, and
+        k = |v|*g / (2*W*(a^2 + b^2)), half the focus-directrix distance in
+        units of that normal."""
+        w, [(x, y)] = _common(self.focus)
+        line = self.directrix
+        v = line.a * x + line.b * y + line.c * w
+        g = math.gcd(line.a, line.b)
+        nx, ny = line.a // g, line.b // g
+        if v < 0:
+            nx, ny, v = -nx, -ny, -v
+        return (nx, ny), Fraction(v * g, 2 * w * (line.a * line.a + line.b * line.b))
 
-    @cached_property
+    @property
     def axis_direction(self) -> tuple[int, int]:
         """Primitive integer normal of the directrix, oriented toward the opening."""
-        nx, ny = self.directrix.normal()
-        if self.directrix.evaluate(self.focus) < 0:
-            nx, ny = -nx, -ny
-        return nx, ny
+        return self._opening()[0]
 
-    @cached_property
+    @property
     def focal_scale(self) -> Rational:
         """The rational k > 0 with focus = vertex + k * axis_direction."""
-        line = self.directrix
-        g = math.gcd(line.a, line.b)
-        return Fraction(abs(line.evaluate(self.focus)) * g, 2 * (line.a**2 + line.b**2))
+        return self._opening()[1]
 
-    @cached_property
+    @property
     def vertex(self) -> Point:
-        """The midpoint of the focus and its pedal on the directrix."""
-        return midpoint(self.focus, pedal_point(self.focus, self.directrix))
+        """focus - k*n: the midpoint of the focus and its pedal on the directrix."""
+        (nx, ny), k = self._opening()
+        return self.focus - scale(point(nx, ny), k)
 
-    @cached_property
+    @property
     def axis(self) -> Line:
         """The line through the focus perpendicular to the directrix."""
         return perpendicular_through(self.directrix, self.focus)
 
-    @cached_property
+    @property
     def supporting_line(self) -> Line:
-        """The tangent at the vertex, parallel to the directrix."""
-        return parallel_through(self.directrix, self.vertex)
+        """The tangent at the vertex: the directrix L moved halfway to the
+        focus F, so L(x, y) - L(F)/2."""
+        line, f = self.directrix, self.focus
+        return Line(line.a, line.b, -(f.x * line.a + f.y * line.b - line.c) / 2)
 
-    @cached_property
+    @property
     def latus_endpoints(self) -> tuple[Point, Point]:
         """focus - 2k*u and focus + 2k*u, u the primitive direction of the
         directrix: :func:`point_at_parameter` at -2k and 2k, in that order."""
         ux, uy = self.directrix.direction()
-        offset = scale(point(ux, uy), 2 * self.focal_scale)
+        offset = scale(point(ux, uy), 2 * self._opening()[1])
         return self.focus - offset, self.focus + offset
 
 
@@ -147,59 +142,67 @@ def parabola_from_latus_rectum(e1: Point, e2: Point, side: Side) -> Parabola:
     return Parabola(focus, directrix)
 
 
-def contains_point(parabola: Parabola, p: Point) -> bool:
-    """Focus-directrix membership test, exact on squared distances.
+def _focal(parabola: Parabola, w: int, x: int, y: int, fx: int, fy: int) -> tuple[int, int, int]:
+    """The focus-directrix equation and its gradient at the point (X, Y)/W.
 
-    With p = (X, Y)/W and focus = (FX, FY)/W over one shared denominator and
-    the directrix a*x + b*y + c = 0, the test |p - F|^2 = L(p)^2 / (a^2 + b^2)
-    is ((X - FX)^2 + (Y - FY)^2) * (a^2 + b^2) == (a*X + b*Y + c*W)^2.
+    With the focus (FX, FY)/W over the same denominator, the directrix
+    a*x + b*y + c, n = a^2 + b^2 and v = a*X + b*Y + c*W, returns
+    f = n*|X - F|^2 - v^2 and g = n*(X - F) - v*(a, b) as (f, gx, gy).  The
+    point is on the parabola exactly when f == 0 (|p - F|^2 = L(p)^2 / n with
+    W^2 n cleared), and g is W times half the gradient of
+    n*|x - F|^2 - L(x)^2 there, the normal of the tangent.  g is never zero
+    on the parabola: a zero g puts the focus on the directrix.
     """
-    w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
     line = parabola.directrix
+    a, b = line.a, line.b
+    n = a * a + b * b
     dx, dy = x - fx, y - fy
-    v = line.a * x + line.b * y + line.c * w
-    return (dx * dx + dy * dy) * (line.a * line.a + line.b * line.b) == v * v
+    v = a * x + b * y + line.c * w
+    return n * (dx * dx + dy * dy) - v * v, n * dx - v * a, n * dy - v * b
+
+
+def contains_point(parabola: Parabola, p: Point) -> bool:
+    """Focus-directrix membership test, exact on squared distances
+    (:func:`_focal` over the shared denominator of p and the focus)."""
+    w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
+    return _focal(parabola, w, x, y, fx, fy)[0] == 0
 
 
 def point_at_parameter(parabola: Parabola, t: Rational) -> Point:
     """The parabola point vertex + t*u + (t^2 / 4k)*n.
 
-    u is the primitive integer direction of the supporting line (canonical
-    sign), n the primitive axis direction toward the opening, k the focal
-    scale.  Each rational t names a distinct parabola point and t = 0 is the
-    vertex, which is all the fuzz harnesses rely on.
+    u is the primitive integer direction of the directrix (canonical sign), n
+    the primitive axis direction toward the opening, k the focal scale.  As
+    vertex = focus - k*n, the point is built as focus + t*u + (t^2/4k - k)*n.
+    Each rational t names a distinct parabola point and t = 0 is the vertex,
+    which is all the fuzz harnesses rely on.
     """
-    ux, uy = parabola.supporting_line.direction()
-    nx, ny = parabola.axis_direction
+    ux, uy = parabola.directrix.direction()
+    (nx, ny), k = parabola._opening()
     along = scale(point(ux, uy), t)
-    up = scale(point(nx, ny), t * t / (4 * parabola.focal_scale))
-    return parabola.vertex + along + up
+    up = scale(point(nx, ny), t * t / (4 * k) - k)
+    return parabola.focus + along + up
 
 
 def tangent_at(parabola: Parabola, p: Point) -> Line:
     """Tangent line at a point of the parabola.
 
-    The parabola is the zero set of f(X) = n*|X - F|^2 - L(X)^2, with L the
-    directrix a*x + b*y + c and n = a^2 + b^2.  Over the shared denominator W
-    of p = (X, Y)/W and F = (FX, FY)/W, W times half the gradient of f at p
-    is g = n*(X - FX, Y - FY) - v*(a, b) with v = a*X + b*Y + c*W, and the
-    tangent is the integer triple (gx*W, gy*W, -(gx*X + gy*Y)).  g is first
-    divided by gcd(gx, gy): on 3300-bit figures that common factor has about
-    three times the bits of W, and the canonical line would otherwise strip
-    it from larger numbers.  g is never zero: a zero g puts the focus on the
-    directrix.  The tangent at p is unique, so this is the same canonical
-    line as the perpendicular bisector of the focus and the pedal of p on the
-    directrix; the test-suite certifies it against that construction and
+    With p = (X, Y)/W and the focus over one shared denominator W,
+    :func:`_focal` gives the equation f and the normal g at p; the point is
+    on the parabola when f == 0, and the tangent is then the integer triple
+    (gx*W, gy*W, -(gx*X + gy*Y)).  g is first divided by gcd(gx, gy): on
+    3300-bit figures that common factor has about three times the bits of W,
+    and the canonical line would otherwise strip it from larger numbers.  The
+    tangent at p is unique, so this is the same canonical line as the
+    perpendicular bisector of the focus and the pedal of p on the directrix;
+    the test-suite certifies it against that construction and
     ``is_tangent``.  At the vertex it is the supporting line, which counts as
     a tangent.
     """
-    if not contains_point(parabola, p):
-        raise PointNotOnParabola("{} is not on the parabola", p)
     w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
-    line = parabola.directrix
-    n = line.a * line.a + line.b * line.b
-    v = line.a * x + line.b * y + line.c * w
-    gx, gy = n * (x - fx) - v * line.a, n * (y - fy) - v * line.b
+    f, gx, gy = _focal(parabola, w, x, y, fx, fy)
+    if f:
+        raise PointNotOnParabola("{} is not on the parabola", p)
     h = math.gcd(gx, gy)
     gx, gy = gx // h, gy // h
     return Line(gx * w, gy * w, -(gx * x + gy * y))
@@ -211,11 +214,16 @@ def is_tangent(parabola: Parabola, line: Line) -> bool:
 
     With F = (X, Y)/W and n = a^2 + b^2 for ``line`` = (a, b, c), the pedal is
     the homogeneous point (n*X - a*v, n*Y - b*v, n*W), v = a*X + b*Y + c*W.
-    The supporting line S is zero there exactly when, by linearity,
-    n*(S.a*X + S.b*Y + S.c*W) == v*(S.a*a + S.b*b).
+    A line S = (s, t, u) is zero there exactly when, by linearity,
+    n*(s*X + t*Y + u*W) == v*(s*a + t*b).  The supporting line is the
+    directrix L = (p, q, r) moved halfway to the focus: it is parallel to L
+    and passes through the vertex, the midpoint of F and its foot on L,
+    where the affine L takes the value L(F)/2.  So S = L - L(F)/2 and
+    S(F) = L(F)/2.  Taking S = (p, q, r - L(F)/2) and clearing the half, the
+    test is n*(p*X + q*Y + r*W) == 2*v*(p*a + q*b), and nothing is derived.
     """
     w, [(x, y)] = _common(parabola.focus)
     a, b = line.a, line.b
-    s = parabola.supporting_line
+    d = parabola.directrix
     v = a * x + b * y + line.c * w
-    return (a * a + b * b) * (s.a * x + s.b * y + s.c * w) == v * (s.a * a + s.b * b)
+    return (a * a + b * b) * (d.a * x + d.b * y + d.c * w) == 2 * v * (d.a * a + d.b * b)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import EmptyScene, PointNotOnParabola
 from .euclid import Circle, Line, Point, _common, line_intersection, pedal_point, point
 from .figure import NAMED_POINTS, ParbelosFigure
-from .parabola import Parabola
+from .parabola import Parabola, _focal
 from .rational import Rational, ratio_to_decimal_string
 
 
@@ -67,12 +67,11 @@ def _certified_arc(parabola: Parabola, p0: Point, control: Point, p1: Point) -> 
     their meet.  The conics touching those tangents at p0 and p1 form one
     pencil, and it holds a single parabola (its other member with a
     degenerate quadratic part is the doubled chord p0p1).  The Bezier on p0,
-    the meet and p1 is a parabola of that pencil, so it is the arc.  Over the
-    shared denominator W of the three points and the focus (FX, FY)/W, with
-    the directrix a*x + b*y + c and n = a^2 + b^2, an endpoint (X, Y)/W is on
-    the parabola when n*((X - FX)^2 + (Y - FY)^2) == (a*X + b*Y + c*W)^2,
-    and the tangent there has the normal g = n*(X - FX, Y - FY) - v*(a, b)
-    with v = a*X + b*Y + c*W (see ``parabola.tangent_at``).  Every failure
+    the meet and p1 is a parabola of that pencil, so it is the arc.  Both
+    endpoint tests come from the focal form ``parabola._focal`` over the
+    shared denominator of the three points and the focus: an endpoint is on
+    the parabola when its f is zero, and control is on the tangent there
+    when it is orthogonal to the normal g from that endpoint.  Every failure
     raises :class:`PointNotOnParabola`; none is an ``assert``.  The messages
     name the points by their role, since a tall point's integers may be past
     the interpreter's limit for printing them.
@@ -80,15 +79,10 @@ def _certified_arc(parabola: Parabola, p0: Point, control: Point, p1: Point) -> 
     if p0 == p1:
         raise EmptyScene("degenerate arc: p0 = p1")
     w, [(x0, y0), (xc, yc), (x1, y1), (fx, fy)] = _common(p0, control, p1, parabola.focus)
-    line = parabola.directrix
-    a, b, c = line.a, line.b, line.c
-    n = a * a + b * b
     for x, y, end in ((x0, y0, "p0"), (x1, y1, "p1")):
-        dx, dy = x - fx, y - fy
-        v = a * x + b * y + c * w
-        if (dx * dx + dy * dy) * n != v * v:
+        f, gx, gy = _focal(parabola, w, x, y, fx, fy)
+        if f:
             raise PointNotOnParabola(f"arc endpoint {end} is not on the parabola")
-        gx, gy = n * dx - v * a, n * dy - v * b
         if gx * (xc - x) + gy * (yc - y) != 0:
             raise PointNotOnParabola(f"Bezier control point is off the tangent at {end}")
     return ArcElement(parabola, p0, p1, control)

@@ -91,7 +91,7 @@ def lambert_circumcircle_check(
     """
     for index, line in enumerate((l1, l2, l3), start=1):
         if not is_tangent(parabola, line):
-            raise NotTangent(index)
+            raise NotTangent("line {} is not tangent", index)
     try:
         p12 = line_intersection(l1, l2)
         p23 = line_intersection(l2, l3)
@@ -129,7 +129,7 @@ def converse_lambert(
     """
     for index, line in enumerate((l1, l2), start=1):
         if not is_tangent(parabola, line):
-            raise NotTangent(index)
+            raise NotTangent("line {} is not tangent", index)
     if is_parallel(l1, l2):
         raise ParallelTangents("{} and {} have no intersection", l1, l2)
     intersection = line_intersection(l1, l2)

@@ -5,11 +5,15 @@ is_tangent, tangent_at and parabola_from_latus_rectum, the pi/4 latus-angle
 check, the circle constructions circumcircle, second_intersection and
 circle_through_points, the figure checks on_circle, equidistant and
 _square_check, the drawing (the arc certificate, the scene bounds and the
-SVG canvas map) and the similarity map z -> m*z + shift; the per-element memo
-of Parabola, and which callers leave which elements underived; and counts
-of the Fractions each integer path builds and of the calls the figure and
-the drawing make, so a timing-free test notices when Fraction arithmetic or
-repeated work comes back onto one of them.
+SVG canvas map) and the similarity map z -> m*z + shift.  The parabola's
+elements, read fresh from the focus and the directrix, are checked against
+the constructions they replaced (the vertex as the midpoint of the focus and
+its pedal, the supporting line through it, the chord point from it), and
+is_tangent, which tests through the directrix, against the pedal on that
+supporting line.  Counts of the Fractions each integer path builds, of the
+elements each caller reads and of the calls the figure and the drawing make
+let a timing-free test notice when Fraction arithmetic or repeated work
+comes back onto one of them.
 
 Heights cover both regimes the kernel runs in: about 13 bits (fuzz and
 figure inputs) and about 3300 bits (cusp coordinates below 10^1000).
@@ -18,6 +22,8 @@ figure inputs) and about 3300 bits (cusp coordinates below 10^1000).
 import dataclasses
 import math
 import pickle
+import sys
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -26,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import parbelos.euclid as euclid
 from parbelos.dsl import evaluate, parse_script
 from parbelos.errors import (
     CoincidentPoints,
@@ -220,7 +227,7 @@ def test_contains_matches_fraction_formula(bits, data):
     assert line.contains(Point(2, 3)) == reference_contains(line, Point(2, 3))
 
 
-# --- Parabola memo ---
+# --- Parabola elements, read from the focus and the directrix ---
 
 
 def parabolas(bits):
@@ -232,75 +239,147 @@ def parabolas(bits):
     )
 
 
-MEMO = ("vertex", "axis", "supporting_line", "focal_scale", "axis_direction", "latus_endpoints")
+ELEMENTS = ("vertex", "axis", "supporting_line", "focal_scale", "axis_direction", "latus_endpoints")
 
 
-@pytest.mark.parametrize("bits", HEIGHTS)
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_elements_derived_once_and_equal_across_equal_parabolas(bits, data):
-    parabola = data.draw(parabolas(bits))
-    twin = Parabola(parabola.focus, parabola.directrix)
-    for name in MEMO:
-        first = getattr(parabola, name)
-        assert getattr(parabola, name) is first
-        assert getattr(twin, name) == first
-    assert twin.latus_endpoints is not parabola.latus_endpoints
+def count_reads(patch) -> Counter:
+    """Count the reads of each Parabola element, through ``patch`` (a
+    MonkeyPatch), which puts the plain properties back when it is undone."""
+    reads = Counter()
+    for name in ELEMENTS:
+        getter = getattr(Parabola, name).fget
+
+        def counted(parabola, name=name, getter=getter):
+            reads[name] += 1
+            return getter(parabola)
+
+        patch.setattr(Parabola, name, property(counted))
+    return reads
+
+
+def count_kernel_calls(patch, name) -> list[int]:
+    """Count calls of ``euclid.<name>`` under every name a parbelos module
+    binds it to (``from .euclid import pedal_point`` binds a second one)."""
+    original = getattr(euclid, name)
+    counter = [0]
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "parbelos" and getattr(module, name, None) is original:
+            patch.setattr(module, name, counted)
+    return counter
+
+
+def reference_vertex(parabola):
+    return midpoint(parabola.focus, pedal_point(parabola.focus, parabola.directrix))
+
+
+def reference_supporting_line(parabola):
+    return parallel_through(parabola.directrix, reference_vertex(parabola))
+
+
+def reference_point_at_parameter(parabola, t):
+    """vertex + t*u + (t^2 / 4k)*n, with k and n read off the vertex."""
+    directrix, vertex = parabola.directrix, reference_vertex(parabola)
+    g = math.gcd(directrix.a, directrix.b)
+    n = point(directrix.a // g, directrix.b // g)
+    k = dot(parabola.focus - vertex, n) / dot(n, n)  # negative if n points away from the focus
+    if k < 0:
+        n, k = scale(n, -1), -k
+    u = point(*directrix.direction())
+    return vertex + scale(u, t) + scale(n, t * t / (4 * k))
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_each_element_derived_once_from_focus_and_directrix(bits, data):
+    """Reading an element derives it once, from the focus and the directrix:
+    it reads no other element, and it equals its construction."""
     parabola = data.draw(parabolas(bits))
-    for name in MEMO:
-        assert getattr(parabola, name) is getattr(parabola, name)
-    assert parabola.vertex == midpoint(parabola.focus, pedal_point(parabola.focus, parabola.directrix))
+    with pytest.MonkeyPatch.context() as patch:
+        reads = count_reads(patch)
+        for name in ELEMENTS:
+            reads.clear()
+            getattr(parabola, name)
+            assert reads == Counter({name: 1})
+    vertex = reference_vertex(parabola)
+    assert parabola.vertex == vertex
     assert parabola.axis == perpendicular_through(parabola.directrix, parabola.focus)
-    assert parabola.supporting_line == parallel_through(parabola.directrix, parabola.vertex)
-    assert parabola.vertex + scale(point(*parabola.axis_direction), parabola.focal_scale) == parabola.focus
+    assert parabola.supporting_line == parallel_through(parabola.directrix, vertex)
+    assert vertex + scale(point(*parabola.axis_direction), parabola.focal_scale) == parabola.focus
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_elements_derived_once_and_equal_across_equal_parabolas(bits, data):
+    """Each element is derived afresh on every read, from the focus and the
+    directrix alone, so a reread and an equal parabola give equal elements
+    and share no object."""
+    parabola = data.draw(parabolas(bits))
+    twin = Parabola(parabola.focus, parabola.directrix)
+    with pytest.MonkeyPatch.context() as patch:
+        reads = count_reads(patch)
+        for name in ELEMENTS:
+            reads.clear()
+            first = getattr(parabola, name)
+            assert reads == Counter({name: 1})
+            assert getattr(parabola, name) == first
+            assert getattr(twin, name) == first
+    assert twin.latus_endpoints is not parabola.latus_endpoints
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_equality_hash_and_pickle_ignore_the_memo(bits, data):
+    """There is no memo to ignore: reading every element leaves a parabola's
+    state as built, so a read one and a fresh one compare, hash and pickle
+    alike."""
     warm = data.draw(parabolas(bits))
-    for name in MEMO:
+    for name in ELEMENTS:
         getattr(warm, name)
     cold = Parabola(warm.focus, warm.directrix)
-    for name in MEMO:
-        assert name in vars(warm) and name not in vars(cold)
+    assert set(vars(warm)) == set(vars(cold)) == {"focus", "directrix"}
     assert warm == cold and hash(warm) == hash(cold)
     assert pickle.dumps(warm) == pickle.dumps(cold)
     restored = pickle.loads(pickle.dumps(warm))
     assert restored == warm and hash(restored) == hash(warm)
     assert set(vars(restored)) == {"focus", "directrix"}
-    for name in MEMO:
-        assert getattr(restored, name) == getattr(warm, name)
+    for name in ELEMENTS:
+        assert getattr(cold, name) == getattr(restored, name) == getattr(warm, name)
 
 
-# The figure, its checks, the parabola primitives and the DSL's witnesses
-# never need the latus endpoints, so they leave that memo entry underived.
+# The figure, its checks, its drawing, the parabola primitives and the DSL's
+# witnesses never need the vertex or the latus endpoints of a figure's
+# parabolas, so they leave them underived.
 
 
 def test_figure_and_its_checks_leave_the_latus_endpoints_underived():
     c1, c2, c3 = Point(Fraction(-3, 7), Fraction(1, 2)), Point(Fraction(5, 7), 2), Point(3, 5)
-    for side in ("left", "right"):
-        fig = build_parbelos(c1, c2, c3, side)
-        assert all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
-        for parabola in (fig.inner1, fig.inner2, fig.outer):
-            assert "latus_endpoints" not in vars(parabola)
+    with pytest.MonkeyPatch.context() as patch:
+        reads = count_reads(patch)
+        for side in ("left", "right"):
+            fig = build_parbelos(c1, c2, c3, side)
+            assert all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
+    assert reads["latus_endpoints"] == reads["vertex"] == 0
 
 
 def test_sondow_script_leaves_the_latus_endpoints_underived():
     source = (resources.files("parbelos") / "data" / "sondow.geo").read_text(encoding="utf-8")
-    report = evaluate(parse_script(source))
-    assert report.assertions and all(result.passed for result in report.assertions)
-    fig = report.bindings["P"]
-    bindings_scene(report.bindings)
-    for parabola in (fig.outer, fig.inner1, fig.inner2):
-        assert "latus_endpoints" not in vars(parabola)
+    with pytest.MonkeyPatch.context() as patch:
+        reads = count_reads(patch)
+        report = evaluate(parse_script(source))
+        assert report.assertions and all(result.passed for result in report.assertions)
+        bindings_scene(report.bindings)
+    # The script binds no parabola of its own, so nothing is drawn from its
+    # latus endpoints; the figure's arcs take the tangent rectangle's corners.
+    assert not any(isinstance(value, Parabola) for value in report.bindings.values())
+    assert reads["latus_endpoints"] == reads["vertex"] == 0
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -308,9 +387,16 @@ def test_sondow_script_leaves_the_latus_endpoints_underived():
 @given(data=st.data())
 def test_parabola_primitives_leave_the_latus_endpoints_underived(bits, data):
     parabola = data.draw(parabolas(bits))
-    p = point_at_parameter(parabola, data.draw(rationals(13)))
-    assert is_tangent(parabola, tangent_at(parabola, p))
-    assert "latus_endpoints" not in vars(parabola)
+    t = data.draw(rationals(13))
+    with pytest.MonkeyPatch.context() as patch:
+        reads = count_reads(patch)
+        p = point_at_parameter(parabola, t)
+        tangent = tangent_at(parabola, p)
+        assert contains_point(parabola, p)
+        assert reads["latus_endpoints"] == reads["vertex"] == reads["supporting_line"] == 0
+        reads.clear()
+        assert is_tangent(parabola, tangent)
+        assert reads == Counter()  # the pedal test reads no element at all
 
 
 # --- parabola primitives against the Fraction formulas they replaced ---
@@ -322,7 +408,7 @@ def reference_contains_point(parabola, p):
 
 def reference_is_tangent(parabola, line):
     pedal = pedal_point(parabola.focus, line)
-    return parabola.supporting_line.contains(pedal)
+    return reference_supporting_line(parabola).contains(pedal)
 
 
 def reference_tangent_at(parabola, p):
@@ -362,7 +448,7 @@ def test_contains_point_matches_fraction_formula(bits, data):
     p = on_parabola(data, parabola)
     nudge = data.draw(rationals(bits).filter(bool))
     off = data.draw(points(bits))
-    candidates = (p, parabola.vertex, Point(p.x + nudge, p.y), Point(p.x, p.y + nudge), off)
+    candidates = (p, reference_vertex(parabola), Point(p.x + nudge, p.y), Point(p.x, p.y + nudge), off)
     for candidate in candidates:
         assert contains_point(parabola, candidate) == reference_contains_point(parabola, candidate)
     assert contains_point(parabola, p)
@@ -373,17 +459,30 @@ def test_contains_point_matches_fraction_formula(bits, data):
 @HEAVY
 @given(data=st.data())
 def test_is_tangent_matches_fraction_formula(bits, data):
+    """The test through the directrix against the pedal on the supporting
+    line built from the vertex, on tangents, secants, the vertex tangent, the
+    axis and lines parallel to the directrix."""
     parabola = data.draw(parabolas(bits))
     p, q = on_parabola(data, parabola), on_parabola(data, parabola)
     shift = data.draw(ints(bits).filter(bool))
     tangent = tangent_at(parabola, p)
-    lines = [tangent, Line(tangent.a, tangent.b, tangent.c + shift), parabola.axis]
+    directrix, supporting = parabola.directrix, reference_supporting_line(parabola)
+    lines = [
+        tangent,
+        Line(tangent.a, tangent.b, tangent.c + shift),
+        parabola.axis,
+        supporting,
+        directrix,
+        Line(directrix.a, directrix.b, directrix.c + shift),
+        Line(supporting.a, supporting.b, supporting.c + shift),
+    ]
     if p != q:
         lines.append(line_through(p, q))
     for line in lines:
         assert is_tangent(parabola, line) == reference_is_tangent(parabola, line)
-    assert is_tangent(parabola, tangent)
+    assert is_tangent(parabola, tangent) and is_tangent(parabola, supporting)
     assert not is_tangent(parabola, lines[1])
+    assert not any(is_tangent(parabola, line) for line in (parabola.axis, directrix, lines[5], lines[6]))
     if p != q:
         assert not is_tangent(parabola, lines[-1])
 
@@ -391,11 +490,22 @@ def test_is_tangent_matches_fraction_formula(bits, data):
 @pytest.mark.parametrize("bits", HEIGHTS)
 @HEAVY
 @given(data=st.data())
+def test_point_at_parameter_matches_vertex_formula(bits, data):
+    parabola = data.draw(parabolas(bits))
+    for t in (data.draw(rationals(13)), data.draw(rationals(bits)), Fraction(0), 2 * parabola.focal_scale):
+        assert point_at_parameter(parabola, t) == reference_point_at_parameter(parabola, t)
+    assert point_at_parameter(parabola, Fraction(0)) == reference_vertex(parabola)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@HEAVY
+@given(data=st.data())
 def test_tangent_at_matches_pedal_bisector(bits, data):
     parabola = data.draw(parabolas(bits))
-    for p in (on_parabola(data, parabola), parabola.vertex, *parabola.latus_endpoints):
+    vertex = reference_vertex(parabola)
+    for p in (on_parabola(data, parabola), vertex, *parabola.latus_endpoints):
         assert tangent_at(parabola, p) == reference_tangent_at(parabola, p)
-    assert tangent_at(parabola, parabola.vertex) == parabola.supporting_line
+    assert tangent_at(parabola, vertex) == reference_supporting_line(parabola)
     with pytest.raises(PointNotOnParabola):
         tangent_at(parabola, parabola.focus)
 
@@ -408,8 +518,7 @@ def test_latus_endpoints_are_parameters_minus_and_plus_2k_and_drawn_in_that_orde
     k = parabola.focal_scale
     ends = (point_at_parameter(parabola, -2 * k), point_at_parameter(parabola, 2 * k))
     assert parabola.latus_endpoints == ends
-    # a fresh twin, so the drawing derives the endpoints itself
-    (arc,) = bindings_scene({"G": Parabola(parabola.focus, parabola.directrix)}).arcs
+    (arc,) = bindings_scene({"G": parabola}).arcs
     assert (arc.p0, arc.p1) == ends
 
 
@@ -605,7 +714,6 @@ def test_parabola_predicates_build_no_fraction(bits, monkeypatch):
     q = point_at_parameter(parabola, Fraction(-7, 5))
     secant = line_through(p, q)
     tangent = tangent_at(parabola, p)
-    parabola.supporting_line  # warm the memo is_tangent reads
     counter = count_fractions(monkeypatch)
     assert contains_point(parabola, p) and not contains_point(parabola, parabola.focus)
     assert is_tangent(parabola, tangent) and not is_tangent(parabola, secant)
@@ -872,14 +980,21 @@ FIGURE_CUSPS = {
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
-def test_drawing_leaves_the_inner_vertex_and_supporting_line_underived(bits):
+def test_drawing_leaves_the_inner_vertex_and_supporting_line_underived(bits, monkeypatch):
+    """Building, checking and drawing a figure reads no parabola's vertex,
+    supporting line or latus endpoints.  The figure's one pedal is its focus
+    F and its one midpoint its centre O; the tangency check and the arc
+    certificate build neither."""
+    reads = count_reads(monkeypatch)
+    pedals = count_kernel_calls(monkeypatch, "pedal_point")
+    midpoints = count_kernel_calls(monkeypatch, "midpoint")
     for side in ("left", "right"):
+        pedals[0] = midpoints[0] = 0
         fig = build_parbelos(*FIGURE_CUSPS[bits], side)
         assert all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
         render_svg(figure_scene(fig))
-        for parabola in (fig.inner1, fig.inner2):
-            assert "vertex" not in vars(parabola)
-            assert "supporting_line" not in vars(parabola)
+        assert (pedals[0], midpoints[0]) == (1, 1)
+    assert reads["vertex"] == reads["supporting_line"] == reads["latus_endpoints"] == 0
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -927,7 +1042,6 @@ def test_figure_scene_builds_no_tangent_and_no_intersection(bits, monkeypatch):
 
 @pytest.mark.parametrize("bits", HEIGHTS)
 def test_build_parbelos_builds_no_bisector_and_no_collinearity_test(bits, monkeypatch):
-    import parbelos.euclid as euclid
     import parbelos.figure as figure
 
     # The cusp tests are one cross and two dots on integers, and the

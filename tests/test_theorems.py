@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 import oracles
 from parbelos.errors import (
     CircleMissesFocusOrI,
+    CuspsNotCollinear,
     DegenerateTriangle,
     NotTangent,
     ParallelTangents,
@@ -19,6 +21,7 @@ from parbelos.euclid import (
     on_circle,
     point,
 )
+from parbelos.figure import build_parbelos
 from parbelos.fuzz import degenerate_converse_circle
 from parbelos.parabola import Parabola, is_tangent, point_at_parameter, tangent_at
 from parbelos.theorems import converse_lambert, lambert_circumcircle_check, simson_check
@@ -87,6 +90,20 @@ def test_lambert_rejects_secant():
     with pytest.raises(NotTangent) as exc:
         lambert_circumcircle_check(OUTER, Line(1, 1, 0), Line(1, -1, -4), Line(0, 1, 0))
     assert exc.value.index == 3
+
+
+def test_not_tangent_and_cusps_not_collinear_survive_pickling():
+    with pytest.raises(NotTangent) as not_tangent:
+        lambert_circumcircle_check(OUTER, Line(1, 1, 0), Line(1, -1, -4), Line(0, 1, 0))
+    with pytest.raises(CuspsNotCollinear) as not_collinear:
+        build_parbelos(point(0, 0), Point(F(1, 3), F(1, 7)), point(4, 0))
+    for error in (not_tangent.value, not_collinear.value):
+        restored = pickle.loads(pickle.dumps(error))
+        assert type(restored) is type(error)
+        assert (str(restored), repr(restored)) == (str(error), repr(error))
+    assert str(not_tangent.value) == "line 3 is not tangent"
+    assert pickle.loads(pickle.dumps(not_tangent.value)).index == 3
+    assert str(not_collinear.value) == "(0, 0), (1/3, 1/7), (4, 0) are not collinear"
 
 
 def test_lambert_rejects_parallel_tangents():
