@@ -305,18 +305,26 @@ def second_intersection(line: Line, circle: Circle, p: Point) -> Point:
     unknown root comes straight out of Vieta: t = -2 d·(p - center) / |d|^2.
     No square root is ever taken, which is what keeps the kernel inside the
     rationals.  If the line is tangent at p the second root is t = 0 and p
-    itself is returned.
-
-    Over the shared denominator W of p = (X, Y)/W and center = (CX, CY)/W,
-    with e = (X - CX, Y - CY) (see :func:`_circle_offset`), s = d.e and
-    n = |d|^2, the answer is (n*X - 2s*dx, n*Y - 2s*dy)/(n*W); its two
-    coordinates are the only Fractions built.
+    itself is returned.  The root is taken by :func:`_second_root`.
     """
     if not line.contains(p):
         raise PointNotIncident("{} is not on {}", p, line)
-    on, w, x, y, ex, ey = _circle_offset(circle, p)
-    if not on:
+    offset = _circle_offset(circle, p)
+    if not offset[0]:
         raise PointNotIncident("{} is not on the circle", p)
+    return _second_root(line, offset)
+
+
+def _second_root(line: Line, offset: tuple[bool, int, int, int, int, int]) -> Point:
+    """The other point of ``line`` on a circle, from the :func:`_circle_offset`
+    of a point p known to be on both (the caller's duty; nothing is checked).
+
+    Over the shared denominator W of p = (X, Y)/W and center = (CX, CY)/W,
+    with e = (X - CX, Y - CY), d the line's direction, s = d.e and
+    n = |d|^2, the answer is (n*X - 2s*dx, n*Y - 2s*dy)/(n*W); its two
+    coordinates are the only Fractions built.
+    """
+    _, w, x, y, ex, ey = offset
     dx, dy = line.direction()
     n, s = dx * dx + dy * dy, dx * ex + dy * ey
     return Point(Fraction(n * x - 2 * s * dx, n * w), Fraction(n * y - 2 * s * dy, n * w))

@@ -302,12 +302,19 @@ def latus_angle_failures(parabola: Parabola, label: str) -> list[str]:
 
 
 def _angle_case(args: tuple[int, int, int]) -> list[str]:
+    """The pi/4 check on the three parabolas of a random cusp triple.
+
+    It builds no figure: the parabolas of the latus recta C1C2, C2C3 and
+    C1C3 are exactly what ``build_parbelos`` stores as inner1, inner2 and
+    outer, and the check reads nothing else.  Acceptance criterion 9 runs
+    the same check on the figure's own parabolas.
+    """
     seed, index, scale = args
     rng = _case_rng(seed, index)
     c1, c2, c3, side = rand_cusps(rng, scale)
-    fig = build_parbelos(c1, c2, c3, side)
     failures = []
-    for label, parabola in (("inner1", fig.inner1), ("inner2", fig.inner2), ("outer", fig.outer)):
+    for label, e1, e2 in (("inner1", c1, c2), ("inner2", c2, c3), ("outer", c1, c3)):
+        parabola = parabola_from_latus_rectum(e1, e2, side)
         failures.extend(latus_angle_failures(parabola, f"case {index} {label}"))
     return failures
 

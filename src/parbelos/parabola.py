@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .errors import CoincidentPoints, DegenerateSide, FocusOnDirectrix, PointNotOnParabola
-from .euclid import Line, Point, _common, perpendicular_through, point, scale
+from .euclid import Line, Point, _common, perpendicular_through
 from .rational import Rational
 
 Side = Literal["left", "right"]
@@ -90,7 +90,7 @@ class Parabola:
     def vertex(self) -> Point:
         """focus - k*n: the midpoint of the focus and its pedal on the directrix."""
         (nx, ny), k = self._opening()
-        return self.focus - scale(point(nx, ny), k)
+        return Point(self.focus.x - k * nx, self.focus.y - k * ny)
 
     @property
     def axis(self) -> Line:
@@ -107,10 +107,13 @@ class Parabola:
     @property
     def latus_endpoints(self) -> tuple[Point, Point]:
         """focus - 2k*u and focus + 2k*u, u the primitive direction of the
-        directrix: :func:`point_at_parameter` at -2k and 2k, in that order."""
+        directrix: :func:`point_at_parameter` at -2k and 2k, in that order.
+        Each coordinate is the focus's plus or minus 2k times an integer
+        component of u; no intermediate point is built."""
         ux, uy = self.directrix.direction()
-        offset = scale(point(ux, uy), 2 * self._opening()[1])
-        return self.focus - offset, self.focus + offset
+        h = self._opening()[1] * 2
+        ox, oy, f = h * ux, h * uy, self.focus
+        return Point(f.x - ox, f.y - oy), Point(f.x + ox, f.y + oy)
 
 
 def parabola_from_latus_rectum(e1: Point, e2: Point, side: Side) -> Parabola:
@@ -173,15 +176,17 @@ def point_at_parameter(parabola: Parabola, t: Rational) -> Point:
 
     u is the primitive integer direction of the directrix (canonical sign), n
     the primitive axis direction toward the opening, k the focal scale.  As
-    vertex = focus - k*n, the point is built as focus + t*u + (t^2/4k - k)*n.
-    Each rational t names a distinct parabola point and t = 0 is the vertex,
-    which is all the fuzz harnesses rely on.
+    vertex = focus - k*n, the point is focus + t*u + c*n with c = t^2/4k - k,
+    each coordinate written directly (``f.x + t*ux + c*nx``, the Fraction
+    operand first), so no intermediate point is built.  Each rational t
+    names a distinct parabola point and t = 0 is the vertex, which is all
+    the fuzz harnesses rely on.
     """
     ux, uy = parabola.directrix.direction()
     (nx, ny), k = parabola._opening()
-    along = scale(point(ux, uy), t)
-    up = scale(point(nx, ny), t * t / (4 * k) - k)
-    return parabola.focus + along + up
+    c = t * t / (4 * k) - k
+    f = parabola.focus
+    return Point(f.x + t * ux + c * nx, f.y + t * uy + c * ny)
 
 
 def tangent_at(parabola: Parabola, p: Point) -> Line:

@@ -22,6 +22,8 @@ from .euclid import (
     Circle,
     Line,
     Point,
+    _circle_offset,
+    _second_root,
     circumcircle,
     is_collinear,
     is_parallel,
@@ -29,7 +31,6 @@ from .euclid import (
     line_through,
     on_circle,
     pedal_point,
-    second_intersection,
 )
 from .parabola import Parabola, is_tangent
 
@@ -126,6 +127,10 @@ def converse_lambert(
     at the same point, so at most one H_i is I, and then the chord is the
     other tangent itself.  The report passes iff the constructed line
     satisfies the pedal tangency criterion.
+
+    I's offset from the circle's center is computed once and both roots are
+    taken from it.  I needs no incidence test against l1 or l2: it is their
+    exact ``line_intersection``, so it lies on both.
     """
     for index, line in enumerate((l1, l2), start=1):
         if not is_tangent(parabola, line):
@@ -133,12 +138,13 @@ def converse_lambert(
     if is_parallel(l1, l2):
         raise ParallelTangents("{} and {} have no intersection", l1, l2)
     intersection = line_intersection(l1, l2)
-    if not (on_circle(circle, parabola.focus) and on_circle(circle, intersection)):
+    offset = _circle_offset(circle, intersection)
+    if not (on_circle(circle, parabola.focus) and offset[0]):
         raise CircleMissesFocusOrI(
             "circle must pass through the focus and the tangent intersection"
         )
-    h1 = second_intersection(l1, circle, intersection)
-    h2 = second_intersection(l2, circle, intersection)
+    h1 = _second_root(l1, offset)
+    h2 = _second_root(l2, offset)
     constructed = line_through(h1, h2)
     tangent = is_tangent(parabola, constructed)
     report = TheoremReport(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from parbelos import fuzz
+from parbelos.euclid import Point, line_through
 from parbelos.fuzz import (
     SUITES,
     _case_rng,
@@ -147,6 +148,66 @@ def test_invariance_suite_catches_a_frame_dependent_figure(monkeypatch):
     result = run_suite("similarity invariance", 20, 6)
     assert not result.passed
     assert all(" differs at A1, A3 for " in failure for failure in result.failures)
+
+
+# The generator's height bound for cusps of about 13 and about 3300 bits.
+MAX_HEIGHTS = {13: 10_000, 3300: 10**1000}
+
+
+@pytest.mark.parametrize("bits", MAX_HEIGHTS)
+def test_angle_case_checks_the_figures_own_parabolas(bits, monkeypatch):
+    """The pi/4 case checks the parabolas build_parbelos stores as inner1,
+    inner2 and outer, under the same labels, on both sides."""
+    scale = height_scale(MAX_HEIGHTS[bits])
+    checked = []
+
+    def recorded(parabola, label):
+        checked.append((label, parabola))
+        return []
+
+    monkeypatch.setattr(fuzz, "latus_angle_failures", recorded)
+    sides, top = set(), 0
+    for index in range(6):
+        checked.clear()
+        assert fuzz._angle_case((606, index, scale)) == []
+        c1, c2, c3, side = rand_cusps(_case_rng(606, index), scale)
+        fig = fuzz.build_parbelos(c1, c2, c3, side)
+        labels = [f"case {index} {name}" for name in ("inner1", "inner2", "outer")]
+        assert checked == list(zip(labels, (fig.inner1, fig.inner2, fig.outer)))
+        sides.add(side)
+        top = max(top, *(abs(v.numerator).bit_length() for p in (c1, c2, c3) for v in (p.x, p.y)))
+    assert sides == {"left", "right"}
+    assert bits - 8 <= top <= MAX_HEIGHTS[bits].bit_length()
+
+
+def test_angle_suite_builds_no_figure(monkeypatch):
+    build, calls = fuzz.build_parbelos, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fuzz, "build_parbelos", counted)
+    assert run_suite("pi/4 latus angle", 25, 7).passed
+    assert calls == []
+
+
+def test_angle_suite_fails_on_a_turned_tangent(monkeypatch):
+    """Each tangent turned about its point by the angle whose tangent is
+    1/1000 fails the pi/4 check.  (The normal would not: it is at pi/4 to
+    the latus rectum as well.)"""
+    tangent_at, k = fuzz.tangent_at, Fraction(1, 1000)
+
+    def turned(parabola, p):
+        dx, dy = tangent_at(parabola, p).direction()
+        return line_through(p, p + Point(dx - k * dy, dy + k * dx))
+
+    monkeypatch.setattr(fuzz, "tangent_at", turned)
+    result = run_suite("pi/4 latus angle", 25, 7)
+    assert not result.passed
+    assert len(result.failures) == 25 * 3 * 2
+    for i in range(25):
+        assert any(f.startswith(f"case {i} inner1: tangent at ") for f in result.failures)
 
 
 @pytest.mark.parametrize("cases", [0, -5])

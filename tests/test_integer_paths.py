@@ -74,7 +74,7 @@ from parbelos.figure import (
     similarity,
     sondow_checks,
 )
-from parbelos.fuzz import latus_angle_failures
+from parbelos.fuzz import degenerate_converse_circle, latus_angle_failures
 from parbelos.parabola import (
     Parabola,
     contains_point,
@@ -93,6 +93,7 @@ from parbelos.svg import (
     figure_scene,
     render_svg,
 )
+from parbelos.theorems import converse_lambert
 
 HEIGHTS = (13, 3300)
 
@@ -498,6 +499,21 @@ def test_point_at_parameter_matches_vertex_formula(bits, data):
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_parameter_points_build_no_point_and_no_scaled_point(bits, data):
+    """point_at_parameter, latus_endpoints and vertex write each coordinate
+    directly: neither ``euclid.point`` nor ``euclid.scale`` runs."""
+    parabola = data.draw(parabolas(bits))
+    t = data.draw(rationals(13))
+    with pytest.MonkeyPatch.context() as patch:
+        points_built = count_kernel_calls(patch, "point")
+        scaled = count_kernel_calls(patch, "scale")
+        point_at_parameter(parabola, t), parabola.latus_endpoints, parabola.vertex
+        assert points_built == scaled == [0]
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
 @HEAVY
 @given(data=st.data())
 def test_tangent_at_matches_pedal_bisector(bits, data):
@@ -652,6 +668,43 @@ def test_second_intersection_matches_fraction_formula(bits, data):
             assert error_or_result(second_intersection, line, circle, q) == error_or_result(
                 reference_second_intersection, line, circle, q
             )
+
+
+def test_second_intersection_error_texts():
+    circle, line = Circle(point(0, 0), Fraction(25)), Line(0, 1, -4)
+    assert second_intersection(line, circle, point(3, 4)) == point(-3, 4)
+    with pytest.raises(PointNotIncident) as off_line:
+        second_intersection(line, circle, point(0, 0))
+    assert str(off_line.value) == "(0, 0) is not on 0x + 1y + -4 = 0"
+    with pytest.raises(PointNotIncident) as off_circle:
+        second_intersection(line, circle, point(1, 4))
+    assert str(off_circle.value) == "(1, 4) is not on the circle"
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_converse_lambert_roots_match_second_intersection(bits, data):
+    """H1 and H2, both taken from one offset of I, are the public second
+    intersections; I's offset and the focus's are the only two computed.
+    The circle is a member of the pencil through the focus and I, or the
+    one tangent to l1 at I."""
+    parabola = data.draw(parabolas(bits))
+    t1, t2 = data.draw(st.lists(rationals(13), min_size=2, max_size=2, unique=True))
+    l1, l2 = (tangent_at(parabola, point_at_parameter(parabola, t)) for t in (t1, t2))
+    crossing = line_intersection(l1, l2)
+    if data.draw(st.booleans()):
+        circle = degenerate_converse_circle(parabola, l1, crossing)
+    else:
+        circle = circle_through_points(parabola.focus, crossing, data.draw(rationals(13)))
+    with pytest.MonkeyPatch.context() as patch:
+        offsets = count_kernel_calls(patch, "_circle_offset")
+        _, report = converse_lambert(parabola, l1, l2, circle)
+        assert offsets == [2]
+    witnesses = dict(report.witnesses)
+    assert report.verdict and witnesses["intersection"] == crossing
+    assert witnesses["h1"] == second_intersection(l1, circle, crossing)
+    assert witnesses["h2"] == second_intersection(l2, circle, crossing)
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
