@@ -274,11 +274,12 @@ def parse_script(text: str) -> Program:
     """Parse a script; positions are 1-based (line, column).
 
     Binding discipline is enforced here: names bind once, and every
-    referenced name must be bound on an earlier line.
+    referenced name must be bound on an earlier line.  Lines end only at
+    ``\r\n``, ``\r`` and ``\n``, the line ends of a universal-newline read.
     """
     statements: list[Union[Let, Assertion]] = []
     bound: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         tokens = _tokenize(raw, line_no)
         if not tokens:
             continue

@@ -5,9 +5,10 @@ and a half-plane to open into, the three parabolas have latera recta C1C2,
 C2C3 and C1C3.  The four cusp tangents close into a rectangle C2 T1 T2 T3;
 this module builds the whole derived cast -- circumscribing square, tangent
 rectangle circumcircle, outer focus, diagonal, cusp bisector, contact point,
-and the auxiliary points H, A1, A3 -- and verifies the tangency property of
-the diagonal plus the five equidistance/concyclicity properties, all with
-exact predicates.  Everything is expressed through kernel operations (pedals,
+and the auxiliary points H, A1, A3.  The figure's statements, the tangency
+property of the diagonal and the five equidistance/concyclicity properties,
+are the rows of ``SONDOW`` and ``COROLLARIES``: exact predicates on named
+figure fields.  Everything is expressed through kernel operations (pedals,
 perpendiculars, intersections), never through coordinates of a preferred
 frame, which is what makes the similarity-invariance checks meaningful.
 """
@@ -24,7 +25,6 @@ from .euclid import (
     Point,
     _common,
     circumcircle,
-    dist_sq,
     equidistant,
     line_intersection,
     line_through,
@@ -44,7 +44,6 @@ from .parabola import (
     parabola_from_latus_rectum,
     tangent_at,
 )
-from .theorems import TheoremReport
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
     ``side`` selects the half-plane (left or right of the directed cusp line
     C1 -> C3) all three parabolas open into.  The contact point is computed
     as diagonal ∩ bisector and then re-certified by the exact predicates in
-    :func:`verify_sondow` rather than assumed.
+    :func:`sondow_checks` rather than assumed.
     """
     if side not in (LEFT, RIGHT):
         raise DegenerateSide(f"side must be 'left' or 'right', got {side!r}")
@@ -173,15 +172,13 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
     )
 
 
-def _square_check(fig: ParbelosFigure) -> bool:
+def _square_check(square_R, center_O, C2, T1, T2, T3) -> bool:
     """square_R has four equal sides at right angles, centered where r is.
 
     Decided on the integer numerators of the nine points over their shared
     denominator; each centre test p + q == 2*O needs no halving.
     """
-    _, [r1, r2, r3, r4, o, c2, t1, t2, t3] = _common(
-        *fig.square_R, fig.center_O, fig.C2, fig.T1, fig.T2, fig.T3
-    )
+    _, [r1, r2, r3, r4, o, c2, t1, t2, t3] = _common(*square_R, center_O, C2, T1, T2, T3)
     sides = [(q[0] - p[0], q[1] - p[1]) for p, q in ((r1, r2), (r2, r3), (r3, r4), (r4, r1))]
     if len({x * x + y * y for x, y in sides}) != 1:
         return False
@@ -194,106 +191,82 @@ def _square_check(fig: ParbelosFigure) -> bool:
     )
 
 
+# The figure's statements, one row each: (label, failure text, predicate,
+# field names, ...).  A row holds when its predicate holds on the fields of
+# every tuple of names, tried left to right up to the first failure.
+SONDOW = (
+    (
+        "diagonal tangent to outer",
+        "diagonal not tangent to outer",
+        is_tangent,
+        ("outer", "diagonal"),
+    ),
+    ("contact on parabola", "contact not on parabola", contains_point, ("outer", "contact_T")),
+    ("contact on bisector", "contact not on bisector", Line.contains, ("bisector", "contact_T")),
+    ("FT equals HT", "FT differs from HT", equidistant, ("contact_T", "focus_F", "H")),
+    (
+        "focus on circumcircle",
+        "focus not on circumcircle",
+        on_circle,
+        ("circumcircle_K", "focus_F"),
+    ),
+    (
+        "R is a square centered with r",
+        "R is not a square centered with r",
+        _square_check,
+        ("square_R", "center_O", "C2", "T1", "T2", "T3"),
+    ),
+)
+COROLLARIES = (
+    (
+        "F equidistant from T1 and T3",
+        "F not equidistant from T1 and T3",
+        equidistant,
+        ("focus_F", "T1", "T3"),
+    ),
+    ("H on circumcircle", "H not on circumcircle", on_circle, ("circumcircle_K", "H")),
+    (
+        "H equidistant from T1 and T3",
+        "H not equidistant from T1 and T3",
+        equidistant,
+        ("H", "T1", "T3"),
+    ),
+    (
+        "A1 and A3 on circumcircle",
+        "A1 or A3 not on circumcircle",
+        on_circle,
+        ("circumcircle_K", "A1"),
+        ("circumcircle_K", "A3"),
+    ),
+    (
+        "A1 and A3 equidistant from C2 and T2",
+        "A1 or A3 not equidistant from C2 and T2",
+        equidistant,
+        ("A1", "C2", "T2"),
+        ("A3", "C2", "T2"),
+    ),
+)
+
+
+def _checks(fig: ParbelosFigure, table: tuple) -> list[tuple[str, str, bool]]:
+    checks = []
+    for label, failure, predicate, *arguments in table:
+        for names in arguments:
+            ok = predicate(*[getattr(fig, name) for name in names])
+            if not ok:
+                break
+        checks.append((label, failure, ok))
+    return checks
+
+
 def sondow_checks(fig: ParbelosFigure) -> list[tuple[str, str, bool]]:
-    """(label, failure detail, verdict) triples for the tangency property."""
-    return [
-        (
-            "diagonal tangent to outer",
-            "diagonal not tangent to outer",
-            is_tangent(fig.outer, fig.diagonal),
-        ),
-        (
-            "contact on parabola",
-            "contact not on parabola",
-            contains_point(fig.outer, fig.contact_T),
-        ),
-        (
-            "contact on bisector",
-            "contact not on bisector",
-            fig.bisector.contains(fig.contact_T),
-        ),
-        (
-            "FT equals HT",
-            "FT differs from HT",
-            equidistant(fig.contact_T, fig.focus_F, fig.H),
-        ),
-        (
-            "focus on circumcircle",
-            "focus not on circumcircle",
-            on_circle(fig.circumcircle_K, fig.focus_F),
-        ),
-        (
-            "R is a square centered with r",
-            "R is not a square centered with r",
-            _square_check(fig),
-        ),
-    ]
+    """(label, failure text, verdict) triples for the tangency property."""
+    return _checks(fig, SONDOW)
 
 
 def corollary_checks(fig: ParbelosFigure) -> list[tuple[str, str, bool]]:
-    """(label, failure detail, verdict) triples for the five derived properties."""
-    return [
-        (
-            "F equidistant from T1 and T3",
-            "F not equidistant from T1 and T3",
-            equidistant(fig.focus_F, fig.T1, fig.T3),
-        ),
-        (
-            "H on circumcircle",
-            "H not on circumcircle",
-            on_circle(fig.circumcircle_K, fig.H),
-        ),
-        (
-            "H equidistant from T1 and T3",
-            "H not equidistant from T1 and T3",
-            equidistant(fig.H, fig.T1, fig.T3),
-        ),
-        (
-            "A1 and A3 on circumcircle",
-            "A1 or A3 not on circumcircle",
-            on_circle(fig.circumcircle_K, fig.A1) and on_circle(fig.circumcircle_K, fig.A3),
-        ),
-        (
-            "A1 and A3 equidistant from C2 and T2",
-            "A1 or A3 not equidistant from C2 and T2",
-            equidistant(fig.A1, fig.C2, fig.T2) and equidistant(fig.A3, fig.C2, fig.T2),
-        ),
-    ]
-
-
-def _report(name: str, checks: list[tuple[str, str, bool]], extra=()) -> TheoremReport:
-    verdict = all(ok for _, _, ok in checks)
-    detail = next((fail for _, fail, ok in checks if not ok), None)
-    witnesses = tuple((label, ok) for label, _, ok in checks) + tuple(extra)
-    return TheoremReport(name=name, witnesses=witnesses, verdict=verdict, failure_detail=detail)
-
-
-def verify_sondow(fig: ParbelosFigure) -> TheoremReport:
-    """Exact verification of the tangency property on a built figure.
-
-    Failures are verdicts, never exceptions, so mutated figures can be used
-    as negative controls.
-    """
-    return _report(
-        "sondow-tangency",
-        sondow_checks(fig),
-        extra=(
-            ("contact", fig.contact_T),
-            ("FT_sq", dist_sq(fig.focus_F, fig.contact_T)),
-            ("HT_sq", dist_sq(fig.H, fig.contact_T)),
-        ),
-    )
-
-
-def verify_corollaries(fig: ParbelosFigure) -> TheoremReport:
-    return _report(
-        "parbelos-corollaries",
-        corollary_checks(fig),
-        extra=(
-            ("FT1_sq", dist_sq(fig.focus_F, fig.T1)),
-            ("A1C2_sq", dist_sq(fig.A1, fig.C2)),
-        ),
-    )
+    """(label, failure text, verdict) triples for the five derived properties."""
+    return _checks(fig, COROLLARIES)
 
 
 def similarity(m: Point, shift: Point):

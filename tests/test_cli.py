@@ -141,6 +141,13 @@ def test_script_with_byte_order_mark_reads_as_without(tmp_path, capsys):
         assert results[0][0] == 0
 
 
+def test_next_line_character_in_a_comment_keeps_line_numbers(tmp_path, capsys):
+    """U+0085 in a comment does not end the line, so the later error keeps its line."""
+    script = tmp_path / "nel.geo"
+    script.write_bytes(b"# caf\xc2\x85 note\nlet A = point(0, 0)\nlet A = point(1, 1)\n")
+    code, out, err = run(capsys, "check", str(script))
+    assert (code, out, err) == (2, "", "error: line 3, col 5: name 'A' is already bound\n")
+
 def test_fuzz_small(capsys):
     code, out, _ = run(capsys, "fuzz", "--cases", "8", "--seed", "3")
     assert code == 0

@@ -70,6 +70,27 @@ def test_duplicate_name():
     assert exc.value.line == 2
 
 
+# Characters at which str.splitlines() breaks a line but a universal-newline
+# read does not: inside a comment each stays part of that comment's line.
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in NOT_LINE_ENDS])
+def test_only_cr_and_lf_end_a_line(char):
+    with pytest.raises(DuplicateName) as exc:
+        parse_script(f"# caf{char} note\nlet A = point(0, 0)\nlet A = point(1, 1)\n")
+    assert (exc.value.line, exc.value.col) == (3, 5)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_line_numbers_under_each_line_end(end):
+    lines = ["# heading", "", "let A = point(1/2, -3)  # trailing", "assert eq(1, 1)", ""]
+    assert [s.line for s in parse_script(end.join(lines)).statements] == [3, 4]
+    with pytest.raises(DuplicateName) as exc:
+        parse_script(end.join(["let A = point(0, 0)", "", "let A = point(1, 1)"]))
+    assert (exc.value.line, exc.value.col) == (3, 5)
+
+
 def test_unknown_constructor_and_predicate():
     with pytest.raises(UnknownConstructor):
         parse_script("let A = mystery(1, 2)")

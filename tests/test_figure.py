@@ -26,14 +26,14 @@ from parbelos.euclid import (
     point,
 )
 from parbelos.figure import (
+    COROLLARIES,
     NAMED_POINTS,
+    SONDOW,
     ParbelosFigure,
     build_parbelos,
     corollary_checks,
     similarity,
     sondow_checks,
-    verify_corollaries,
-    verify_sondow,
 )
 from parbelos.jsonio import figure_json, verification_json
 from parbelos.parabola import LEFT, RIGHT, contains_point, is_tangent, tangent_at
@@ -51,6 +51,16 @@ def build_axis_aligned(a, b, side=LEFT):
 
 
 P13 = build_axis_aligned(1, 3)
+
+
+def holds(fig) -> bool:
+    """Every statement of both tables holds on fig."""
+    return all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
+
+
+def first_failure(checks):
+    """The failure text of the first check that fails, or None."""
+    return next((failure for _, failure, ok in checks if not ok), None)
 
 
 def test_canonical_instance_against_closed_forms():
@@ -77,14 +87,116 @@ def test_canonical_instance_against_closed_forms():
 
 
 def test_canonical_instance_verifies():
-    sondow = verify_sondow(P13)
-    assert sondow.verdict and sondow.failure_detail is None
-    witnesses = dict(sondow.witnesses)
-    assert witnesses["FT_sq"] == witnesses["HT_sq"] == F(25, 16)
-    corollaries = verify_corollaries(P13)
-    assert corollaries.verdict
-    witnesses = dict(corollaries.witnesses)
-    assert witnesses["FT1_sq"] == F(5, 2) == witnesses["A1C2_sq"]
+    assert first_failure(sondow_checks(P13)) is None
+    assert first_failure(corollary_checks(P13)) is None
+    assert dist_sq(P13.focus_F, P13.contact_T) == dist_sq(P13.H, P13.contact_T) == F(25, 16)
+    assert dist_sq(P13.focus_F, P13.T1) == F(5, 2) == dist_sq(P13.A1, P13.C2)
+
+
+# The statements in order, (label, failure text) per group, listed apart
+# from the tables.
+STATEMENTS = {
+    "sondow": [
+        ("diagonal tangent to outer", "diagonal not tangent to outer"),
+        ("contact on parabola", "contact not on parabola"),
+        ("contact on bisector", "contact not on bisector"),
+        ("FT equals HT", "FT differs from HT"),
+        ("focus on circumcircle", "focus not on circumcircle"),
+        ("R is a square centered with r", "R is not a square centered with r"),
+    ],
+    "corollaries": [
+        ("F equidistant from T1 and T3", "F not equidistant from T1 and T3"),
+        ("H on circumcircle", "H not on circumcircle"),
+        ("H equidistant from T1 and T3", "H not equidistant from T1 and T3"),
+        ("A1 and A3 on circumcircle", "A1 or A3 not on circumcircle"),
+        ("A1 and A3 equidistant from C2 and T2", "A1 or A3 not equidistant from C2 and T2"),
+    ],
+}
+
+
+def test_tables_match_listing():
+    tables = {"sondow": SONDOW, "corollaries": COROLLARIES}
+    checks = {"sondow": sondow_checks(P13), "corollaries": corollary_checks(P13)}
+    json_checks = verification_json(P13)["checks"]
+    assert list(json_checks) == list(STATEMENTS)
+    for group, statements in STATEMENTS.items():
+        assert [(label, failure) for label, failure, *_ in tables[group]] == statements
+        assert [(label, failure) for label, failure, _ in checks[group]] == statements
+        assert list(json_checks[group]) == [label for label, _ in statements]
+    field_names = {field.name for field in dataclasses.fields(ParbelosFigure)}
+    for _, _, predicate, *arguments in SONDOW + COROLLARIES:
+        assert callable(predicate) and arguments
+        assert all(set(names) <= field_names for names in arguments)
+
+
+P16 = build_axis_aligned(1, 5)
+R1, R2, R3, R4 = P16.square_R
+
+# One field changed per mutant of P16 (cusps (0,0), (1,0), (6,0)), with the
+# labels of the statements that must fail on it, and no others.
+MUTANTS = {
+    "diagonal x=1": (
+        {"diagonal": Line(1, 0, -1)},
+        {"diagonal tangent to outer"},
+    ),
+    "contact_T moved": (
+        {"contact_T": P16.contact_T + point(0, 1)},
+        {"contact on parabola", "FT equals HT"},
+    ),
+    "bisector x=2": (
+        {"bisector": Line(1, 0, -2)},
+        {"contact on bisector"},
+    ),
+    "H moved": (
+        {"H": P16.H + point(1, 0)},
+        {"FT equals HT", "H on circumcircle", "H equidistant from T1 and T3"},
+    ),
+    "focus_F moved": (
+        {"focus_F": P16.focus_F + point(1, 0)},
+        {"FT equals HT", "focus on circumcircle", "F equidistant from T1 and T3"},
+    ),
+    "square_R[3] moved": (
+        {"square_R": (R1, R2, R3, R4 + point(0, 1))},
+        {"R is a square centered with r"},
+    ),
+    "A1 moved": (
+        {"A1": P16.A1 + point(0, 1)},
+        {"A1 and A3 on circumcircle", "A1 and A3 equidistant from C2 and T2"},
+    ),
+    "A3 moved": (
+        {"A3": P16.A3 + point(0, 1)},
+        {"A1 and A3 on circumcircle", "A1 and A3 equidistant from C2 and T2"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_fails_exactly_its_statements(name):
+    changes, failing = MUTANTS[name]
+    mutant = dataclasses.replace(P16, **changes)
+    checks = sondow_checks(mutant) + corollary_checks(mutant)
+    assert {label for label, _, ok in checks if not ok} == failing
+
+
+def test_every_statement_fails_under_some_mutant():
+    failing = set().union(*(labels for _, labels in MUTANTS.values()))
+    assert failing == {label for label, *_ in SONDOW + COROLLARIES}
+
+
+def test_each_half_of_a_compound_row_can_fail_it():
+    """A compound row tries its tuples of fields in order: moving A1 fails the
+    first, moving A3 passes the first and fails the second."""
+    compound = [row for row in COROLLARIES if len(row) > 4]
+    assert [label for label, *_ in compound] == [
+        "A1 and A3 on circumcircle",
+        "A1 and A3 equidistant from C2 and T2",
+    ]
+    for _, _, predicate, *arguments in compound:
+        for k, name in enumerate(("A1", "A3")):
+            changes, _ = MUTANTS[f"{name} moved"]
+            mutant = dataclasses.replace(P16, **changes)
+            verdicts = [predicate(*[getattr(mutant, n) for n in names]) for names in arguments]
+            assert verdicts == [k != 0, k != 1]
 
 
 def test_figure_certified_by_kernel_predicates():
@@ -101,7 +213,7 @@ def test_symmetric_instance_contact_at_vertex():
     fig = build_axis_aligned(1, 1)
     assert fig.contact_T == fig.outer.vertex
     assert fig.bisector == fig.outer.axis
-    assert verify_sondow(fig).verdict and verify_corollaries(fig).verdict
+    assert holds(fig)
 
 
 def test_shared_cusp_tangents():
@@ -146,32 +258,24 @@ def test_build_rejects_bad_cusps():
 
 def test_mutated_contact_fails_with_detail():
     mutated = dataclasses.replace(P13, contact_T=point(1, -1))
-    report = verify_sondow(mutated)
-    assert not report.verdict
-    assert report.failure_detail == "contact not on parabola"
+    assert first_failure(sondow_checks(mutated)) == "contact not on parabola"
 
 
 def test_mutated_a1_fails_corollaries():
     # on a wider instance the shifted point leaves the circumcircle (item 4)
     fig = build_axis_aligned(1, 5)
     mutated = dataclasses.replace(fig, A1=fig.A1 + point(0, 1))
-    report = verify_corollaries(mutated)
-    assert not report.verdict
-    assert report.failure_detail == "A1 or A3 not on circumcircle"
+    assert first_failure(corollary_checks(mutated)) == "A1 or A3 not on circumcircle"
     # on the canonical instance the same shift happens to land on T1, which is
     # on the circle, so the equidistance check (item 5) is what trips instead
     mutated = dataclasses.replace(P13, A1=P13.A1 + point(0, 1))
-    report = verify_corollaries(mutated)
-    assert not report.verdict
-    assert report.failure_detail == "A1 or A3 not equidistant from C2 and T2"
+    assert first_failure(corollary_checks(mutated)) == "A1 or A3 not equidistant from C2 and T2"
 
 
 def test_mutated_square_fails():
     r1, r2, r3, r4 = P13.square_R
     mutated = dataclasses.replace(P13, square_R=(r1, r2, r3, r4 + point(0, 1)))
-    report = verify_sondow(mutated)
-    assert not report.verdict
-    assert report.failure_detail == "R is not a square centered with r"
+    assert first_failure(sondow_checks(mutated)) == "R is not a square centered with r"
 
 
 def test_axis_aligned_family_1000_instances():
@@ -263,7 +367,7 @@ def test_figure_commutes_with_similarity():
             t = similarity(m, shift)
             moved = build_parbelos(t(fig.C1), t(fig.C2), t(fig.C3), side)
             assert moved == t(fig)
-            assert verify_sondow(moved).verdict and verify_corollaries(moved).verdict
+            assert holds(moved)
 
 
 def test_converse_lambert_replays_diagonal():
@@ -278,7 +382,7 @@ def test_right_side_mirror():
     fig = build_parbelos(point(0, 0), point(1, 0), point(4, 0), RIGHT)
     assert fig.T2 == point(2, 2)
     assert fig.contact_T == Point(F(1), F(3, 4))
-    assert verify_sondow(fig).verdict and verify_corollaries(fig).verdict
+    assert holds(fig)
 
 
 def test_cusps_off_axis():
@@ -288,8 +392,8 @@ def test_cusps_off_axis():
     c3 = base + step + step + step
     for side in (LEFT, RIGHT):
         fig = build_parbelos(base, c2, c3, side)
-        assert verify_sondow(fig).verdict
-        assert verify_corollaries(fig).verdict
+        assert first_failure(sondow_checks(fig)) is None
+        assert first_failure(corollary_checks(fig)) is None
         assert is_perpendicular(fig.bisector, line_through(fig.C1, fig.C3))
         assert is_parallel(fig.outer.directrix, line_through(fig.C1, fig.C3))
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parbelos import fuzz
+from parbelos import figure, fuzz
 from parbelos.euclid import Point, line_through
 from parbelos.fuzz import (
     SUITES,
@@ -93,6 +93,18 @@ def test_deterministic_across_runs():
     assert first.failures == second.failures == []
     assert first.cases == second.cases
 
+
+def test_benchmark_hooks_reach_the_sondow_suite(monkeypatch):
+    """The benchmark reaches the checks by name: ``benchmarks/selftest.py``
+    replaces ``fuzz.sondow_checks`` with a failing stub as a negative control,
+    and ``benchmarks/tracing.SPANNED`` times ``figure.sondow_checks`` and
+    ``figure.corollary_checks``.  A rename that broke either would pass
+    every other test here."""
+    monkeypatch.setattr(fuzz, "sondow_checks", lambda fig: [("forced", "forced failure", False)])
+    result = run_suite("sondow+corollaries", 3, 0)
+    assert result.cases == 3 and len(result.failures) == 3
+    assert all(failure.endswith("forced failure") for failure in result.failures)
+    assert callable(figure.sondow_checks) and callable(figure.corollary_checks)
 
 def test_run_all_shape():
     for cases in (10, 200):

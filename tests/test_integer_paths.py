@@ -861,6 +861,11 @@ def reference_square_check(fig):
     )
 
 
+def square_check(fig):
+    """The kernel's square check on the six fields its table row names."""
+    return _square_check(fig.square_R, fig.center_O, fig.C2, fig.T1, fig.T2, fig.T3)
+
+
 def nudged(p, *others, axis=0):
     """p moved by 1/W along x (axis 0) or y, W the shared denominator of p and others.
 
@@ -931,9 +936,9 @@ def test_square_check_matches_fraction_formula(bits, data):
         dataclasses.replace(fig, square_R=(r2, r1, r3, r4)),  # a diagonal taken as a side
         dataclasses.replace(fig, center_O=nudged(fig.center_O, fig.C2, fig.T2)),
     )
-    assert _square_check(fig) and reference_square_check(fig)
+    assert square_check(fig) and reference_square_check(fig)
     for mutant in mutants:
-        assert not _square_check(mutant) and not reference_square_check(mutant)
+        assert not square_check(mutant) and not reference_square_check(mutant)
 
 
 # --- the drawing: arcs from their endpoints and the integer canvas map ---
