@@ -8,12 +8,13 @@ intersecting a line with a circle -- is done with a known point on both via
 Vieta's root factoring, which keeps the whole kernel rational-closed.
 
 The predicates ``Line.contains``, ``on_circle`` and ``equidistant`` and the
-constructions ``line_through``, ``circumcircle``, ``second_intersection`` and
+constructions ``circumcircle``, ``second_intersection`` and
 ``circle_through_points`` write their points over one shared denominator
 (``_common``) and work on the integer numerators, so they build no
-intermediate Fractions.  ``Line`` reduces integer a, b with a Fraction c by
+intermediate Fractions; ``line_through`` does the same with each point over
+its own denominator.  ``Line`` reduces integer a, b with a Fraction c by
 gcd(a, b, numerator of c) before it clears c's denominator, which is the
-shape ``parallel_through`` and ``perpendicular_through`` hand it.
+shape ``perpendicular_through`` hands it.
 
 ``pedal_point``, ``midpoint`` and ``line_intersection`` stay on Fraction
 arithmetic.  Their integer forms end in a ``Fraction(n, d)`` whose gcd runs
@@ -162,8 +163,11 @@ def line_through(p: Point, q: Point) -> Line:
     """Canonical line containing two distinct points."""
     if p == q:
         raise CoincidentPoints("no unique line through {} twice", p)
-    pw, [(px, py)] = _common(p)
-    qw, [(qx, qy)] = _common(q)
+    # Each point over its own lcm denominator, as a one-point ``_common``.
+    (pxn, pxd), (pyn, pyd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+    (qxn, qxd), (qyn, qyd) = q.x.as_integer_ratio(), q.y.as_integer_ratio()
+    pw, qw = math.lcm(pxd, pyd), math.lcm(qxd, qyd)
+    px, py, qx, qy = pxn * (pw // pxd), pyn * (pw // pyd), qxn * (qw // qxd), qyn * (qw // qyd)
     return Line(py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx)
 
 
@@ -189,11 +193,6 @@ def _primitive_direction(dx: int, dy: int) -> tuple[int, int]:
     if dx < 0 or (dx == 0 and dy < 0):
         dx, dy = -dx, -dy
     return dx, dy
-
-
-def parallel_through(line: Line, p: Point) -> Line:
-    """The line through p parallel to ``line`` (equal to it if p is on it)."""
-    return Line(line.a, line.b, -(p.x * line.a + p.y * line.b))
 
 
 def perpendicular_through(line: Line, p: Point) -> Line:

@@ -8,9 +8,19 @@ rectangle circumcircle, outer focus, diagonal, cusp bisector, contact point,
 and the auxiliary points H, A1, A3.  The figure's statements, the tangency
 property of the diagonal and the five equidistance/concyclicity properties,
 are the rows of ``SONDOW`` and ``COROLLARIES``: exact predicates on named
-figure fields.  Everything is expressed through kernel operations (pedals,
-perpendiculars, intersections), never through coordinates of a preferred
-frame, which is what makes the similarity-invariance checks meaningful.
+figure fields.
+
+The figure is built on one integer frame: the cusps' numerators over their
+shared denominator W.  Three facts of the figure turn every named point but
+the contact into a closed form in those integers.  The tangents at the two
+ends of a latus rectum meet at the foot of the axis on the directrix, so T1,
+T2 and T3 are the feet of inner1, outer and inner2.  The tangents at C1 and
+C3 are shared by the outer and the inner parabola there (the homothety at
+that cusp maps one onto the other).  The square's corners are the inner
+foci, the feet of T1 and T3 on the cusp line, and their shifts by T2 - F.
+The forms use only sums, differences and quarter turns of the cusps'
+numerators, never a chosen axis, so a similarity of the cusps still maps
+the figure, which is what makes the similarity-invariance checks meaningful.
 """
 
 from __future__ import annotations
@@ -27,23 +37,9 @@ from .euclid import (
     circumcircle,
     equidistant,
     line_intersection,
-    line_through,
-    midpoint,
     on_circle,
-    parallel_through,
-    pedal_point,
-    perpendicular_through,
 )
-from .parabola import (
-    LEFT,
-    RIGHT,
-    Parabola,
-    Side,
-    contains_point,
-    is_tangent,
-    parabola_from_latus_rectum,
-    tangent_at,
-)
+from .parabola import LEFT, RIGHT, Parabola, Side, _on_latus, contains_point, is_tangent
 
 
 @dataclass(frozen=True)
@@ -96,55 +92,52 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
     """Construct the full figure from three collinear cusps.
 
     ``side`` selects the half-plane (left or right of the directed cusp line
-    C1 -> C3) all three parabolas open into.  The contact point is computed
-    as diagonal ∩ bisector and then re-certified by the exact predicates in
-    :func:`sondow_checks` rather than assumed.
+    C1 -> C3) all three parabolas open into.  With P1, P2, P3 the cusps'
+    integer numerators over their shared denominator W, each latus rectum
+    Pa -> Pb gives S = Pa + Pb and r, the quarter turn of Pb - Pa toward the
+    side (:func:`parabola._on_latus`); write S12, r12 for C1 -> C2, S23, r23
+    for C2 -> C3 and S13, r13 for C1 -> C3.  Over 2W, T1, T3 and T2 are the
+    feet S - r of the three axes, F = S13, the square is S12, S23,
+    S23 - r13, S12 - r13, H = 2*P2 - r13, A1 = S12 - r23 and A3 = S23 - r12;
+    O = 2*P2 + S13 - r13 over 4W.  The cusp tangents, the diagonal and the
+    bisector are integer triples.  The contact point is computed as
+    diagonal ∩ bisector and K as the circle through C2, T1 and T2; both,
+    like every other field, are then re-certified by the exact predicates
+    of :func:`sondow_checks` and :func:`corollary_checks` rather than assumed.
     """
     if side not in (LEFT, RIGHT):
         raise DegenerateSide(f"side must be 'left' or 'right', got {side!r}")
     if c1 == c3:
         raise CuspNotInterior("outer cusps coincide")
-    # u = C2 - C1 and v = C3 - C1 in integers over their shared denominator
-    # (the Fraction differences drop C1's denominators first): C2 is C1 + t*v
-    # with t = dot(u, v)/dot(v, v) when cross(u, v) = 0.
-    _, [(ux, uy), (vx, vy)] = _common(c2 - c1, c3 - c1)
+    w, [p1, p2, p3] = _common(c1, c2, c3)
+    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
+    # u = C2 - C1 and v = C3 - C1 over W: C2 is C1 + t*v with
+    # t = dot(u, v)/dot(v, v) when cross(u, v) = 0.
+    ux, uy, vx, vy = x2 - x1, y2 - y1, x3 - x1, y3 - y1
     if ux * vy - uy * vx != 0:
         raise CuspsNotCollinear("{}, {}, {} are not collinear", c1, c2, c3)
     uv, vv = ux * vx + uy * vy, vx * vx + vy * vy
     if not 0 < uv < vv:
         raise CuspNotInterior("C2 must lie strictly between C1 and C3 (got t={})", Fraction(uv, vv))
 
-    inner1 = parabola_from_latus_rectum(c1, c2, side)
-    inner2 = parabola_from_latus_rectum(c2, c3, side)
-    outer = parabola_from_latus_rectum(c1, c3, side)
+    inner1, (s12x, s12y), (r12x, r12y) = _on_latus(w, p1, p2, side)
+    inner2, (s23x, s23y), (r23x, r23y) = _on_latus(w, p2, p3, side)
+    outer, (s13x, s13y), (r13x, r13y) = _on_latus(w, p1, p3, side)
+    den = 2 * w
 
-    tangent_at_c1 = tangent_at(outer, c1)
-    tangent_at_c3 = tangent_at(outer, c3)
-    tangent_at_c2_left = tangent_at(inner1, c2)
-    tangent_at_c2_right = tangent_at(inner2, c2)
+    def at(x: int, y: int) -> Point:
+        return Point(Fraction(x, den), Fraction(y, den))
 
     # The homothety at C1 with ratio t maps outer onto inner1, so the tangent
-    # at C1 is also inner1's, and it meets inner1's tangent at C2 at a right
-    # angle (the tangents at the ends of a latus rectum are perpendicular);
-    # likewise at C3 with inner2.
-    t1 = line_intersection(tangent_at_c1, tangent_at_c2_left)
-    t3 = line_intersection(tangent_at_c3, tangent_at_c2_right)
-    t2 = line_intersection(tangent_at_c1, tangent_at_c3)
-
-    # C2 is on the cusp line, so the square's side through C2 is that line.
-    cusp_line = line_through(c1, c3)
-    side_t2 = parallel_through(cusp_line, t2)
-    side_t1 = perpendicular_through(cusp_line, t1)
-    side_t3 = perpendicular_through(cusp_line, t3)
-    square = (
-        line_intersection(side_t1, cusp_line),
-        line_intersection(side_t3, cusp_line),
-        line_intersection(side_t3, side_t2),
-        line_intersection(side_t1, side_t2),
-    )
-
-    diagonal = line_through(t1, t3)
-    bisector = perpendicular_through(cusp_line, c2)
+    # at C1 is also inner1's, and both of inner1's latus-end tangents pass
+    # through its foot T1; likewise at C3 with inner2 and T3.  The square's
+    # sides are the cusp line, the outer directrix and the inner axes, so its
+    # corners are the inner foci and their shifts by T2 - F = -r13/2W.
+    t1x, t1y, t3x, t3y = s12x - r12x, s12y - r12y, s23x - r23x, s23y - r23y
+    t2x, t2y = s13x - r13x, s13y - r13y
+    diagonal = _line_along(den, (t1x, t1y), t3x - t1x, t3y - t1y)
+    bisector = _line_along(w, p2, -vy, vx)
+    t1, t2 = at(t1x, t1y), at(t2x, t2y)
     return ParbelosFigure(
         C1=c1,
         C2=c2,
@@ -152,24 +145,34 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
         inner1=inner1,
         inner2=inner2,
         outer=outer,
-        tangent_at_C1=tangent_at_c1,
-        tangent_at_C3=tangent_at_c3,
-        tangent_at_C2_left=tangent_at_c2_left,
-        tangent_at_C2_right=tangent_at_c2_right,
+        tangent_at_C1=_line_along(w, p1, vx - r13x, vy - r13y),
+        tangent_at_C3=_line_along(w, p3, -vx - r13x, -vy - r13y),
+        tangent_at_C2_left=_line_along(w, p2, -ux - r12x, -uy - r12y),
+        tangent_at_C2_right=_line_along(w, p2, vx - ux - r23x, vy - uy - r23y),
         T1=t1,
         T2=t2,
-        T3=t3,
-        square_R=square,
-        center_O=midpoint(c2, t2),
+        T3=at(t3x, t3y),
+        square_R=(
+            inner1.focus,
+            inner2.focus,
+            at(s23x - r13x, s23y - r13y),
+            at(s12x - r13x, s12y - r13y),
+        ),
+        center_O=Point(Fraction(2 * x2 + t2x, 2 * den), Fraction(2 * y2 + t2y, 2 * den)),
         circumcircle_K=circumcircle(c2, t1, t2),
-        focus_F=pedal_point(t2, cusp_line),
+        focus_F=outer.focus,
         diagonal=diagonal,
         contact_T=line_intersection(diagonal, bisector),
         bisector=bisector,
-        H=line_intersection(bisector, outer.directrix),
-        A1=line_intersection(inner1.axis, inner2.directrix),
-        A3=line_intersection(inner2.axis, inner1.directrix),
+        H=at(2 * x2 - r13x, 2 * y2 - r13y),
+        A1=at(s12x - r23x, s12y - r23y),
+        A3=at(s23x - r12x, s23y - r12y),
     )
+
+
+def _line_along(w: int, p: tuple[int, int], ex: int, ey: int) -> Line:
+    """The line through the point (X, Y)/W along the direction (ex, ey)."""
+    return Line(ey * w, -ex * w, ex * p[1] - ey * p[0])
 
 
 def _square_check(square_R, center_O, C2, T1, T2, T3) -> bool:

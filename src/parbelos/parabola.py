@@ -122,17 +122,27 @@ def parabola_from_latus_rectum(e1: Point, e2: Point, side: Side) -> Parabola:
     ``side`` names the open half-plane (left or right of the directed segment
     e1 -> e2) that the parabola opens into.  The focus is the midpoint; the
     directrix is the latus line translated by half the latus length away from
-    the opening.  Over the shared denominator W of e1 = (X1, Y1)/W and
-    e2 = (X2, Y2)/W, the focus is (X1 + X2, Y1 + Y2)/2W, and r, the quarter
-    turn of (X2 - X1, Y2 - Y1) toward the side, is both the directrix normal
-    and twice the step from the focus to the directrix.  So the directrix
-    passes through the anchor (X1 + X2 - rx, Y1 + Y2 - ry)/2W and is the
-    integer triple (2W*rx, 2W*ry, -r.(2W*anchor)); the focus coordinates are
-    the only Fractions built.
+    the opening.  Both are built by :func:`_on_latus` over the shared
+    denominator of e1 and e2.
     """
     if e1 == e2:
         raise CoincidentPoints("latus rectum endpoints coincide")
-    w, [(x1, y1), (x2, y2)] = _common(e1, e2)
+    w, [p1, p2] = _common(e1, e2)
+    return _on_latus(w, p1, p2, side)[0]
+
+
+def _on_latus(w: int, p1: tuple[int, int], p2: tuple[int, int], side: Side):
+    """(parabola, S, r) for the latus rectum P1 -> P2 of integer points over W.
+
+    S = P1 + P2, and r is the quarter turn of d = P2 - P1 toward the side:
+    (-dy, dx) for left, (dy, -dx) for right.  The focus is S/2W; r is both
+    the directrix normal and twice the step from the focus to the directrix,
+    so the directrix passes through the foot of the axis (S - r)/2W and is
+    the integer triple (2W*rx, 2W*ry, -r.(S - r)).  The focus coordinates are
+    the only Fractions built.  The tangents at P1 and P2 run to that foot,
+    along d - r and -d - r.
+    """
+    (x1, y1), (x2, y2) = p1, p2
     if side == LEFT:
         rx, ry = y1 - y2, x2 - x1
     elif side == RIGHT:
@@ -142,7 +152,7 @@ def parabola_from_latus_rectum(e1: Point, e2: Point, side: Side) -> Parabola:
     sx, sy = x1 + x2, y1 + y2
     focus = Point(Fraction(sx, 2 * w), Fraction(sy, 2 * w))
     directrix = Line(2 * w * rx, 2 * w * ry, -(rx * (sx - rx) + ry * (sy - ry)))
-    return Parabola(focus, directrix)
+    return Parabola(focus, directrix), (sx, sy), (rx, ry)
 
 
 def _focal(parabola: Parabola, w: int, x: int, y: int, fx: int, fy: int) -> tuple[int, int, int]:

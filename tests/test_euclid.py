@@ -32,7 +32,6 @@ from parbelos.euclid import (
     line_through,
     midpoint,
     on_circle,
-    parallel_through,
     pedal_point,
     perpendicular_bisector,
     perpendicular_through,
@@ -303,12 +302,6 @@ def test_midpoint_dist_sq_and_cross():
     assert midpoint(point(0, 0), point(1, 3)) == Point(F(1, 2), F(3, 2))
     assert dist_sq(point(0, 0), point(3, 4)) == 25
     assert cross(point(1, 0), point(0, 1)) == 1
-
-
-def test_parallel_through():
-    line = Line(2, 3, 7)
-    shifted = parallel_through(line, point(1, 1))
-    assert is_parallel(line, shifted) and shifted.contains(point(1, 1))
 
 
 def test_equidistant_examples():

@@ -18,11 +18,17 @@ from parbelos.euclid import (
     Circle,
     Line,
     Point,
+    _common,
+    circumcircle,
     dist_sq,
     is_parallel,
     is_perpendicular,
+    line_intersection,
     line_through,
+    midpoint,
     on_circle,
+    pedal_point,
+    perpendicular_through,
     point,
 )
 from parbelos.figure import (
@@ -36,7 +42,14 @@ from parbelos.figure import (
     sondow_checks,
 )
 from parbelos.jsonio import figure_json, verification_json
-from parbelos.parabola import LEFT, RIGHT, contains_point, is_tangent, tangent_at
+from parbelos.parabola import (
+    LEFT,
+    RIGHT,
+    contains_point,
+    is_tangent,
+    parabola_from_latus_rectum,
+    tangent_at,
+)
 from parbelos.theorems import converse_lambert
 
 F = Fraction
@@ -218,10 +231,107 @@ def test_symmetric_instance_contact_at_vertex():
 
 def test_shared_cusp_tangents():
     """Each outer-cusp tangent is also the inner parabola's tangent there."""
-    from parbelos.parabola import tangent_at
-
     assert P13.tangent_at_C1 == tangent_at(P13.inner1, P13.C1)
     assert P13.tangent_at_C3 == tangent_at(P13.inner2, P13.C3)
+
+
+def reference_build(c1, c2, c3, side=LEFT):
+    """The figure through kernel operations, as ``build_parbelos`` built it
+    before its integer frame: the tangents at the cusps by ``tangent_at``,
+    T1, T2 and T3 as their intersections, the square from the cusp line's
+    parallel and perpendiculars, F as a pedal and O as a midpoint."""
+    if side not in (LEFT, RIGHT):
+        raise DegenerateSide(f"side must be 'left' or 'right', got {side!r}")
+    if c1 == c3:
+        raise CuspNotInterior("outer cusps coincide")
+    _, [(ux, uy), (vx, vy)] = _common(c2 - c1, c3 - c1)
+    if ux * vy - uy * vx != 0:
+        raise CuspsNotCollinear("{}, {}, {} are not collinear", c1, c2, c3)
+    uv, vv = ux * vx + uy * vy, vx * vx + vy * vy
+    if not 0 < uv < vv:
+        raise CuspNotInterior("C2 must lie strictly between C1 and C3 (got t={})", F(uv, vv))
+    inner1 = parabola_from_latus_rectum(c1, c2, side)
+    inner2 = parabola_from_latus_rectum(c2, c3, side)
+    outer = parabola_from_latus_rectum(c1, c3, side)
+    tangent_at_c1 = tangent_at(outer, c1)
+    tangent_at_c3 = tangent_at(outer, c3)
+    tangent_at_c2_left = tangent_at(inner1, c2)
+    tangent_at_c2_right = tangent_at(inner2, c2)
+    t1 = line_intersection(tangent_at_c1, tangent_at_c2_left)
+    t3 = line_intersection(tangent_at_c3, tangent_at_c2_right)
+    t2 = line_intersection(tangent_at_c1, tangent_at_c3)
+    cusp_line = line_through(c1, c3)
+    side_t2 = Line(cusp_line.a, cusp_line.b, -(t2.x * cusp_line.a + t2.y * cusp_line.b))
+    side_t1 = perpendicular_through(cusp_line, t1)
+    side_t3 = perpendicular_through(cusp_line, t3)
+    square = (
+        line_intersection(side_t1, cusp_line),
+        line_intersection(side_t3, cusp_line),
+        line_intersection(side_t3, side_t2),
+        line_intersection(side_t1, side_t2),
+    )
+    diagonal = line_through(t1, t3)
+    bisector = perpendicular_through(cusp_line, c2)
+    return ParbelosFigure(
+        C1=c1,
+        C2=c2,
+        C3=c3,
+        inner1=inner1,
+        inner2=inner2,
+        outer=outer,
+        tangent_at_C1=tangent_at_c1,
+        tangent_at_C3=tangent_at_c3,
+        tangent_at_C2_left=tangent_at_c2_left,
+        tangent_at_C2_right=tangent_at_c2_right,
+        T1=t1,
+        T2=t2,
+        T3=t3,
+        square_R=square,
+        center_O=midpoint(c2, t2),
+        circumcircle_K=circumcircle(c2, t1, t2),
+        focus_F=pedal_point(t2, cusp_line),
+        diagonal=diagonal,
+        contact_T=line_intersection(diagonal, bisector),
+        bisector=bisector,
+        H=line_intersection(bisector, outer.directrix),
+        A1=line_intersection(inner1.axis, inner2.directrix),
+        A3=line_intersection(inner2.axis, inner1.directrix),
+    )
+
+
+def seeded_cusps(rng, bits):
+    """C1, C2 = C1 + t*d and C3 = C1 + d, with C1, d and t of about ``bits``
+    bits and d slanted (both components nonzero)."""
+
+    def coordinate():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 2**bits), rng.randint(1, 2**bits))
+
+    c1, d = Point(coordinate(), coordinate()), Point(coordinate(), coordinate())
+    m = rng.randint(2, 2**bits)
+    t = F(rng.randint(1, m - 1), m)
+    return c1, Point(c1.x + t * d.x, c1.y + t * d.y), c1 + d
+
+
+@pytest.mark.parametrize("bits, count", [(13, 40), (3300, 3)])
+def test_build_matches_reference_build(bits, count):
+    """The integer frame gives the kernel construction's figure, field by
+    field; each cusp tangent is its own parabola's tangent at that cusp, and
+    T1, T2 and T3 are where those tangents meet."""
+    rng = random.Random(bits)
+    for _ in range(count):
+        cusps = seeded_cusps(rng, bits)
+        for side in (LEFT, RIGHT):
+            fig = build_parbelos(*cusps, side)
+            reference = reference_build(*cusps, side)
+            for field in dataclasses.fields(ParbelosFigure):
+                assert getattr(fig, field.name) == getattr(reference, field.name), field.name
+            assert fig.tangent_at_C1 == tangent_at(fig.outer, fig.C1)
+            assert fig.tangent_at_C3 == tangent_at(fig.outer, fig.C3)
+            assert fig.tangent_at_C2_left == tangent_at(fig.inner1, fig.C2)
+            assert fig.tangent_at_C2_right == tangent_at(fig.inner2, fig.C2)
+            assert fig.T1 == line_intersection(fig.tangent_at_C1, fig.tangent_at_C2_left)
+            assert fig.T2 == line_intersection(fig.tangent_at_C1, fig.tangent_at_C3)
+            assert fig.T3 == line_intersection(fig.tangent_at_C3, fig.tangent_at_C2_right)
 
 
 def test_rectangle_right_angles():
@@ -254,6 +364,31 @@ def test_build_rejects_bad_cusps():
         build_parbelos(point(0, 0), point(1, 0), point(0, 0), LEFT)
     with pytest.raises(DegenerateSide):
         build_parbelos(point(0, 0), point(1, 0), point(4, 0), "up")
+
+
+BAD_CUSPS = [
+    (point(0, 0), point(1, 1), point(4, 0), LEFT),
+    (point(0, 0), point(0, 0), point(4, 0), LEFT),
+    (point(0, 0), point(5, 0), point(4, 0), LEFT),
+    (point(0, 0), point(4, 0), point(4, 0), LEFT),
+    (point(0, 0), point(1, 0), point(0, 0), LEFT),
+    (point(0, 0), point(1, 0), point(4, 0), "up"),
+    (point(1, 1), point(2, 5), point(1, 1), "up"),
+    (point(1, 1), point(2, 5), point(1, 1), RIGHT),
+    (Point(F(1, 3), F(2, 7)), Point(F(4, 3), F(-5, 7)), Point(F(7, 3), F(-11, 7)), RIGHT),
+    (Point(F(1, 3), F(2, 7)), Point(F(-2, 3), F(9, 7)), Point(F(7, 3), F(-12, 7)), RIGHT),
+]
+
+
+@pytest.mark.parametrize("cusps", BAD_CUSPS)
+def test_build_errors_match_reference_build(cusps):
+    """Bad cusps raise the kernel construction's error class and message."""
+    with pytest.raises(Exception) as expected:
+        reference_build(*cusps)
+    with pytest.raises(expected.type) as raised:
+        build_parbelos(*cusps)
+    assert type(raised.value) is expected.type
+    assert str(raised.value) == str(expected.value)
 
 
 def test_mutated_contact_fails_with_detail():

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 import oracles
 import parbelos.euclid as euclid
+import parbelos.parabola as parabola_module
 from parbelos.dsl import evaluate, parse_script
 from parbelos.errors import (
     CoincidentPoints,
@@ -59,7 +60,6 @@ from parbelos.euclid import (
     line_through,
     midpoint,
     on_circle,
-    parallel_through,
     pedal_point,
     perpendicular_bisector,
     perpendicular_through,
@@ -258,10 +258,10 @@ def count_reads(patch) -> Counter:
     return reads
 
 
-def count_kernel_calls(patch, name) -> list[int]:
-    """Count calls of ``euclid.<name>`` under every name a parbelos module
+def count_kernel_calls(patch, name, owner=euclid) -> list[int]:
+    """Count calls of ``owner.<name>`` under every name a parbelos module
     binds it to (``from .euclid import pedal_point`` binds a second one)."""
-    original = getattr(euclid, name)
+    original = getattr(owner, name)
     counter = [0]
 
     def counted(*args, **kwargs):
@@ -278,8 +278,13 @@ def reference_vertex(parabola):
     return midpoint(parabola.focus, pedal_point(parabola.focus, parabola.directrix))
 
 
+def reference_parallel_through(line, p):
+    """The line through p parallel to ``line``."""
+    return Line(line.a, line.b, -(p.x * line.a + p.y * line.b))
+
+
 def reference_supporting_line(parabola):
-    return parallel_through(parabola.directrix, reference_vertex(parabola))
+    return reference_parallel_through(parabola.directrix, reference_vertex(parabola))
 
 
 def reference_point_at_parameter(parabola, t):
@@ -310,7 +315,7 @@ def test_each_element_derived_once_from_focus_and_directrix(bits, data):
     vertex = reference_vertex(parabola)
     assert parabola.vertex == vertex
     assert parabola.axis == perpendicular_through(parabola.directrix, parabola.focus)
-    assert parabola.supporting_line == parallel_through(parabola.directrix, vertex)
+    assert parabola.supporting_line == reference_parallel_through(parabola.directrix, vertex)
     assert vertex + scale(point(*parabola.axis_direction), parabola.focal_scale) == parabola.focus
 
 
@@ -428,7 +433,7 @@ def reference_from_latus(e1, e2, side):
     else:
         raise DegenerateSide(f"side must be 'left' or 'right', got {side!r}")
     anchor = focus - scale(toward_opening, Fraction(1, 2))
-    return Parabola(focus, parallel_through(line_through(e1, e2), anchor))
+    return Parabola(focus, reference_parallel_through(line_through(e1, e2), anchor))
 
 
 # A random 3300-bit latus rectum gives a directrix of about 26,000 bits, so the
@@ -1040,18 +1045,22 @@ FIGURE_CUSPS = {
 @pytest.mark.parametrize("bits", HEIGHTS)
 def test_drawing_leaves_the_inner_vertex_and_supporting_line_underived(bits, monkeypatch):
     """Building, checking and drawing a figure reads no parabola's vertex,
-    supporting line or latus endpoints.  The figure's one pedal is its focus
-    F and its one midpoint its centre O; the tangency check and the arc
-    certificate build neither."""
+    supporting line or latus endpoints, and builds no pedal and no midpoint.
+    The build takes no tangent from ``tangent_at``, one line intersection
+    (the contact point) and one circumcircle (K)."""
     reads = count_reads(monkeypatch)
     pedals = count_kernel_calls(monkeypatch, "pedal_point")
     midpoints = count_kernel_calls(monkeypatch, "midpoint")
+    meets = count_kernel_calls(monkeypatch, "line_intersection")
+    circles = count_kernel_calls(monkeypatch, "circumcircle")
+    tangents = count_kernel_calls(monkeypatch, "tangent_at", parabola_module)
     for side in ("left", "right"):
-        pedals[0] = midpoints[0] = 0
+        pedals[0] = midpoints[0] = meets[0] = circles[0] = tangents[0] = 0
         fig = build_parbelos(*FIGURE_CUSPS[bits], side)
+        assert (tangents[0], meets[0], circles[0]) == (0, 1, 1)
         assert all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
         render_svg(figure_scene(fig))
-        assert (pedals[0], midpoints[0]) == (1, 1)
+        assert (pedals[0], midpoints[0]) == (0, 0)
     assert reads["vertex"] == reads["supporting_line"] == reads["latus_endpoints"] == 0
 
 
