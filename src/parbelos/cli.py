@@ -16,7 +16,8 @@ Subcommands:
     fuzz [--cases N] [--seed S] [--max-height H] [--parallel]
         Seeded randomized invariant suites; cusp coordinates have numerators
         and denominators of at most H (H >= 22).  Exit 0 iff zero failures,
-        2 when N is not positive or H is below 22.
+        2 when N is not positive, H is below 22, or a kernel or OS error
+        stops the run.
 
     render FILE.geo --svg OUT.svg [--width W] [--height H] [--margin M] [--digits D]
         Evaluate a script and render its drawable bindings.  Exit 0 when
@@ -32,7 +33,7 @@ import argparse
 import json
 import sys
 
-from .dsl import DslError, evaluate, parse_script, report_json
+from .dsl import EvalReport, evaluate, parse_script, report_json
 from .errors import GeometryError
 from .euclid import Point
 from .figure import NAMED_POINTS, build_parbelos, corollary_checks, sondow_checks
@@ -40,8 +41,6 @@ from .fuzz import DEFAULT_MAX_HEIGHT, MIN_MAX_HEIGHT, run_all
 from .jsonio import verification_json
 from .rational import format_rational, parse_rational, too_long_to_print
 from .svg import bindings_scene, figure_scene, render_svg
-
-SUBCOMMANDS = ("parbelos", "check", "fuzz", "render")
 
 
 def _parse_point(text: str) -> Point:
@@ -82,45 +81,35 @@ def _figure_text(fig, side: str) -> tuple[str, bool]:
 
 def _cmd_parbelos(argv: list[str]) -> int:
     args = _parbelos_parser().parse_args(argv)
+    fig = build_parbelos(args.c1, args.c2, args.c3, args.side)
     # The whole output is built before any of it is printed.
     try:
-        fig = build_parbelos(args.c1, args.c2, args.c3, args.side)
         if args.json:
             doc = verification_json(fig)
             text, overall = json.dumps(doc, indent=2), doc["overall"]
         else:
             text, overall = _figure_text(fig, args.side)
         document = render_svg(figure_scene(fig)) if args.svg else None
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError:  # an int past the interpreter's digit limit turned into text
-        print(f"error: {too_long_to_print('the figure')}", file=sys.stderr)
-        return 2
+        raise GeometryError(too_long_to_print("the figure")) from None
     print(text)
     if document is not None:
-        try:
-            with open(args.svg, "w", encoding="utf-8") as handle:
-                handle.write(document)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.svg, "w", encoding="utf-8") as handle:
+            handle.write(document)
     return 0 if overall else 1
 
 
-def _read_script(path: str) -> str | None:
-    """The text of a UTF-8 script, or None after one ``error:`` line on stderr.
+def _evaluate_script(path: str) -> EvalReport:
+    """Read, parse and evaluate a UTF-8 script.
 
     A leading byte-order mark, as some editors save UTF-8, is dropped.
     """
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            source = handle.read()
     except UnicodeDecodeError as exc:
-        print(f"error: {path} is not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
-    return None
+        raise OSError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return evaluate(parse_script(source))
 
 
 def _cmd_check(argv: list[str]) -> int:
@@ -130,14 +119,7 @@ def _cmd_check(argv: list[str]) -> int:
     parser.add_argument("file", metavar="FILE.geo")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
-    source = _read_script(args.file)
-    if source is None:
-        return 2
-    try:
-        report = evaluate(parse_script(source))
-    except DslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = _evaluate_script(args.file)
     if args.json:
         print(json.dumps(report_json(report), indent=2))
     else:
@@ -203,46 +185,36 @@ def _cmd_render(argv: list[str]) -> int:
         if bad:
             print(f"error: {problem}", file=sys.stderr)
             return 2
-    source = _read_script(args.file)
-    if source is None:
-        return 2
+    report = _evaluate_script(args.file)
     try:
-        report = evaluate(parse_script(source))
-        document = render_svg(
-            bindings_scene(report.bindings),
-            width=args.width,
-            height=args.height,
-            margin=args.margin,
-            decimal_digits=args.digits,
-        )
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(document)
-    except (OSError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        scene = bindings_scene(report.bindings)
+        document = render_svg(scene, args.width, args.height, args.margin, args.digits)
     except ValueError:  # an int past the interpreter's digit limit turned into text
-        print(f"error: {too_long_to_print('the drawing')}", file=sys.stderr)
-        return 2
+        raise GeometryError(too_long_to_print("the drawing")) from None
+    with open(args.svg, "w", encoding="utf-8") as handle:
+        handle.write(document)
     print(f"wrote {args.svg}")
     return 0
 
 
+# The subcommands by name; ``main`` dispatches through this table alone.
+COMMANDS = {"parbelos": _cmd_parbelos, "check": _cmd_check, "fuzz": _cmd_fuzz, "render": _cmd_render}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in SUBCOMMANDS:
+    if argv and argv[0] in COMMANDS:
         command, rest = argv[0], argv[1:]
     elif argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
         command, rest = "parbelos", argv  # bare flags: the figure command
     else:
         print(__doc__.strip(), file=sys.stderr)
         return 0 if argv and argv[0] in ("-h", "--help") else 2
-    handlers = {
-        "parbelos": _cmd_parbelos,
-        "check": _cmd_check,
-        "fuzz": _cmd_fuzz,
-        "render": _cmd_render,
-    }
-    return handlers[command](rest)
+    try:
+        return COMMANDS[command](rest)
+    except (GeometryError, OSError) as exc:  # any subcommand's kernel or file error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -394,11 +394,7 @@ def _perpendicular(l1: Line, l2: Line):
 
 
 def _eq(left, right):
-    try:
-        witness = {"left": value_json(left), "right": value_json(right)}
-    except TypeError:
-        witness = {}
-    return left == right, witness
+    return left == right, {"left": value_json(left), "right": value_json(right)}
 
 
 # The one list of the language: name -> (callable, argument kinds).  The

@@ -140,11 +140,6 @@ class Line:
         """
         return _primitive_direction(self.b, -self.a)
 
-    def normal(self) -> tuple[int, int]:
-        """Primitive integer normal (a, b)/gcd, keeping the stored sign."""
-        g = math.gcd(self.a, self.b)
-        return self.a // g, self.b // g
-
     def __str__(self) -> str:
         return f"{self.a}x + {self.b}y + {self.c} = 0"
 

@@ -35,13 +35,7 @@ def parabola_json(parabola: Parabola) -> dict:
 
 def figure_json(fig: ParbelosFigure) -> dict:
     """Figure fields by their attribute names, in declaration order."""
-    doc = {}
-    for field in fields(fig):
-        value = getattr(fig, field.name)
-        # square_R, the one tuple field, becomes a list; value_json rejects tuples.
-        is_tuple = isinstance(value, tuple)
-        doc[field.name] = [point_json(p) for p in value] if is_tuple else value_json(value)
-    return doc
+    return {field.name: value_json(getattr(fig, field.name)) for field in fields(fig)}
 
 
 def verification_json(fig: ParbelosFigure) -> dict:
@@ -75,4 +69,6 @@ def value_json(value):
         return figure_json(value)
     if isinstance(value, str):
         return value
+    if isinstance(value, tuple):
+        return [value_json(item) for item in value]
     raise TypeError(f"no JSON form for {type(value).__name__}")

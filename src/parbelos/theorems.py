@@ -26,7 +26,6 @@ from .euclid import (
     _second_root,
     circumcircle,
     is_collinear,
-    is_parallel,
     line_intersection,
     line_through,
     on_circle,
@@ -135,9 +134,10 @@ def converse_lambert(
     for index, line in enumerate((l1, l2), start=1):
         if not is_tangent(parabola, line):
             raise NotTangent("line {} is not tangent", index)
-    if is_parallel(l1, l2):
-        raise ParallelTangents("{} and {} have no intersection", l1, l2)
-    intersection = line_intersection(l1, l2)
+    try:
+        intersection = line_intersection(l1, l2)
+    except ParallelLines as exc:
+        raise ParallelTangents("{} and {} have no intersection", l1, l2) from exc
     offset = _circle_offset(circle, intersection)
     if not (on_circle(circle, parabola.focus) and offset[0]):
         raise CircleMissesFocusOrI(

@@ -9,7 +9,9 @@ from importlib import resources
 import pytest
 
 import parbelos
+import parbelos.cli as cli
 from parbelos.cli import main
+from parbelos.errors import GeometryError
 
 DATA = resources.files("parbelos") / "data"
 
@@ -167,6 +169,46 @@ def test_render_empty_scene_exit_2(tmp_path, capsys):
     script.write_text("assert eq(1, 1)\n")
     code, _, err = run(capsys, "render", str(script), "--svg", str(tmp_path / "o.svg"))
     assert code == 2
+
+
+# Each command with the one kernel call it makes before printing anything.
+KERNEL_CALLS = {
+    "parbelos": ("build_parbelos", ("--c1", "0,0", "--c2", "1,0", "--c3", "4,0")),
+    "check": ("evaluate", (str(DATA / "sondow.geo"),)),
+    "fuzz": ("run_all", ("--cases", "2")),
+    "render": ("render_svg", (str(DATA / "sondow.geo"), "--svg", "OUT.svg")),
+}
+
+
+@pytest.mark.parametrize("error", [GeometryError("kernel fault"), OSError("disk fault")], ids=repr)
+@pytest.mark.parametrize("command", sorted(KERNEL_CALLS))
+def test_every_command_turns_a_kernel_or_os_error_into_one_error_line(
+    command, error, tmp_path, monkeypatch, capsys
+):
+    """main is the one boundary: any command's GeometryError or OSError exits 2."""
+    name, flags = KERNEL_CALLS[command]
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, name, fail)
+    target = tmp_path / "out.svg"
+    argv = [str(target) if arg == "OUT.svg" else arg for arg in flags]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+    assert not target.exists()
+
+
+def test_every_command_in_the_table_dispatches(monkeypatch):
+    calls = []
+    for command in cli.COMMANDS:
+        monkeypatch.setitem(cli.COMMANDS, command, lambda argv, _c=command: calls.append((_c, argv)) or 0)
+    for command in cli.COMMANDS:
+        assert main([command, "--x", "y"]) == 0
+    assert main(["--c1", "0,0"]) == 0  # bare flags: the figure command
+    expected = [(command, ["--x", "y"]) for command in cli.COMMANDS]
+    assert calls == expected + [("parbelos", ["--c1", "0,0"])]
+    assert sorted(cli.COMMANDS) == ["check", "fuzz", "parbelos", "render"]
 
 
 def test_no_arguments_prints_usage(capsys):

@@ -227,6 +227,26 @@ assert concyclic(P.K, P.A1)
     assert report.overall
 
 
+def test_eq_on_the_square_has_its_corners_as_witness():
+    """The one tuple field, square_R, gets a list witness like any other value."""
+    source = (
+        "let C1 = point(0, 0)\nlet C2 = point(1, 0)\nlet C3 = point(4, 0)\n"
+        "let P = parbelos(C1, C2, C3, left)\n"
+        "assert eq(P.square_R, P.square_R)\nassert eq(P.square_R, C1)\n"
+    )
+    report = evaluate(parse_script(source))
+    corners = [
+        {"x": "1/2", "y": "0"},
+        {"x": "5/2", "y": "0"},
+        {"x": "5/2", "y": "-2"},
+        {"x": "1/2", "y": "-2"},
+    ]
+    same, other = report.assertions
+    assert same.passed and same.witness == {"left": corners, "right": corners}
+    assert not other.passed and other.witness == {"left": corners, "right": {"x": "0", "y": "0"}}
+    json.dumps(report_json(report))
+
+
 def test_unknown_figure_field():
     source = "let C1 = point(0,0)\nlet C2 = point(1,0)\nlet C3 = point(4,0)\nlet P = parbelos(C1, C2, C3, left)\nassert eq(P.nope, C1)"
     with pytest.raises(EvalError) as exc:

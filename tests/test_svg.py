@@ -12,6 +12,7 @@ from parbelos.parabola import LEFT, RIGHT, Parabola, parabola_from_latus_rectum,
 from parbelos.svg import (
     Scene,
     _certified_arc,
+    _sqrt_decimal,
     bindings_scene,
     figure_scene,
     render_svg,
@@ -208,3 +209,13 @@ def test_render_custom_options():
     document = render_svg(figure_scene(P13), width=400, height=300, margin=20, decimal_digits=4)
     assert 'width="400" height="300"' in document
     assert document != render_svg(figure_scene(P13))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_sqrt_decimal floors the root before dividing by the denominator, so radii truncate",
+)
+def test_circle_radius_rounds_half_up_like_every_coordinate():
+    """sqrt(3) = 1.7320508075688...: 12 digits round to ...569, and 0 digits to 2."""
+    assert _sqrt_decimal(F(3), 12) == "1.732050807569"
+    assert _sqrt_decimal(F(3), 0) == "2"
