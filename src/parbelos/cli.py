@@ -82,7 +82,7 @@ def _figure_text(fig, side: str) -> tuple[str, bool]:
 def _cmd_parbelos(argv: list[str]) -> int:
     args = _parbelos_parser().parse_args(argv)
     fig = build_parbelos(args.c1, args.c2, args.c3, args.side)
-    # The whole output is built before any of it is printed.
+    # The whole output is built, and the SVG written, before any of it is printed.
     try:
         if args.json:
             doc = verification_json(fig)
@@ -92,10 +92,10 @@ def _cmd_parbelos(argv: list[str]) -> int:
         document = render_svg(figure_scene(fig)) if args.svg else None
     except ValueError:  # an int past the interpreter's digit limit turned into text
         raise GeometryError(too_long_to_print("the figure")) from None
-    print(text)
     if document is not None:
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(document)
+    print(text)
     return 0 if overall else 1
 
 

@@ -329,10 +329,9 @@ def circle_point(circle: Circle, q: Point, t: Rational | None) -> Point:
 
     ``t = None`` selects the vertical chord.  Every rational point of the
     circle except q is hit by exactly one parameter; a tangent chord returns
-    q itself.
+    q itself.  A q off the circle raises ``PointNotIncident`` in
+    :func:`second_intersection`.
     """
-    if not on_circle(circle, q):
-        raise PointNotIncident("{} is not on the circle", q)
     if t is None:
         chord = Line(1, 0, -q.x)
     else:

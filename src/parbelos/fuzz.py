@@ -128,35 +128,17 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _process_pool(parallel: bool):
-    """The one process pool a run shares across its suite parts, or none."""
-    return ProcessPoolExecutor(max_workers=_workers()) if parallel else nullcontext()
-
-
-def _run_cases(
-    name: str, cases: int, seed: int, one_case, scale: int, pool: ProcessPoolExecutor | None = None
-) -> SuiteResult:
-    args = [(seed, i, scale) for i in range(cases)]
-    failures: list[str] = []
-    if pool is not None and cases > 1:
-        # About four chunks per worker, as multiprocessing.Pool.map sizes them,
-        # so a short suite still reaches every worker.
-        chunksize = -(-cases // (4 * _workers()))
-        for result in pool.map(one_case, args, chunksize=chunksize):
-            failures.extend(result)
-    else:
-        for arg in args:
-            failures.extend(one_case(arg))
-    return SuiteResult(name, cases, failures)
-
-
 # --- individual cases (module level so they pickle for the process pool) ---
 
 
-def _sondow_case(args: tuple[int, int, int]) -> list[str]:
+def _cusps(args: tuple[int, int, int]) -> tuple[int, Point, Point, Point, Side]:
+    """A case's index and the cusp triple drawn from its seed."""
     seed, index, scale = args
-    rng = _case_rng(seed, index)
-    c1, c2, c3, side = rand_cusps(rng, scale)
+    return (index, *rand_cusps(_case_rng(seed, index), scale))
+
+
+def _sondow_case(args: tuple[int, int, int]) -> list[str]:
+    index, c1, c2, c3, side = _cusps(args)
     fig = build_parbelos(c1, c2, c3, side)
     failures = []
     for label, detail, ok in sondow_checks(fig) + corollary_checks(fig):
@@ -246,9 +228,7 @@ def _converse_degenerate_case(args: tuple[int, int, int]) -> list[str]:
 
 
 def _replay_case(args: tuple[int, int, int]) -> list[str]:
-    seed, index, scale = args
-    rng = _case_rng(seed, index)
-    c1, c2, c3, side = rand_cusps(rng, scale)
+    index, c1, c2, c3, side = _cusps(args)
     fig = build_parbelos(c1, c2, c3, side)
     constructed, report = converse_lambert(
         fig.outer, fig.tangent_at_C1, fig.tangent_at_C3, fig.circumcircle_K
@@ -309,9 +289,7 @@ def _angle_case(args: tuple[int, int, int]) -> list[str]:
     outer, and the check reads nothing else.  Acceptance criterion 9 runs
     the same check on the figure's own parabolas.
     """
-    seed, index, scale = args
-    rng = _case_rng(seed, index)
-    c1, c2, c3, side = rand_cusps(rng, scale)
+    index, c1, c2, c3, side = _cusps(args)
     failures = []
     for label, e1, e2 in (("inner1", c1, c2), ("inner2", c2, c3), ("outer", c1, c3)):
         parabola = parabola_from_latus_rectum(e1, e2, side)
@@ -320,9 +298,7 @@ def _angle_case(args: tuple[int, int, int]) -> list[str]:
 
 
 def _ft_ht_case(args: tuple[int, int, int]) -> list[str]:
-    seed, index, scale = args
-    rng = _case_rng(seed, index)
-    c1, c2, c3, side = rand_cusps(rng, scale)
+    index, c1, c2, c3, side = _cusps(args)
     fig = build_parbelos(c1, c2, c3, side)
     if not equidistant(fig.contact_T, fig.focus_F, fig.H):
         return [f"case {index}: |F-contact|^2 != |H-contact|^2"]
@@ -342,7 +318,7 @@ class Suite(NamedTuple):
 
 # The one list of suites, in run_all order.  A suite given n cases runs its
 # part k on max(1, n // divisor) cases from seed + k.  Rows name their case
-# functions and run_suite looks each up on this module when it runs, so a
+# functions and _run_suite looks each up on this module when it runs, so a
 # wrapper set on a ``_*_case`` attribute (a timer, a counter) is what runs.
 SUITES = {
     "sondow+corollaries": Suite(1, 0, (("_sondow_case", 1),)),
@@ -356,19 +332,38 @@ SUITES = {
 }
 
 
-def _require_cases(cases: int) -> None:
-    if cases < 1:
-        raise ValueError(f"cases must be at least 1, got {cases}")
-
-
 def _run_suite(
     name: str, cases: int, seed: int, scale: int, pool: ProcessPoolExecutor | None
 ) -> SuiteResult:
-    parts = [
-        _run_cases(name, max(1, cases // divisor), seed + k, globals()[case_name], scale, pool)
-        for k, (case_name, divisor) in enumerate(SUITES[name].parts)
-    ]
-    return SuiteResult(name, sum(p.cases for p in parts), [f for p in parts for f in p.failures])
+    """Every part of the suite ``name``, its cases in index order, on ``pool`` if given."""
+    total, failures = 0, []
+    for k, (case_name, divisor) in enumerate(SUITES[name].parts):
+        count = max(1, cases // divisor)
+        one_case = globals()[case_name]
+        args = [(seed + k, i, scale) for i in range(count)]
+        if pool is not None and count > 1:
+            # About four chunks per worker, as multiprocessing.Pool.map sizes them,
+            # so a short suite still reaches every worker.
+            results = pool.map(one_case, args, chunksize=-(-count // (4 * _workers())))
+        else:
+            results = map(one_case, args)
+        for result in results:
+            failures.extend(result)
+        total += count
+    return SuiteResult(name, total, failures)
+
+
+def _run(
+    cases: int, max_height: int, parallel: bool, runs: list[tuple[str, int, int]]
+) -> list[SuiteResult]:
+    """Each ``(name, cases, seed)`` of ``runs``, sharing one process pool when
+    ``parallel`` and ``cases > 1``; ``cases`` below 1 raises ``ValueError``."""
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
+    scale = height_scale(max_height)
+    parallel = parallel and cases > 1
+    with ProcessPoolExecutor(max_workers=_workers()) if parallel else nullcontext() as pool:
+        return [_run_suite(name, n, seed, scale, pool) for name, n, seed in runs]
 
 
 def run_suite(
@@ -378,10 +373,7 @@ def run_suite(
 
     With ``parallel`` its parts share one process pool.
     """
-    _require_cases(cases)
-    scale = height_scale(max_height)
-    with _process_pool(parallel and cases > 1) as pool:
-        return _run_suite(name, cases, seed, scale, pool)
+    return _run(cases, max_height, parallel, [(name, cases, seed)])[0]
 
 
 def run_all(
@@ -394,10 +386,7 @@ def run_all(
 
     With ``parallel`` every suite runs on one process pool, opened once.
     """
-    _require_cases(cases)
-    scale = height_scale(max_height)
-    with _process_pool(parallel and cases > 1) as pool:
-        return [
-            _run_suite(name, max(1, cases // row.share), seed + row.seed_offset, scale, pool)
-            for name, row in SUITES.items()
-        ]
+    runs = [
+        (name, max(1, cases // row.share), seed + row.seed_offset) for name, row in SUITES.items()
+    ]
+    return _run(cases, max_height, parallel, runs)

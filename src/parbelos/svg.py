@@ -199,8 +199,6 @@ class _Frame:
         self.scale = min(Fraction(inner_w, xmax - xmin), Fraction(inner_h, ymax - ymin))
         self.offset_x = (width - (xmax - xmin) * self.scale) / 2 - xmin * self.scale
         self.offset_y = height - (height - (ymax - ymin) * self.scale) / 2 + ymin * self.scale
-        self.width = width
-        self.height = height
         self.digits = digits
         # visible math-space rectangle (for clipping infinite lines)
         self.x_lo = (0 - self.offset_x) / self.scale

@@ -36,10 +36,8 @@ from .parabola import Parabola, is_tangent
 
 @dataclass(frozen=True)
 class TheoremReport:
-    name: str
     witnesses: tuple[tuple[str, Any], ...]
     verdict: bool
-    failure_detail: str | None = None
 
 
 def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
@@ -57,16 +55,7 @@ def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
     circle = circumcircle(a, b, c)
     pedals_collinear = is_collinear(pedal_bc, pedal_ca, pedal_ab)
     point_on_circle = on_circle(circle, p)
-    agree = pedals_collinear == point_on_circle
-    detail = None
-    if not agree:
-        detail = (
-            "pedals collinear but point off circumcircle"
-            if pedals_collinear
-            else "point on circumcircle but pedals not collinear"
-        )
     return TheoremReport(
-        name="simson-wallace",
         witnesses=(
             ("pedal_bc", pedal_bc),
             ("pedal_ca", pedal_ca),
@@ -75,8 +64,7 @@ def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
             ("pedals_collinear", pedals_collinear),
             ("point_on_circle", point_on_circle),
         ),
-        verdict=agree,
-        failure_detail=detail,
+        verdict=pedals_collinear == point_on_circle,
     )
 
 
@@ -99,9 +87,7 @@ def lambert_circumcircle_check(
     except ParallelLines as exc:
         raise DegenerateTriangle("two tangents are parallel") from exc
     circle = circumcircle(p12, p23, p31)
-    focus_on_circle = on_circle(circle, parabola.focus)
     return TheoremReport(
-        name="lambert-circumcircle",
         witnesses=(
             ("vertex_12", p12),
             ("vertex_23", p23),
@@ -109,8 +95,7 @@ def lambert_circumcircle_check(
             ("circumcircle", circle),
             ("focus", parabola.focus),
         ),
-        verdict=focus_on_circle,
-        failure_detail=None if focus_on_circle else "focus not on circumcircle",
+        verdict=on_circle(circle, parabola.focus),
     )
 
 
@@ -146,16 +131,13 @@ def converse_lambert(
     h1 = _second_root(l1, offset)
     h2 = _second_root(l2, offset)
     constructed = line_through(h1, h2)
-    tangent = is_tangent(parabola, constructed)
     report = TheoremReport(
-        name="converse-lambert",
         witnesses=(
             ("intersection", intersection),
             ("h1", h1),
             ("h2", h2),
             ("constructed", constructed),
         ),
-        verdict=tangent,
-        failure_detail=None if tangent else "constructed chord is not tangent",
+        verdict=is_tangent(parabola, constructed),
     )
     return constructed, report

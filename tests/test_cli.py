@@ -296,9 +296,12 @@ def test_non_ascii_digit_in_a_cusp_exit_2(capsys):
 
 def test_parbelos_unwritable_svg_exit_2(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "fig.svg"
-    code, _, err = run(capsys, "--c1", "0,0", "--c2", "1,0", "--c3", "4,0", "--svg", str(target))
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
+    cusps = ("--c1", "0,0", "--c2", "1,0", "--c3", "4,0")
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, *cusps, *flags, "--svg", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert not target.exists()
 
 

@@ -10,8 +10,6 @@ from parbelos.euclid import Point, line_through
 from parbelos.fuzz import (
     SUITES,
     _case_rng,
-    _process_pool,
-    _run_cases,
     height_scale,
     rand_cusps,
     run_all,
@@ -236,11 +234,11 @@ def _fail_with_index(args):
     return [f"{seed}:{index}"]
 
 
-def test_parallel_keeps_case_and_failure_order():
+def test_parallel_keeps_case_and_failure_order(monkeypatch):
+    monkeypatch.setattr(fuzz, "_sondow_case", _fail_with_index)
     for cases in (2, 21, 200):
-        serial = _run_cases("order", cases, 9, _fail_with_index, 0)
-        with _process_pool(True) as pool:
-            parallel = _run_cases("order", cases, 9, _fail_with_index, 0, pool)
+        serial = run_suite("sondow+corollaries", cases, 9)
+        parallel = run_suite("sondow+corollaries", cases, 9, parallel=True)
         assert serial.failures == [f"9:{i}" for i in range(cases)]
         assert parallel == serial
 

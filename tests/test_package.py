@@ -1,14 +1,16 @@
 """Static checks on the package source, with the standard library's ``ast``.
 
-No linter ships with the project, so these stand in for the three checks
+No linter ships with the project, so these stand in for the four checks
 that matter after a deletion: a module still importing a name it no longer
 uses, the package's ``__all__`` drifting from what ``__init__.py`` imports,
-and an error class that nothing raises any more; a fourth keeps each error
-template's ``{}`` fields matched to the values raised with it.
+an error class that nothing raises any more, and a private function, class
+or method that nothing calls any more; a fifth keeps each error template's
+``{}`` fields matched to the values raised with it.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -90,3 +92,35 @@ def test_every_error_template_has_one_field_per_value():
             if fields != len(call.args) - 1 or template.count("{") != fields:
                 mismatched.append(f"{path.name}:{node.lineno}")
     assert templates >= 10 and mismatched == []
+
+
+def references(node: ast.AST) -> Counter:
+    """Each name ``node`` uses as a name, an attribute or a string constant."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names[sub.value] += 1
+    return names
+
+
+def test_every_private_function_is_referenced():
+    """Each module-level ``_name`` function or class, and each ``_method`` but
+    the dunders, is used somewhere in the package outside its own body.
+
+    A string constant counts, since the ``fuzz.SUITES`` rows name their case
+    functions by string."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    used = sum((references(tree) for tree in trees), Counter())
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    private = []
+    for tree in trees:
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            private += [d for d in (node, *members) if isinstance(d, definitions)]
+    private = [d for d in private if d.name.startswith("_") and not d.name.endswith("__")]
+    unused = [d.name for d in private if used[d.name] == references(d)[d.name]]
+    assert len(private) >= 40 and unused == []
