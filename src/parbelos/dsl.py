@@ -50,6 +50,8 @@ from .euclid import (
 from .figure import NAMED_POINTS, ParbelosFigure, build_parbelos
 from .jsonio import value_json
 from .parabola import (
+    LEFT,
+    RIGHT,
     Parabola,
     contains_point,
     is_tangent,
@@ -96,23 +98,15 @@ class EvalError(DslError):
 
 
 @dataclass(frozen=True)
-class RationalArg:
-    value: Fraction
+class LiteralArg:
+    """A rational literal (its Fraction) or a side keyword (its word)."""
+
+    value: Fraction | str
     line: int
     col: int
 
     def text(self) -> str:
-        return format_rational(self.value)
-
-
-@dataclass(frozen=True)
-class SideArg:
-    value: str
-    line: int
-    col: int
-
-    def text(self) -> str:
-        return self.value
+        return self.value if isinstance(self.value, str) else format_rational(self.value)
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,7 @@ class NameArg:
         return self.name if self.attr is None else f"{self.name}.{self.attr}"
 
 
-Arg = Union[RationalArg, SideArg, NameArg]
+Arg = Union[LiteralArg, NameArg]
 
 
 @dataclass(frozen=True)
@@ -166,112 +160,98 @@ class Program:
     statements: tuple[Union[Let, Assertion], ...]
 
 
-_SIDES = ("left", "right")
+_SIDES = (LEFT, RIGHT)
 _KEYWORDS = {"let", "assert", *_SIDES}
 
 _TOKEN_RE = re.compile(
     r"(?P<rational>[+-]?[0-9]+(?:/[0-9]+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),=.])|(?P<bad>\S)"
 )
 
-
-def _tokenize(line_text: str, line_no: int) -> list[tuple[str, str, int]]:
-    """(kind, text, col) triples for one source line, comment stripped."""
-    body = line_text.split("#", 1)[0]
-    tokens = []
-    for m in _TOKEN_RE.finditer(body):
-        col = m.start() + 1
-        if m.lastgroup == "bad":
-            raise GeoSyntaxError(f"unexpected character {m.group()!r}", line_no, col)
-        tokens.append((m.lastgroup, m.group(), col))
-    return tokens
+_Filter = Union[str, tuple[str, ...], None]
 
 
-class _LineParser:
-    def __init__(self, tokens: list[tuple[str, str, int]], line_no: int, line_len: int):
-        self.tokens = tokens
-        self.pos = 0
+class _Line:
+    """Cursor over one source line's (kind, text, col) tokens, comment stripped.
+
+    The last token is ``("end", "", len(line) + 1)``, one column past the line.
+    """
+
+    def __init__(self, text: str, line_no: int):
         self.line_no = line_no
-        self.line_len = line_len
+        self.pos = 0
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text.split("#", 1)[0]):
+            if m.lastgroup == "bad":
+                raise GeoSyntaxError(f"unexpected character {m.group()!r}", line_no, m.start() + 1)
+            self.tokens.append((m.lastgroup, m.group(), m.start() + 1))
+        self.tokens.append(("end", "", len(text) + 1))
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> str:
+        return self.tokens[self.pos][1]
 
-    def next(
-        self,
-        kind: str | None = None,
-        text: str | None = None,
-        describe: str | None = None,
-    ):
-        expected = describe or (repr(text) if text is not None else kind)
-        tok = self.peek()
-        if tok is None:
-            raise GeoSyntaxError(
-                f"unexpected end of line (expected {expected})", self.line_no, self.line_len + 1
-            )
-        tkind, ttext, col = tok
-        if (kind is not None and tkind != kind) or (text is not None and ttext != text):
+    def take(self, expected: str, kind: _Filter = None, text: _Filter = None) -> tuple[str, str, int]:
+        """The next token, if its kind is in ``kind`` and its text in ``text``.
+
+        Each filter is one value or a tuple of them.  A one-value string is
+        a token kind or a punctuation mark, none of which is part of
+        another, so ``in`` it is equality.  Any other token, the end of the
+        line among them, is a syntax error that names ``expected``.
+        """
+        token = tkind, ttext, col = self.tokens[self.pos]
+        if tkind == "end":
+            raise GeoSyntaxError(f"unexpected end of line (expected {expected})", self.line_no, col)
+        if (kind and tkind not in kind) or (text and ttext not in text):
             raise GeoSyntaxError(f"expected {expected}, got {ttext!r}", self.line_no, col)
         self.pos += 1
-        return tok
-
-    def end(self):
-        tok = self.peek()
-        if tok is not None:
-            raise GeoSyntaxError(f"trailing input {tok[1]!r}", self.line_no, tok[2])
+        return token
 
 
-def _parse_arg(p: _LineParser, bound: set[str]) -> Arg:
-    tok = p.next()
-    kind, text, col = tok
+def _parse_arg(p: _Line, bound: set[str]) -> Arg:
+    kind, text, col = p.take("an argument", ("rational", "ident"))
     if kind == "rational":
         try:
-            return RationalArg(parse_rational(text), p.line_no, col)
+            return LiteralArg(parse_rational(text), p.line_no, col)
         except ZeroDenominator:
             message = "rational literal has a zero denominator"
         except ValueError:  # more digits than the interpreter converts to an int
             message = f"rational literal too long ({len(text)} characters)"
         raise GeoSyntaxError(message, p.line_no, col)
-    if kind == "ident":
-        if text in _SIDES:
-            return SideArg(text, p.line_no, col)
-        if text in _KEYWORDS:
-            raise GeoSyntaxError(f"{text!r} is a reserved word", p.line_no, col)
-        attr = None
-        nxt = p.peek()
-        if nxt is not None and nxt[1] == ".":
-            p.next()
-            attr = p.next("ident", describe="an attribute name")[1]
-        if text not in bound:
-            raise UnboundName(f"name {text!r} is not bound", p.line_no, col)
-        return NameArg(text, attr, p.line_no, col)
-    raise GeoSyntaxError(f"expected an argument, got {text!r}", p.line_no, col)
+    if text in _SIDES:
+        return LiteralArg(text, p.line_no, col)
+    if text in _KEYWORDS:
+        raise GeoSyntaxError(f"{text!r} is a reserved word", p.line_no, col)
+    attr = None
+    if p.peek() == ".":
+        p.take("'.'", text=".")
+        attr = p.take("an attribute name", "ident")[1]
+    if text not in bound:
+        raise UnboundName(f"name {text!r} is not bound", p.line_no, col)
+    return NameArg(text, attr, p.line_no, col)
 
 
-def _parse_call(p: _LineParser, bound: set[str], table: dict, unknown_error) -> Call:
-    kind, func, col = p.next("ident", describe="a constructor or predicate name")
+def _parse_call(p: _Line, bound: set[str], table: dict, unknown_error) -> Call:
+    """The rest of the line: one call, then nothing but the end of the line."""
+    _, func, col = p.take("a constructor or predicate name", "ident")
     if func not in table:
         raise unknown_error(f"unknown name {func!r}", p.line_no, col)
-    p.next("punct", "(")
+    p.take("'('", text="(")
     args: list[Arg] = []
-    nxt = p.peek()
-    if nxt is not None and nxt[1] == ")":
-        p.next()
-    else:
-        while True:
-            args.append(_parse_arg(p, bound))
-            kind, text, tcol = p.next("punct", describe="',' or ')'")
-            if text == ")":
-                break
-            if text != ",":
-                raise GeoSyntaxError(f"expected ',' or ')', got {text!r}", p.line_no, tcol)
+    while p.peek() != ")":
+        if args:
+            p.take("',' or ')'", text=",")
+        args.append(_parse_arg(p, bound))
+    p.take("')'", text=")")
     arity = len(table[func][1])
     if len(args) != arity:
         raise GeoSyntaxError(f"{func} expects {arity} arguments, got {len(args)}", p.line_no, col)
+    kind, text, tcol = p.tokens[p.pos]
+    if kind != "end":
+        raise GeoSyntaxError(f"trailing input {text!r}", p.line_no, tcol)
     return Call(func, tuple(args), p.line_no, col)
 
 
 def parse_script(text: str) -> Program:
-    """Parse a script; positions are 1-based (line, column).
+    r"""Parse a script; positions are 1-based (line, column).
 
     Binding discipline is enforced here: names bind once, and every
     referenced name must be bound on an earlier line.  Lines end only at
@@ -280,28 +260,22 @@ def parse_script(text: str) -> Program:
     statements: list[Union[Let, Assertion]] = []
     bound: set[str] = set()
     for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
-        tokens = _tokenize(raw, line_no)
-        if not tokens:
+        p = _Line(raw, line_no)
+        if p.peek() == "":
             continue
-        p = _LineParser(tokens, line_no, len(raw))
-        kind, head, col = p.next()
+        _, head, col = p.take("'let' or 'assert'", text=("let", "assert"))
         if head == "let":
-            nkind, name, ncol = p.next("ident", describe="a name")
+            _, name, ncol = p.take("a name", "ident")
             if name in _KEYWORDS:
                 raise GeoSyntaxError(f"{name!r} is a reserved word", line_no, ncol)
             if name in bound:
                 raise DuplicateName(f"name {name!r} is already bound", line_no, ncol)
-            p.next("punct", "=")
+            p.take("'='", text="=")
             call = _parse_call(p, bound, CONSTRUCTORS, UnknownConstructor)
-            p.end()
             statements.append(Let(name, call, line_no, col))
             bound.add(name)
-        elif head == "assert":
-            call = _parse_call(p, bound, PREDICATES, UnknownPredicate)
-            p.end()
-            statements.append(Assertion(call, line_no, col))
         else:
-            raise GeoSyntaxError(f"expected 'let' or 'assert', got {head!r}", line_no, col)
+            statements.append(Assertion(_parse_call(p, bound, PREDICATES, UnknownPredicate), line_no, col))
     return Program(tuple(statements))
 
 
@@ -354,7 +328,12 @@ def _resolve(arg: Arg, env: dict[str, object]):
     return getattr(value, field)
 
 
-_KINDS = {"point": Point, "line": Line, "circle": Circle, "parabola": Parabola, "rational": Fraction}
+# Every value a script can hold, by its kind's name in the script's words.
+# Only ``any`` takes a figure or its ``square_R`` (a square).
+_KINDS = {
+    "point": Point, "line": Line, "circle": Circle, "parabola": Parabola, "rational": Fraction,
+    "side": str, "figure": ParbelosFigure, "square": tuple,
+}
 
 
 def _collinear(a: Point, b: Point, c: Point):
@@ -430,11 +409,12 @@ def _apply(table: dict, call: Call, values: list):
     """Check each value against its kind, left to right, then call the row."""
     func, kinds = table[call.func]
     for value, kind in zip(values, kinds):
-        if kind == "side" and value not in _SIDES:
+        if kind == "any" or isinstance(value, _KINDS[kind]):
+            continue
+        if kind == "side":
             raise EvalError("side must be left or right", call.line, call.col)
-        if kind in _KINDS and not isinstance(value, _KINDS[kind]):
-            got = next((k for k, c in _KINDS.items() if isinstance(value, c)), type(value).__name__)
-            raise EvalError(f"{call.func} expects a {kind}, got {got}", call.line, call.col)
+        got = next(k for k, c in _KINDS.items() if isinstance(value, c))
+        raise EvalError(f"{call.func} expects a {kind}, got {got}", call.line, call.col)
     return func(*values)
 
 

@@ -17,22 +17,6 @@ from .parabola import Parabola
 from .rational import format_rational
 
 
-def point_json(p: Point) -> dict:
-    return {"x": format_rational(p.x), "y": format_rational(p.y)}
-
-
-def line_json(line: Line) -> dict:
-    return {"a": line.a, "b": line.b, "c": line.c}
-
-
-def circle_json(circle: Circle) -> dict:
-    return {"center": point_json(circle.center), "radius_sq": format_rational(circle.radius_sq)}
-
-
-def parabola_json(parabola: Parabola) -> dict:
-    return {"focus": point_json(parabola.focus), "directrix": line_json(parabola.directrix)}
-
-
 def figure_json(fig: ParbelosFigure) -> dict:
     """Figure fields by their attribute names, in declaration order."""
     return {field.name: value_json(getattr(fig, field.name)) for field in fields(fig)}
@@ -52,19 +36,19 @@ def verification_json(fig: ParbelosFigure) -> dict:
 
 
 def value_json(value):
-    """Generic dispatcher used for DSL bindings and assertion witnesses."""
+    """The one JSON form of a value: figure fields, DSL bindings and assertion witnesses."""
     if isinstance(value, bool):
         return value
     if isinstance(value, (Fraction, int)):
         return format_rational(Fraction(value))
     if isinstance(value, Point):
-        return point_json(value)
+        return {"x": format_rational(value.x), "y": format_rational(value.y)}
     if isinstance(value, Line):
-        return line_json(value)
+        return {"a": value.a, "b": value.b, "c": value.c}
     if isinstance(value, Circle):
-        return circle_json(value)
+        return {"center": value_json(value.center), "radius_sq": format_rational(value.radius_sq)}
     if isinstance(value, Parabola):
-        return parabola_json(value)
+        return {"focus": value_json(value.focus), "directrix": value_json(value.directrix)}
     if isinstance(value, ParbelosFigure):
         return figure_json(value)
     if isinstance(value, str):

@@ -170,13 +170,6 @@ def _sqrt_decimal(value: Rational, digits: int) -> str:
     return ratio_to_decimal_string(rounded, 10**digits, digits)
 
 
-def _over_one_denominator(scale: Rational, offset: Rational) -> tuple[int, int, int]:
-    """Integers (S, O, D) with scale = S/D and offset = O/D, D their lcm."""
-    d = math.lcm(scale.denominator, offset.denominator)
-    s, o = scale.numerator * (d // scale.denominator), offset.numerator * (d // offset.denominator)
-    return s, o, d
-
-
 class _Frame:
     """Exact affine map from math coordinates to the SVG canvas (y flipped).
 
@@ -205,8 +198,8 @@ class _Frame:
         self.x_hi = (width - self.offset_x) / self.scale
         self.y_lo = (self.offset_y - height) / self.scale
         self.y_hi = self.offset_y / self.scale
-        self._sx, self._ox, self._dx = _over_one_denominator(self.scale, self.offset_x)
-        self._sy, self._oy, self._dy = _over_one_denominator(self.scale, self.offset_y)
+        self._dx, [(self._sx, self._ox)] = _common(Point(self.scale, self.offset_x))
+        self._dy, [(self._sy, self._oy)] = _common(Point(self.scale, self.offset_y))
 
     def x(self, v: Rational, shift: int = 0) -> str:
         n, d = v.numerator, v.denominator

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -444,3 +445,27 @@ def test_certification_is_the_same_under_optimize(argv, tmp_path):
     assert plain[0] == 0 and plain[1]
     assert (plain[2] is not None) == ("render" in argv)
     assert run_cli("-O") == plain
+
+
+def test_cli_workload_outputs_match_the_recorded_digests(tmp_path, capsys):
+    """The three calls of the benchmark's ``cli`` workload, against its digests.
+
+    ``benchmarks/expected.json`` is only read: a change that alters one byte
+    of these outputs fails here before the benchmark's output gate.
+    """
+    root = pathlib.Path(__file__).parents[1]
+    expected = json.loads((root / "benchmarks" / "expected.json").read_text())
+    figure_svg, render_svg = tmp_path / "figure.svg", tmp_path / "render.svg"
+    canonical = ["--c1", "0,0", "--c2", "1,0", "--c3", "4,0"]
+    outputs = {}
+    for key, argv in (
+        ("figure_json", canonical + ["--json", "--svg", str(figure_svg)]),
+        ("check_json", ["check", str(DATA / "sondow.geo"), "--json"]),
+        ("render_svg", ["render", str(DATA / "sondow.geo"), "--svg", str(render_svg)]),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        outputs[key] = render_svg.read_bytes() if key == "render_svg" else out.encode()
+    digests = {key: hashlib.sha256(data).hexdigest() for key, data in outputs.items()}
+    assert digests == expected["cli"]
+    assert figure_svg.read_bytes() == (root / "tests" / "data" / "parbelos_p13.svg").read_bytes()

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -399,6 +400,33 @@ def test_wrong_kind_names_function_and_kind(head, name, kinds):
         assert str(exc.value) == f"line 7, col {len(head) + 1}: {expected}"
 
 
+@pytest.mark.parametrize(
+    "statement, col, message",
+    [
+        ("let X = point(left, 0)", 9, "point expects a rational, got side"),
+        ("let X = intersect(P, P)", 9, "intersect expects a line, got figure"),
+        ("assert collinear(P.square_R, Pa, Pb)", 8, "collinear expects a point, got square"),
+    ],
+    ids=["side", "figure", "square"],
+)
+def test_wrong_kind_names_the_value_in_the_scripts_words(statement, col, message):
+    preamble = KIND_PREAMBLE + "let Pd = point(4, 0)\nlet P = parbelos(Pa, Pb, Pd, left)\n"
+    with pytest.raises(EvalError) as exc:
+        evaluate(parse_script(preamble + statement + "\n"))
+    assert str(exc.value) == f"line 9, col {col}: {message}"
+
+
+@pytest.mark.parametrize(
+    "source, col",
+    [("let A = point(", 15), ("let A = point(1,", 17)],
+    ids=["after-open-paren", "after-comma"],
+)
+def test_end_of_line_where_an_argument_is_due_names_an_argument(source, col):
+    with pytest.raises(GeoSyntaxError) as exc:
+        parse_script(source)
+    assert str(exc.value) == f"line 1, col {col}: unexpected end of line (expected an argument)"
+
+
 @pytest.mark.parametrize("head, name, kinds", SIGNATURES, ids=[s[1] for s in SIGNATURES])
 def test_wrong_count_is_a_syntax_error(head, name, kinds):
     for count in (len(kinds) - 1, len(kinds) + 1):
@@ -436,6 +464,10 @@ SCRIPT_ARGS = st.one_of(
 )
 
 
+# The ends of a line's tokens: literals, names and single punctuation marks.
+TOKEN_ENDS = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|\S")
+
+
 def ill_formed_lines(draw):
     """Statements of any row with arguments of any kind, count or spelling."""
     lines = []
@@ -446,7 +478,11 @@ def ill_formed_lines(draw):
         call = f"{name}({', '.join(draw(st.lists(SCRIPT_ARGS, min_size=count, max_size=count)))})"
         # One statement in ten puts a predicate after `let` or a constructor after `assert`.
         is_let = (name in CONSTRUCTOR_KINDS) != (draw(st.integers(0, 9)) == 0)
-        lines.append(f"let {draw(st.sampled_from(SCRIPT_NAMES))} = {call}" if is_let else f"assert {call}")
+        line = f"let {draw(st.sampled_from(SCRIPT_NAMES))} = {call}" if is_let else f"assert {call}"
+        # One line in two is cut at a token boundary, so it ends where more is due.
+        if draw(st.booleans()):
+            line = line[: draw(st.sampled_from([m.end() for m in TOKEN_ENDS.finditer(line)]))]
+        lines.append(line)
     return lines
 
 
@@ -517,15 +553,23 @@ def scripts(draw):
 @settings(max_examples=200, deadline=None)
 @given(scripts())
 def test_any_script_ends_in_report_or_dsl_error(source):
+    def check_position_and_words(exc: DslError) -> None:
+        # An error points into its line or one column past its end, and
+        # names what it expected and found in the script's words.
+        assert 1 <= exc.col <= len(source.split("\n")[exc.line - 1]) + 1
+        assert "None" not in str(exc)
+
     try:
         program = parse_script(source)
-    except DslError:
+    except DslError as exc:
+        check_position_and_words(exc)
         return
     text = pretty_print(program)
     assert pretty_print(parse_script(text)) == text
     try:
         report = evaluate(program)
-    except DslError:
+    except DslError as exc:
+        check_position_and_words(exc)
         return
     assert isinstance(report, EvalReport)
     json.dumps(report_json(report))
