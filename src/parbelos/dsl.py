@@ -12,8 +12,11 @@ half-plane keywords ``left`` / ``right``.  There is no arithmetic and no
 re-binding: a script is a dependency chain of kernel calls whose assertions
 are the product.
 
-The constructors and predicates, with their argument kinds, are the rows of
-:data:`CONSTRUCTORS` and :data:`PREDICATES`.
+The constructors, with their argument kinds, are the rows of
+:data:`CONSTRUCTORS`.  The predicates are the rows of :data:`PREDICATES`,
+which is ``figure.PREDICATES``: the one table of predicates, whose words the
+figure's statements name too.  An assertion's verdict is the row's verdict,
+and its witness the row's witness values in their JSON form.
 
 All verdicts are exact; evaluation is deterministic and stops at the first
 construction error, reporting the offending statement's position.
@@ -34,30 +37,15 @@ from .euclid import (
     Point,
     circle_through_points,
     circumcircle,
-    cross,
-    dist_sq,
-    dist_sq_point_line,
-    equidistant,
-    is_collinear,
-    is_perpendicular,
     line_intersection,
     line_through,
-    on_circle,
     pedal_point,
     perpendicular_through,
     second_intersection,
 )
-from .figure import NAMED_POINTS, ParbelosFigure, build_parbelos
+from .figure import NAMED_POINTS, PREDICATES, ParbelosFigure, build_parbelos
 from .jsonio import value_json
-from .parabola import (
-    LEFT,
-    RIGHT,
-    Parabola,
-    contains_point,
-    is_tangent,
-    parabola_from_latus_rectum,
-    tangent_at,
-)
+from .parabola import LEFT, RIGHT, Parabola, parabola_from_latus_rectum, tangent_at
 from .rational import format_rational, parse_rational, too_long_to_print
 
 
@@ -241,7 +229,7 @@ def _parse_call(p: _Line, bound: set[str], table: dict, unknown_error) -> Call:
             p.take("',' or ')'", text=",")
         args.append(_parse_arg(p, bound))
     p.take("')'", text=")")
-    arity = len(table[func][1])
+    arity = len(table[func][0])
     if len(args) != arity:
         raise GeoSyntaxError(f"{func} expects {arity} arguments, got {len(args)}", p.line_no, col)
     kind, text, tcol = p.tokens[p.pos]
@@ -329,85 +317,35 @@ def _resolve(arg: Arg, env: dict[str, object]):
 
 
 # Every value a script can hold, by its kind's name in the script's words.
-# Only ``any`` takes a figure or its ``square_R`` (a square).
+# A figure is taken only as ``any``; its ``square_R`` is a ``square``.
 _KINDS = {
     "point": Point, "line": Line, "circle": Circle, "parabola": Parabola, "rational": Fraction,
     "side": str, "figure": ParbelosFigure, "square": tuple,
 }
 
-
-def _collinear(a: Point, b: Point, c: Point):
-    return is_collinear(a, b, c), {"determinant": value_json(cross(b - a, c - a))}
-
-
-def _concyclic(circle: Circle, p: Point):
-    return on_circle(circle, p), {
-        "dist_sq": value_json(dist_sq(circle.center, p)),
-        "radius_sq": value_json(circle.radius_sq),
-    }
-
-
-def _on_parabola(g: Parabola, p: Point):
-    return contains_point(g, p), {
-        "dist_sq_focus": value_json(dist_sq(p, g.focus)),
-        "dist_sq_directrix": value_json(dist_sq_point_line(p, g.directrix)),
-    }
-
-
-def _tangent(g: Parabola, line: Line):
-    return is_tangent(g, line), {
-        "focus_pedal": value_json(pedal_point(g.focus, line)),
-        "supporting_line": value_json(g.supporting_line),
-    }
-
-
-def _equidistant(p: Point, a: Point, b: Point):
-    return equidistant(p, a, b), {
-        "dist_sq_first": value_json(dist_sq(p, a)),
-        "dist_sq_second": value_json(dist_sq(p, b)),
-    }
-
-
-def _perpendicular(l1: Line, l2: Line):
-    return is_perpendicular(l1, l2), {"normal_dot": l1.a * l2.a + l1.b * l2.b}
-
-
-def _eq(left, right):
-    return left == right, {"left": value_json(left), "right": value_json(right)}
-
-
-# The one list of the language: name -> (callable, argument kinds).  The
-# parser takes each arity from here; ``side`` accepts ``left``/``right`` and
-# ``any`` every value.  Predicates return (verdict, witness), the verdict
-# being the kernel predicate's own.
+# The constructors: name -> (argument kinds, kernel constructor).  Each row of
+# this table and of PREDICATES starts with the argument kinds; the parser
+# takes each arity from there.  ``side`` accepts ``left``/``right``.
 CONSTRUCTORS = {
-    "point": (Point, ("rational", "rational")),
-    "line": (line_through, ("point", "point")),
-    "circle3": (circumcircle, ("point", "point", "point")),
-    "circle2": (circle_through_points, ("point", "point", "rational")),
-    "parabola_latus": (parabola_from_latus_rectum, ("point", "point", "side")),
-    "tangent_at": (tangent_at, ("parabola", "point")),
-    "pedal": (pedal_point, ("point", "line")),
-    "perp": (perpendicular_through, ("line", "point")),
-    "intersect": (line_intersection, ("line", "line")),
-    "second_intersect": (second_intersection, ("line", "circle", "point")),
-    "parbelos": (build_parbelos, ("point", "point", "point", "side")),
-}
-
-PREDICATES = {
-    "collinear": (_collinear, ("point", "point", "point")),
-    "concyclic": (_concyclic, ("circle", "point")),
-    "on_parabola": (_on_parabola, ("parabola", "point")),
-    "tangent": (_tangent, ("parabola", "line")),
-    "equidistant": (_equidistant, ("point", "point", "point")),
-    "perpendicular": (_perpendicular, ("line", "line")),
-    "eq": (_eq, ("any", "any")),
+    "point": (("rational", "rational"), Point),
+    "line": (("point", "point"), line_through),
+    "circle3": (("point", "point", "point"), circumcircle),
+    "circle2": (("point", "point", "rational"), circle_through_points),
+    "parabola_latus": (("point", "point", "side"), parabola_from_latus_rectum),
+    "tangent_at": (("parabola", "point"), tangent_at),
+    "pedal": (("point", "line"), pedal_point),
+    "perp": (("line", "point"), perpendicular_through),
+    "intersect": (("line", "line"), line_intersection),
+    "second_intersect": (("line", "circle", "point"), second_intersection),
+    "parbelos": (("point", "point", "point", "side"), build_parbelos),
 }
 
 
-def _apply(table: dict, call: Call, values: list):
-    """Check each value against its kind, left to right, then call the row."""
-    func, kinds = table[call.func]
+def _apply(table: dict, call: Call, values: list) -> list:
+    """Check each value against its kind, left to right, then call each
+    function of the row on the values: [constructed value] for a
+    constructor, [verdict, witness] for a predicate."""
+    kinds, *functions = table[call.func]
     for value, kind in zip(values, kinds):
         if kind == "any" or isinstance(value, _KINDS[kind]):
             continue
@@ -415,7 +353,7 @@ def _apply(table: dict, call: Call, values: list):
             raise EvalError("side must be left or right", call.line, call.col)
         got = next(k for k, c in _KINDS.items() if isinstance(value, c))
         raise EvalError(f"{call.func} expects a {kind}, got {got}", call.line, call.col)
-    return func(*values)
+    return [function(*values) for function in functions]
 
 
 def evaluate(program: Program) -> EvalReport:
@@ -434,12 +372,13 @@ def evaluate(program: Program) -> EvalReport:
         try:
             values = [_resolve(arg, env) for arg in stmt.call.args]
             if isinstance(stmt, Let):
-                value = _apply(CONSTRUCTORS, stmt.call, values)
+                [value] = _apply(CONSTRUCTORS, stmt.call, values)
                 doc = value_json(value)
                 json.dumps(doc)
                 env[stmt.name], env_json[stmt.name] = value, doc
             else:
-                passed, witness = _apply(PREDICATES, stmt.call, values)
+                passed, raw = _apply(PREDICATES, stmt.call, values)
+                witness = {name: value_json(value) for name, value in raw.items()}
                 json.dumps(witness)
                 assertions.append(AssertionResult(stmt.line, stmt.call.text(), passed, witness))
         except DslError:

@@ -195,10 +195,6 @@ def perpendicular_through(line: Line, p: Point) -> Line:
     return Line(line.b, -line.a, p.y * line.a - p.x * line.b)
 
 
-def is_parallel(l1: Line, l2: Line) -> bool:
-    return l1.a * l2.b - l2.a * l1.b == 0
-
-
 def is_perpendicular(l1: Line, l2: Line) -> bool:
     return l1.a * l2.a + l1.b * l2.b == 0
 
@@ -322,21 +318,6 @@ def _second_root(line: Line, offset: tuple[bool, int, int, int, int, int]) -> Po
     dx, dy = line.direction()
     n, s = dx * dx + dy * dy, dx * ex + dy * ey
     return Point(Fraction(n * x - 2 * s * dx, n * w), Fraction(n * y - 2 * s * dy, n * w))
-
-
-def circle_point(circle: Circle, q: Point, t: Rational | None) -> Point:
-    """Rational point of the circle cut out by the chord of slope t through q.
-
-    ``t = None`` selects the vertical chord.  Every rational point of the
-    circle except q is hit by exactly one parameter; a tangent chord returns
-    q itself.  A q off the circle raises ``PointNotIncident`` in
-    :func:`second_intersection`.
-    """
-    if t is None:
-        chord = Line(1, 0, -q.x)
-    else:
-        chord = Line(t, -1, q.y - t * q.x)
-    return second_intersection(chord, circle, q)
 
 
 def circle_through_points(p: Point, q: Point, t: Rational) -> Circle:

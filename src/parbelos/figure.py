@@ -7,8 +7,11 @@ this module builds the whole derived cast -- circumscribing square, tangent
 rectangle circumcircle, outer focus, diagonal, cusp bisector, contact point,
 and the auxiliary points H, A1, A3.  The figure's statements, the tangency
 property of the diagonal and the five equidistance/concyclicity properties,
-are the rows of ``SONDOW`` and ``COROLLARIES``: exact predicates on named
-figure fields.
+are the rows of ``SONDOW`` and ``COROLLARIES``: each names a word of
+``PREDICATES`` and the figure fields it is applied to.  ``PREDICATES`` is the
+one table of predicates, read by these rows and by the construction
+language's assertions alike; each word holds its argument kinds, its exact
+verdict and a separate witness, which the figure's checks never compute.
 
 The figure is built on one integer frame: the cusps' numerators over their
 shared denominator W.  Three facts of the figure turn every named point but
@@ -25,6 +28,7 @@ the figure, which is what makes the similarity-invariance checks meaningful.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -35,9 +39,17 @@ from .euclid import (
     Point,
     _common,
     circumcircle,
+    cross,
+    dist_sq,
+    dist_sq_point_line,
+    dot,
     equidistant,
+    is_collinear,
+    is_perpendicular,
     line_intersection,
+    midpoint,
     on_circle,
+    pedal_point,
 )
 from .parabola import LEFT, RIGHT, Parabola, Side, _on_latus, contains_point, is_tangent
 
@@ -194,29 +206,87 @@ def _square_check(square_R, center_O, C2, T1, T2, T3) -> bool:
     )
 
 
-# The figure's statements, one row each: (label, failure text, predicate,
-# field names, ...).  A row holds when its predicate holds on the fields of
-# every tuple of names, tried left to right up to the first failure.
-SONDOW = (
-    (
-        "diagonal tangent to outer",
-        "diagonal not tangent to outer",
-        is_tangent,
-        ("outer", "diagonal"),
+def _square_witness(square_R, center_O, C2, T1, T2, T3) -> dict:
+    """What :func:`_square_check` compares, as Fractions: the squared sides of
+    square_R, the dot products of its consecutive sides, and the midpoints of
+    its two diagonals and of r's, each center_O when the check holds."""
+    r1, r2, r3, r4 = square_R
+    sides = [q - p for p, q in ((r1, r2), (r2, r3), (r3, r4), (r4, r1))]
+    return {
+        "sides_sq": tuple(dot(side, side) for side in sides),
+        "corner_dots": tuple(dot(u, v) for u, v in zip(sides, sides[1:] + sides[:1])),
+        "diagonal_midpoints": tuple(
+            midpoint(p, q) for p, q in ((r1, r3), (r2, r4), (C2, T2), (T1, T3))
+        ),
+    }
+
+
+# The one vocabulary of predicates, keyed by the construction language's
+# words: name -> (argument kinds, verdict, witness).  The verdict is the
+# kernel's exact predicate and alone decides.  The witness returns the raw
+# values behind it, for a reader to see why (``dsl.evaluate`` formats them
+# with ``jsonio.value_json``); nothing on the figure's own checks calls it.
+# ``square`` is a figure's ``square_R``, and ``any`` takes every value.
+PREDICATES = {
+    "collinear": (
+        ("point", "point", "point"),
+        is_collinear,
+        lambda a, b, c: {"determinant": cross(b - a, c - a)},
     ),
-    ("contact on parabola", "contact not on parabola", contains_point, ("outer", "contact_T")),
-    ("contact on bisector", "contact not on bisector", Line.contains, ("bisector", "contact_T")),
-    ("FT equals HT", "FT differs from HT", equidistant, ("contact_T", "focus_F", "H")),
-    (
-        "focus on circumcircle",
-        "focus not on circumcircle",
+    "concyclic": (
+        ("circle", "point"),
         on_circle,
-        ("circumcircle_K", "focus_F"),
+        lambda circle, p: {"dist_sq": dist_sq(circle.center, p), "radius_sq": circle.radius_sq},
     ),
+    "on_parabola": (
+        ("parabola", "point"),
+        contains_point,
+        lambda g, p: {
+            "dist_sq_focus": dist_sq(p, g.focus),
+            "dist_sq_directrix": dist_sq_point_line(p, g.directrix),
+        },
+    ),
+    "on_line": (("line", "point"), Line.contains, lambda line, p: {"value": line.evaluate(p)}),
+    "tangent": (
+        ("parabola", "line"),
+        is_tangent,
+        lambda g, line: {
+            "focus_pedal": pedal_point(g.focus, line),
+            "supporting_line": g.supporting_line,
+        },
+    ),
+    "equidistant": (
+        ("point", "point", "point"),
+        equidistant,
+        lambda p, a, b: {"dist_sq_first": dist_sq(p, a), "dist_sq_second": dist_sq(p, b)},
+    ),
+    "perpendicular": (
+        ("line", "line"),
+        is_perpendicular,
+        lambda l1, l2: {"normal_dot": l1.a * l2.a + l1.b * l2.b},
+    ),
+    "square": (
+        ("square", "point", "point", "point", "point", "point"),
+        _square_check,
+        _square_witness,
+    ),
+    "eq": (("any", "any"), operator.eq, lambda left, right: {"left": left, "right": right}),
+}
+
+# The figure's statements, one row each: (label, failure text, predicate
+# key, field names, ...).  A row holds when its predicate's verdict holds on
+# the fields of every tuple of names, tried left to right up to the first
+# failure.
+SONDOW = (
+    ("diagonal tangent to outer", "diagonal not tangent to outer", "tangent", ("outer", "diagonal")),
+    ("contact on parabola", "contact not on parabola", "on_parabola", ("outer", "contact_T")),
+    ("contact on bisector", "contact not on bisector", "on_line", ("bisector", "contact_T")),
+    ("FT equals HT", "FT differs from HT", "equidistant", ("contact_T", "focus_F", "H")),
+    ("focus on circumcircle", "focus not on circumcircle", "concyclic", ("circumcircle_K", "focus_F")),
     (
         "R is a square centered with r",
         "R is not a square centered with r",
-        _square_check,
+        "square",
         ("square_R", "center_O", "C2", "T1", "T2", "T3"),
     ),
 )
@@ -224,27 +294,22 @@ COROLLARIES = (
     (
         "F equidistant from T1 and T3",
         "F not equidistant from T1 and T3",
-        equidistant,
+        "equidistant",
         ("focus_F", "T1", "T3"),
     ),
-    ("H on circumcircle", "H not on circumcircle", on_circle, ("circumcircle_K", "H")),
-    (
-        "H equidistant from T1 and T3",
-        "H not equidistant from T1 and T3",
-        equidistant,
-        ("H", "T1", "T3"),
-    ),
+    ("H on circumcircle", "H not on circumcircle", "concyclic", ("circumcircle_K", "H")),
+    ("H equidistant from T1 and T3", "H not equidistant from T1 and T3", "equidistant", ("H", "T1", "T3")),
     (
         "A1 and A3 on circumcircle",
         "A1 or A3 not on circumcircle",
-        on_circle,
+        "concyclic",
         ("circumcircle_K", "A1"),
         ("circumcircle_K", "A3"),
     ),
     (
         "A1 and A3 equidistant from C2 and T2",
         "A1 or A3 not equidistant from C2 and T2",
-        equidistant,
+        "equidistant",
         ("A1", "C2", "T2"),
         ("A3", "C2", "T2"),
     ),
@@ -252,10 +317,12 @@ COROLLARIES = (
 
 
 def _checks(fig: ParbelosFigure, table: tuple) -> list[tuple[str, str, bool]]:
+    """Each row's verdict column on the figure's fields; no witness is computed."""
     checks = []
-    for label, failure, predicate, *arguments in table:
+    for label, failure, key, *arguments in table:
+        verdict = PREDICATES[key][1]
         for names in arguments:
-            ok = predicate(*[getattr(fig, name) for name in names])
+            ok = verdict(*[getattr(fig, name) for name in names])
             if not ok:
                 break
         checks.append((label, failure, ok))

@@ -1,8 +1,8 @@
 """JSON forms of kernel values.
 
-Rationals travel as strings ("p/q", or "p" when the denominator is 1) so the
-reports stay exact; points are {"x","y"} objects, lines their canonical
-integer triples.  Serialization is deterministic: dict key order is fixed by
+Fractions travel as strings ("p/q", or "p" when the denominator is 1) so the
+reports stay exact, and plain ints as JSON integers; points are {"x","y"}
+objects, lines their canonical integer triples.  Serialization is deterministic: dict key order is fixed by
 construction, so identical inputs give byte-identical ``json.dumps`` output.
 """
 
@@ -37,10 +37,10 @@ def verification_json(fig: ParbelosFigure) -> dict:
 
 def value_json(value):
     """The one JSON form of a value: figure fields, DSL bindings and assertion witnesses."""
-    if isinstance(value, bool):
+    if isinstance(value, (int, str)):  # bool is an int
         return value
-    if isinstance(value, (Fraction, int)):
-        return format_rational(Fraction(value))
+    if isinstance(value, Fraction):
+        return format_rational(value)
     if isinstance(value, Point):
         return {"x": format_rational(value.x), "y": format_rational(value.y)}
     if isinstance(value, Line):
@@ -51,8 +51,6 @@ def value_json(value):
         return {"focus": value_json(value.focus), "directrix": value_json(value.directrix)}
     if isinstance(value, ParbelosFigure):
         return figure_json(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, tuple):
         return [value_json(item) for item in value]
     raise TypeError(f"no JSON form for {type(value).__name__}")

@@ -9,10 +9,10 @@ vertex + k*n for a rational k > 0.  Latus endpoints are then focus ± 2k*u
 parameter t is vertex + t*u + (t^2 / 4k)*n -- no square roots anywhere.
 
 This module is the one place that turns (focus, directrix) into integer
-tests.  The focal form ``_focal`` -- the equation n*|X - F|^2 - L(X)^2 and its
-gradient at a point over one shared denominator W (``euclid._common``) --
-decides membership and builds the tangent at a point, here and in the
-drawing's arc certificate.  The tangency predicate is the pedal criterion
+tests.  The focal form ``_focal`` -- the equation n*|X - F|^2 - L(X)^2 at a
+point over one shared denominator W (``euclid._common``), with its gradient
+computed only when a caller asks -- decides membership and builds the
+tangent at a point, here and in the drawing's arc certificate.  The tangency predicate is the pedal criterion
 (the foot of the focus on a tangent lies on the supporting line), written
 through the directrix, since the supporting line is the directrix moved
 halfway to the focus.  The parabola of a latus rectum is built in integers
@@ -155,28 +155,30 @@ def _on_latus(w: int, p1: tuple[int, int], p2: tuple[int, int], side: Side):
     return Parabola(focus, directrix), (sx, sy), (rx, ry)
 
 
-def _focal(parabola: Parabola, w: int, x: int, y: int, fx: int, fy: int) -> tuple[int, int, int]:
-    """The focus-directrix equation and its gradient at the point (X, Y)/W.
+def _focal(parabola: Parabola, w: int, x: int, y: int, fx: int, fy: int):
+    """The focus-directrix equation at the point (X, Y)/W, and its gradient on request.
 
     With the focus (FX, FY)/W over the same denominator, the directrix
     a*x + b*y + c, n = a^2 + b^2 and v = a*X + b*Y + c*W, returns
-    f = n*|X - F|^2 - v^2 and g = n*(X - F) - v*(a, b) as (f, gx, gy).  The
-    point is on the parabola exactly when f == 0 (|p - F|^2 = L(p)^2 / n with
-    W^2 n cleared), and g is W times half the gradient of
-    n*|x - F|^2 - L(x)^2 there, the normal of the tangent.  g is never zero
-    on the parabola: a zero g puts the focus on the directrix.
+    f = n*|X - F|^2 - v^2 and a function giving g = n*(X - F) - v*(a, b) as
+    (gx, gy).  The point is on the parabola exactly when f == 0
+    (|p - F|^2 = L(p)^2 / n with W^2 n cleared), and g is W times half the
+    gradient of n*|x - F|^2 - L(x)^2 there, the normal of the tangent.  A
+    membership test reads f alone, so g is computed only when asked for.  g
+    is never zero on the parabola: a zero g puts the focus on the directrix.
     """
     line = parabola.directrix
     a, b = line.a, line.b
     n = a * a + b * b
     dx, dy = x - fx, y - fy
     v = a * x + b * y + line.c * w
-    return n * (dx * dx + dy * dy) - v * v, n * dx - v * a, n * dy - v * b
+    return n * (dx * dx + dy * dy) - v * v, lambda: (n * dx - v * a, n * dy - v * b)
 
 
 def contains_point(parabola: Parabola, p: Point) -> bool:
     """Focus-directrix membership test, exact on squared distances
-    (:func:`_focal` over the shared denominator of p and the focus)."""
+    (the equation of :func:`_focal` over the shared denominator of p and the
+    focus; its gradient is not computed)."""
     w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
     return _focal(parabola, w, x, y, fx, fy)[0] == 0
 
@@ -215,9 +217,10 @@ def tangent_at(parabola: Parabola, p: Point) -> Line:
     a tangent.
     """
     w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
-    f, gx, gy = _focal(parabola, w, x, y, fx, fy)
+    f, gradient = _focal(parabola, w, x, y, fx, fy)
     if f:
         raise PointNotOnParabola("{} is not on the parabola", p)
+    gx, gy = gradient()
     h = math.gcd(gx, gy)
     gx, gy = gx // h, gy // h
     return Line(gx * w, gy * w, -(gx * x + gy * y))

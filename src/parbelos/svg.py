@@ -80,9 +80,10 @@ def _certified_arc(parabola: Parabola, p0: Point, control: Point, p1: Point) -> 
         raise EmptyScene("degenerate arc: p0 = p1")
     w, [(x0, y0), (xc, yc), (x1, y1), (fx, fy)] = _common(p0, control, p1, parabola.focus)
     for x, y, end in ((x0, y0, "p0"), (x1, y1, "p1")):
-        f, gx, gy = _focal(parabola, w, x, y, fx, fy)
+        f, gradient = _focal(parabola, w, x, y, fx, fy)
         if f:
             raise PointNotOnParabola(f"arc endpoint {end} is not on the parabola")
+        gx, gy = gradient()
         if gx * (xc - x) + gy * (yc - y) != 0:
             raise PointNotOnParabola(f"Bezier control point is off the tangent at {end}")
     return ArcElement(parabola, p0, p1, control)

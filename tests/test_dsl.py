@@ -282,14 +282,46 @@ def test_witnesses_are_exact():
 
 
 def test_equidistant_verdict_is_the_kernel_predicate(monkeypatch):
-    import parbelos.dsl as dsl
+    from parbelos import euclid
+    from parbelos.dsl import PREDICATES
 
+    kinds, verdict, witness = PREDICATES["equidistant"]
+    assert verdict is euclid.equidistant
     source = "let A = point(0,0)\nlet B = point(3,4)\nlet C = point(6,8)\nassert equidistant(B, A, C)"
     assert evaluate(parse_script(source)).assertions[0].passed
-    monkeypatch.setattr(dsl, "equidistant", lambda p, a, b: False)
+    monkeypatch.setitem(PREDICATES, "equidistant", (kinds, lambda p, a, b: False, witness))
     result = evaluate(parse_script(source)).assertions[0]
     assert not result.passed
     assert result.witness == {"dist_sq_first": "25", "dist_sq_second": "25"}
+
+
+# The two words the figure's statements added, on the canonical figure and
+# with one of their points moved by (1, 0): the contact (1, -3/4) and T2 (2, -2).
+NEW_WORDS_SCRIPT = P13_SCRIPT + """\
+let Contact = point(2, -3/4)
+let T2 = point(3, -2)
+assert on_line(P.bisector, P.contact)
+assert on_line(P.bisector, Contact)
+assert square(P.square_R, P.O, P.C2, P.T1, P.T2, P.T3)
+assert square(P.square_R, P.O, P.C2, P.T1, T2, P.T3)
+"""
+
+
+def test_on_line_and_square_hold_on_the_figure_and_fail_on_a_moved_point():
+    on_line, moved_contact, square, moved_t2 = evaluate(parse_script(NEW_WORDS_SCRIPT)).assertions[2:]
+    # The bisector is x - 1 = 0.
+    assert on_line.passed and on_line.witness == {"value": "0"}
+    assert not moved_contact.passed and moved_contact.witness == {"value": "1"}
+    # R = (1/2, 0), (5/2, 0), (5/2, -2), (1/2, -2), centered at O = (3/2, -1).
+    assert square.passed and square.witness == {
+        "sides_sq": ["4", "4", "4", "4"],
+        "corner_dots": ["0", "0", "0", "0"],
+        "diagonal_midpoints": [{"x": "3/2", "y": "-1"}] * 4,
+    }
+    # The diagonal C2 T2 of r no longer has its midpoint at O.
+    assert not moved_t2.passed
+    assert moved_t2.witness["diagonal_midpoints"][2] == {"x": "2", "y": "-1"}
+    assert moved_t2.witness["sides_sq"] == square.witness["sides_sq"]
 
 
 @pytest.mark.parametrize("literal", ["1/0", "-3/0", "7" * 4301, "1/" + "7" * 4301])
@@ -360,6 +392,8 @@ PREDICATE_KINDS = {
     "tangent": ("parabola", "line"),
     "equidistant": ("point", "point", "point"),
     "perpendicular": ("line", "line"),
+    "on_line": ("line", "point"),
+    "square": ("square", "point", "point", "point", "point", "point"),
     "eq": ("any", "any"),
 }
 
@@ -367,7 +401,7 @@ SIGNATURES = [("let X = ", name, kinds) for name, kinds in CONSTRUCTOR_KINDS.ite
     ("assert ", name, kinds) for name, kinds in PREDICATE_KINDS.items()
 ]
 
-# One bound value of each kind; the preamble is 6 lines long.
+# One bound value of each kind; the preamble is 8 lines long.
 KIND_PREAMBLE = """\
 let Pa = point(0, 0)
 let Pb = point(1, 0)
@@ -375,15 +409,20 @@ let Pc = point(0, 1)
 let L = line(Pa, Pb)
 let K = circle3(Pa, Pb, Pc)
 let G = parabola_latus(Pa, Pb, left)
+let Pd = point(4, 0)
+let P = parbelos(Pa, Pb, Pd, left)
 """
-GOOD_ARG = {"point": "Pa", "line": "L", "circle": "K", "parabola": "G", "rational": "1/2", "side": "left", "any": "Pa"}
+GOOD_ARG = {
+    "point": "Pa", "line": "L", "circle": "K", "parabola": "G", "rational": "1/2", "side": "left",
+    "square": "P.square_R", "any": "Pa",
+}
 
 
 def test_signature_tables_match_listing():
     from parbelos.dsl import CONSTRUCTORS, PREDICATES
 
-    assert {name: kinds for name, (_, kinds) in CONSTRUCTORS.items()} == CONSTRUCTOR_KINDS
-    assert {name: kinds for name, (_, kinds) in PREDICATES.items()} == PREDICATE_KINDS
+    assert {name: kinds for name, (kinds, _) in CONSTRUCTORS.items()} == CONSTRUCTOR_KINDS
+    assert {name: kinds for name, (kinds, *_) in PREDICATES.items()} == PREDICATE_KINDS
 
 
 @pytest.mark.parametrize("head, name, kinds", SIGNATURES, ids=[s[1] for s in SIGNATURES])
@@ -397,7 +436,7 @@ def test_wrong_kind_names_function_and_kind(head, name, kinds):
         with pytest.raises(EvalError) as exc:
             evaluate(program)
         expected = "side must be left or right" if kind == "side" else f"{name} expects a {kind}, got {got}"
-        assert str(exc.value) == f"line 7, col {len(head) + 1}: {expected}"
+        assert str(exc.value) == f"line 9, col {len(head) + 1}: {expected}"
 
 
 @pytest.mark.parametrize(
@@ -410,9 +449,8 @@ def test_wrong_kind_names_function_and_kind(head, name, kinds):
     ids=["side", "figure", "square"],
 )
 def test_wrong_kind_names_the_value_in_the_scripts_words(statement, col, message):
-    preamble = KIND_PREAMBLE + "let Pd = point(4, 0)\nlet P = parbelos(Pa, Pb, Pd, left)\n"
     with pytest.raises(EvalError) as exc:
-        evaluate(parse_script(preamble + statement + "\n"))
+        evaluate(parse_script(KIND_PREAMBLE + statement + "\n"))
     assert str(exc.value) == f"line 9, col {col}: {message}"
 
 
@@ -505,6 +543,7 @@ FIGURE_FIELDS = {
     "line": ("diagonal", "tangent_at_C1"),
     "circle": ("K",),
     "parabola": ("outer", "inner1"),
+    "square": ("square_R",),
 }
 
 

@@ -18,7 +18,6 @@ from parbelos.euclid import (
     Circle,
     Line,
     Point,
-    circle_point,
     circle_through_points,
     circumcircle,
     cross,
@@ -26,7 +25,6 @@ from parbelos.euclid import (
     dot,
     equidistant,
     is_collinear,
-    is_parallel,
     is_perpendicular,
     line_intersection,
     line_through,
@@ -90,8 +88,11 @@ def test_perpendicular_through_examples():
 
 
 def test_parallel_and_perpendicular_predicates():
-    assert is_parallel(Line(1, 2, 0), Line(2, 4, 9))
-    assert not is_parallel(Line(1, 2, 0), Line(2, 1, 0))
+    # Parallel lines are the ones line_intersection refuses.
+    with pytest.raises(ParallelLines):
+        line_intersection(Line(1, 2, 0), Line(2, 4, 9))
+    assert line_intersection(Line(1, 2, 0), Line(2, 1, 0)) == point(0, 0)
+    assert not is_perpendicular(Line(1, 2, 0), Line(2, 4, 9))
     assert is_perpendicular(Line(1, 1, 0), Line(1, -1, 5))
     line = Line(3, -5, 7)
     perp = perpendicular_through(line, point(2, 2))
@@ -239,6 +240,18 @@ def test_simson_wallace_forward_and_converse_random():
 
 
 # --- rational circle parametrizations ---
+
+
+def circle_point(circle, q, t):
+    """Rational point of the circle cut out by the chord of slope t through q
+    (``t = None``: the vertical chord), by :func:`second_intersection`.
+
+    A reference parametrization kept with the tests: every rational point of
+    the circle except q is hit by exactly one parameter, and a tangent chord
+    returns q itself.
+    """
+    chord = Line(1, 0, -q.x) if t is None else Line(t, -1, q.y - t * q.x)
+    return second_intersection(chord, circle, q)
 
 
 def test_circle_point_examples():

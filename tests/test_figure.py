@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from parbelos.dsl import _FIGURE_ALIASES
+from parbelos.dsl import _FIGURE_ALIASES, _KINDS
 from parbelos.errors import (
     CuspNotInterior,
     CuspsNotCollinear,
@@ -21,7 +21,6 @@ from parbelos.euclid import (
     _common,
     circumcircle,
     dist_sq,
-    is_parallel,
     is_perpendicular,
     line_intersection,
     line_through,
@@ -34,6 +33,7 @@ from parbelos.euclid import (
 from parbelos.figure import (
     COROLLARIES,
     NAMED_POINTS,
+    PREDICATES,
     SONDOW,
     ParbelosFigure,
     build_parbelos,
@@ -69,6 +69,11 @@ P13 = build_axis_aligned(1, 3)
 def holds(fig) -> bool:
     """Every statement of both tables holds on fig."""
     return all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
+
+
+def is_parallel(l1, l2) -> bool:
+    """Reference parallelism of two lines: their normals are dependent."""
+    return l1.a * l2.b - l2.a * l1.b == 0
 
 
 def first_failure(checks):
@@ -137,9 +142,44 @@ def test_tables_match_listing():
         assert [(label, failure) for label, failure, _ in checks[group]] == statements
         assert list(json_checks[group]) == [label for label, _ in statements]
     field_names = {field.name for field in dataclasses.fields(ParbelosFigure)}
-    for _, _, predicate, *arguments in SONDOW + COROLLARIES:
-        assert callable(predicate) and arguments
+    for _, _, key, *arguments in SONDOW + COROLLARIES:
+        assert key in PREDICATES and arguments
         assert all(set(names) <= field_names for names in arguments)
+
+
+def kind_of(value) -> str:
+    """A value's kind in the construction language's words."""
+    return next(kind for kind, cls in _KINDS.items() if isinstance(value, cls))
+
+
+def test_each_row_names_a_predicate_whose_kinds_fit_its_fields():
+    used = set()
+    for label, _, key, *arguments in SONDOW + COROLLARIES:
+        kinds = PREDICATES[key][0]
+        for names in arguments:
+            assert tuple(kind_of(getattr(P13, name)) for name in names) == kinds, label
+        used.add(key)
+    assert used == {"tangent", "on_parabola", "on_line", "equidistant", "concyclic", "square"}
+
+
+def test_figure_paths_never_compute_a_witness(monkeypatch):
+    """Witnesses are for a reader of an assertion: the figure's checks, its
+    JSON, its drawing and the fuzz suites that run the statements read only
+    the verdict column of the predicate table."""
+    from parbelos import fuzz
+    from parbelos.svg import figure_scene
+
+    def no_witness(*args):
+        raise AssertionError("a witness was computed")
+
+    for key, (kinds, verdict, _) in list(PREDICATES.items()):
+        monkeypatch.setitem(PREDICATES, key, (kinds, verdict, no_witness))
+    assert holds(P13)
+    assert verification_json(P13)["overall"] is True
+    assert figure_scene(P13).points
+    for suite in ("sondow+corollaries", "diagonal proof replay"):
+        result = fuzz.run_suite(suite, 20, 0)
+        assert result.cases == 20 and result.failures == []
 
 
 P16 = build_axis_aligned(1, 5)
@@ -204,7 +244,8 @@ def test_each_half_of_a_compound_row_can_fail_it():
         "A1 and A3 on circumcircle",
         "A1 and A3 equidistant from C2 and T2",
     ]
-    for _, _, predicate, *arguments in compound:
+    for _, _, key, *arguments in compound:
+        predicate = PREDICATES[key][1]
         for k, name in enumerate(("A1", "A3")):
             changes, _ = MUTANTS[f"{name} moved"]
             mutant = dataclasses.replace(P16, **changes)

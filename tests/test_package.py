@@ -1,15 +1,17 @@
 """Static checks on the package source, with the standard library's ``ast``.
 
-No linter ships with the project, so these stand in for the four checks
+No linter ships with the project, so these stand in for the five checks
 that matter after a deletion: a module still importing a name it no longer
 uses, the package's ``__all__`` drifting from what ``__init__.py`` imports,
-an error class that nothing raises any more, and a private function, class
-or method that nothing calls any more; a fifth keeps each error template's
-``{}`` fields matched to the values raised with it.
+an error class that nothing raises any more, a private function, class or
+method that nothing calls any more, and a public function that is neither
+exported nor called; a sixth keeps each error template's ``{}`` fields
+matched to the values raised with it.
 """
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -124,3 +126,24 @@ def test_every_private_function_is_referenced():
     private = [d for d in private if d.name.startswith("_") and not d.name.endswith("__")]
     unused = [d.name for d in private if used[d.name] == references(d)[d.name]]
     assert len(private) >= 40 and unused == []
+
+
+def test_every_public_function_is_exported_or_referenced():
+    """Each public module-level function is in ``parbelos.__all__`` or named
+    somewhere in the package outside its own definition, so a function that
+    only tests reach is either part of the API or gone.
+
+    A name counts in code, comments and docstrings alike: a function that
+    its module's docstring documents (``fuzz.run_suite``) is API too."""
+    texts = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
+    words = sum((Counter(re.findall(r"\w+", text)) for text in texts), Counter())
+    public, unreached = 0, []
+    for text in texts:
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+                continue
+            public += 1
+            own = re.findall(rf"\b{node.name}\b", ast.get_source_segment(text, node))
+            if node.name not in parbelos.__all__ and words[node.name] == len(own):
+                unreached.append(node.name)
+    assert public >= 40 and unreached == []
