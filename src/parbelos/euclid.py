@@ -66,10 +66,6 @@ def point(x: Scalar, y: Scalar) -> Point:
     return Point(Fraction(x), Fraction(y))
 
 
-def scale(p: Point, k: Scalar) -> Point:
-    return Point(p.x * k, p.y * k)
-
-
 def dot(p: Point, q: Point) -> Rational:
     return p.x * q.x + p.y * q.y
 

@@ -131,14 +131,28 @@ def _workers() -> int:
 # --- individual cases (module level so they pickle for the process pool) ---
 
 
-def _cusps(args: tuple[int, int, int]) -> tuple[int, Point, Point, Point, Side]:
-    """A case's index and the cusp triple drawn from its seed."""
+def _cusps(args: tuple[int, int, int]) -> tuple[int, random.Random, Point, Point, Point, Side]:
+    """A case's index, its rng and the cusp triple drawn from it, the rng left
+    just after the cusps for a case that draws more."""
     seed, index, scale = args
-    return (index, *rand_cusps(_case_rng(seed, index), scale))
+    rng = _case_rng(seed, index)
+    return (index, rng, *rand_cusps(rng, scale))
+
+
+def _parabola_points(
+    args: tuple[int, int, int], count: int
+) -> tuple[int, random.Random, Parabola, list[Fraction], list[Point]]:
+    """A case's index, its rng, a parabola drawn from it, ``count`` distinct
+    parameters in increasing order and the parabola's points at them."""
+    seed, index, _scale = args
+    rng = _case_rng(seed, index)
+    parabola = rand_parabola(rng)
+    params = rand_distinct_parameters(rng, count)
+    return index, rng, parabola, params, [point_at_parameter(parabola, t) for t in params]
 
 
 def _sondow_case(args: tuple[int, int, int]) -> list[str]:
-    index, c1, c2, c3, side = _cusps(args)
+    index, _, c1, c2, c3, side = _cusps(args)
     fig = build_parbelos(c1, c2, c3, side)
     failures = []
     for label, detail, ok in sondow_checks(fig) + corollary_checks(fig):
@@ -148,27 +162,18 @@ def _sondow_case(args: tuple[int, int, int]) -> list[str]:
 
 
 def _tangency_case(args: tuple[int, int, int]) -> list[str]:
-    seed, index, _scale = args
-    rng = _case_rng(seed, index)
-    parabola = rand_parabola(rng)
-    t1, t2 = rand_distinct_parameters(rng, 2)
-    p1 = point_at_parameter(parabola, t1)
-    p2 = point_at_parameter(parabola, t2)
+    index, _, parabola, (t1, t2), (p1, p2) = _parabola_points(args, 2)
     failures = []
     if not is_tangent(parabola, tangent_at(parabola, p1)):
         failures.append(f"case {index}: tangent at parameter {t1} not certified")
-    secant = line_through(p1, p2)
-    if is_tangent(parabola, secant):
+    if is_tangent(parabola, line_through(p1, p2)):
         failures.append(f"case {index}: secant through {t1}, {t2} certified tangent")
     return failures
 
 
 def _lambert_case(args: tuple[int, int, int]) -> list[str]:
-    seed, index, _scale = args
-    rng = _case_rng(seed, index)
-    parabola = rand_parabola(rng)
-    params = rand_distinct_parameters(rng, 3)
-    tangents = [tangent_at(parabola, point_at_parameter(parabola, t)) for t in params]
+    index, _, parabola, params, points = _parabola_points(args, 3)
+    tangents = [tangent_at(parabola, p) for p in points]
     report = lambert_circumcircle_check(parabola, *tangents)
     if not report.verdict:
         return [f"case {index}: focus off tangent-triangle circumcircle ({params})"]
@@ -176,12 +181,8 @@ def _lambert_case(args: tuple[int, int, int]) -> list[str]:
 
 
 def _converse_case(args: tuple[int, int, int]) -> list[str]:
-    seed, index, _scale = args
-    rng = _case_rng(seed, index)
-    parabola = rand_parabola(rng)
-    t1, t2 = rand_distinct_parameters(rng, 2)
-    l1 = tangent_at(parabola, point_at_parameter(parabola, t1))
-    l2 = tangent_at(parabola, point_at_parameter(parabola, t2))
+    index, rng, parabola, _, (p1, p2) = _parabola_points(args, 2)
+    l1, l2 = tangent_at(parabola, p1), tangent_at(parabola, p2)
     focus = parabola.focus
     crossing = line_intersection(l1, l2)
     failures = []
@@ -210,12 +211,8 @@ def degenerate_converse_circle(parabola: Parabola, l1: Line, crossing: Point) ->
 
 
 def _converse_degenerate_case(args: tuple[int, int, int]) -> list[str]:
-    seed, index, _scale = args
-    rng = _case_rng(seed, index)
-    parabola = rand_parabola(rng)
-    t1, t2 = rand_distinct_parameters(rng, 2)
-    l1 = tangent_at(parabola, point_at_parameter(parabola, t1))
-    l2 = tangent_at(parabola, point_at_parameter(parabola, t2))
+    index, _, parabola, _, (p1, p2) = _parabola_points(args, 2)
+    l1, l2 = tangent_at(parabola, p1), tangent_at(parabola, p2)
     crossing = line_intersection(l1, l2)
     circle = degenerate_converse_circle(parabola, l1, crossing)
     constructed, report = converse_lambert(parabola, l1, l2, circle)
@@ -228,7 +225,7 @@ def _converse_degenerate_case(args: tuple[int, int, int]) -> list[str]:
 
 
 def _replay_case(args: tuple[int, int, int]) -> list[str]:
-    index, c1, c2, c3, side = _cusps(args)
+    index, _, c1, c2, c3, side = _cusps(args)
     fig = build_parbelos(c1, c2, c3, side)
     constructed, report = converse_lambert(
         fig.outer, fig.tangent_at_C1, fig.tangent_at_C3, fig.circumcircle_K
@@ -243,9 +240,7 @@ def _replay_case(args: tuple[int, int, int]) -> list[str]:
 
 def _invariance_case(args: tuple[int, int, int]) -> list[str]:
     """The figure of T(cusps) is T(figure of cusps), field by field, for z -> m*z + shift."""
-    seed, index, scale = args
-    rng = _case_rng(seed, index)
-    c1, c2, c3, side = rand_cusps(rng, scale)
+    index, rng, c1, c2, c3, side = _cusps(args)
     while True:
         m = Point(rand_rational(rng, 12, 12), rand_rational(rng, 12, 12))
         if m.x or m.y:
@@ -289,7 +284,7 @@ def _angle_case(args: tuple[int, int, int]) -> list[str]:
     outer, and the check reads nothing else.  Acceptance criterion 9 runs
     the same check on the figure's own parabolas.
     """
-    index, c1, c2, c3, side = _cusps(args)
+    index, _, c1, c2, c3, side = _cusps(args)
     failures = []
     for label, e1, e2 in (("inner1", c1, c2), ("inner2", c2, c3), ("outer", c1, c3)):
         parabola = parabola_from_latus_rectum(e1, e2, side)
@@ -298,7 +293,7 @@ def _angle_case(args: tuple[int, int, int]) -> list[str]:
 
 
 def _ft_ht_case(args: tuple[int, int, int]) -> list[str]:
-    index, c1, c2, c3, side = _cusps(args)
+    index, _, c1, c2, c3, side = _cusps(args)
     fig = build_parbelos(c1, c2, c3, side)
     if not equidistant(fig.contact_T, fig.focus_F, fig.H):
         return [f"case {index}: |F-contact|^2 != |H-contact|^2"]

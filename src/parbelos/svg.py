@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .errors import EmptyScene, PointNotOnParabola
-from .euclid import Circle, Line, Point, _common, line_intersection, pedal_point, point
+from .euclid import Circle, Line, Point, _common, pedal_point, point
 from .figure import NAMED_POINTS, ParbelosFigure
 from .parabola import Parabola, _focal
 from .rational import Rational, ratio_to_decimal_string
@@ -256,20 +256,20 @@ def _scene_bounds(scene: Scene):
 
 
 def _clip_line(line: Line, frame: _Frame) -> tuple[Point, Point] | None:
-    """Intersect a line with the visible rectangle; None if it misses."""
+    """Intersect a line with the visible rectangle; None if it misses.
+
+    With b != 0 the line meets x = X at y = -(a*X + c)/b, and with a != 0 it
+    meets y = Y at x = -(b*Y + c)/a; the borders are Fractions, so both are.
+    """
+    a, b, c = line.a, line.b, line.c
+    x_lo, x_hi, y_lo, y_hi = frame.x_lo, frame.x_hi, frame.y_lo, frame.y_hi
     candidates: list[Point] = []
-    for border in (
-        Line(1, 0, -frame.x_lo),
-        Line(1, 0, -frame.x_hi),
-        Line(0, 1, -frame.y_lo),
-        Line(0, 1, -frame.y_hi),
-    ):
-        if line.a * border.b - border.a * line.b == 0:
-            continue
-        p = line_intersection(line, border)
-        if frame.x_lo <= p.x <= frame.x_hi and frame.y_lo <= p.y <= frame.y_hi:
-            candidates.append(p)
-    unique = sorted(set(candidates), key=lambda p: (p.x, p.y))
+    if b:
+        candidates += [Point(x, -(a * x + c) / b) for x in (x_lo, x_hi)]
+    if a:
+        candidates += [Point(-(b * y + c) / a, y) for y in (y_lo, y_hi)]
+    inside = {p for p in candidates if x_lo <= p.x <= x_hi and y_lo <= p.y <= y_hi}
+    unique = sorted(inside, key=lambda p: (p.x, p.y))
     if len(unique) < 2:
         return None
     return unique[0], unique[-1]

@@ -36,7 +36,7 @@ from .parabola import Parabola, is_tangent
 
 @dataclass(frozen=True)
 class TheoremReport:
-    witnesses: tuple[tuple[str, Any], ...]
+    witnesses: dict[str, Any]  # name -> raw value, as a predicate's witness
     verdict: bool
 
 
@@ -56,14 +56,14 @@ def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
     pedals_collinear = is_collinear(pedal_bc, pedal_ca, pedal_ab)
     point_on_circle = on_circle(circle, p)
     return TheoremReport(
-        witnesses=(
-            ("pedal_bc", pedal_bc),
-            ("pedal_ca", pedal_ca),
-            ("pedal_ab", pedal_ab),
-            ("circumcircle", circle),
-            ("pedals_collinear", pedals_collinear),
-            ("point_on_circle", point_on_circle),
-        ),
+        witnesses={
+            "pedal_bc": pedal_bc,
+            "pedal_ca": pedal_ca,
+            "pedal_ab": pedal_ab,
+            "circumcircle": circle,
+            "pedals_collinear": pedals_collinear,
+            "point_on_circle": point_on_circle,
+        },
         verdict=pedals_collinear == point_on_circle,
     )
 
@@ -88,13 +88,13 @@ def lambert_circumcircle_check(
         raise DegenerateTriangle("two tangents are parallel") from exc
     circle = circumcircle(p12, p23, p31)
     return TheoremReport(
-        witnesses=(
-            ("vertex_12", p12),
-            ("vertex_23", p23),
-            ("vertex_31", p31),
-            ("circumcircle", circle),
-            ("focus", parabola.focus),
-        ),
+        witnesses={
+            "vertex_12": p12,
+            "vertex_23": p23,
+            "vertex_31": p31,
+            "circumcircle": circle,
+            "focus": parabola.focus,
+        },
         verdict=on_circle(circle, parabola.focus),
     )
 
@@ -132,12 +132,12 @@ def converse_lambert(
     h2 = _second_root(l2, offset)
     constructed = line_through(h1, h2)
     report = TheoremReport(
-        witnesses=(
-            ("intersection", intersection),
-            ("h1", h1),
-            ("h2", h2),
-            ("constructed", constructed),
-        ),
+        witnesses={
+            "intersection": intersection,
+            "h1": h1,
+            "h2": h2,
+            "constructed": constructed,
+        },
         verdict=is_tangent(parabola, constructed),
     )
     return constructed, report

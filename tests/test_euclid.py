@@ -34,7 +34,6 @@ from parbelos.euclid import (
     perpendicular_bisector,
     perpendicular_through,
     point,
-    scale,
     second_intersection,
 )
 from parbelos.parabola import parabola_from_latus_rectum, tangent_at
@@ -45,6 +44,10 @@ F = Fraction
 def rand_point(rng, bound=30):
     return Point(F(rng.randint(-bound, bound), rng.randint(1, 12)),
                  F(rng.randint(-bound, bound), rng.randint(1, 12)))
+
+
+def scale(p, k):
+    return Point(p.x * k, p.y * k)
 
 
 # --- lines ---

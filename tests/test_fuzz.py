@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import pathlib
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -139,6 +141,33 @@ def test_case_functions_are_looked_up_when_a_suite_runs(monkeypatch):
         ("_angle_case", 606): 10,
         ("_ft_ht_case", 707): 10,
     }
+
+
+def test_every_case_draws_its_instance_in_one_place():
+    """Each ``_*_case`` calls exactly one of the two draws, ``_cusps`` and
+    ``_parabola_points``, and none of what they wrap, so the ``(seed,
+    index, scale)`` layout and the order of draws live in the draws alone."""
+    tree = ast.parse(pathlib.Path(fuzz.__file__).read_text(encoding="utf-8"))
+    cases = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and node.name.endswith("_case")
+    ]
+    assert {case.name for case in cases} == {
+        case_name for row in SUITES.values() for case_name, _ in row.parts
+    }
+    draws = {"_cusps", "_parabola_points"}
+    wrapped = {"_case_rng", "rand_cusps", "rand_parabola", "rand_distinct_parameters"}
+    for case in cases:
+        called = [
+            sub.func.id
+            for sub in ast.walk(case)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+        ]
+        assert len([name for name in called if name in draws]) == 1, case.name
+        assert wrapped.isdisjoint(called), case.name
 
 
 def test_invariance_suite_catches_a_frame_dependent_figure(monkeypatch):

@@ -64,7 +64,6 @@ from parbelos.euclid import (
     perpendicular_bisector,
     perpendicular_through,
     point,
-    scale,
     second_intersection,
 )
 from parbelos.figure import (
@@ -108,6 +107,10 @@ def rationals(bits):
 
 def points(bits):
     return st.builds(Point, rationals(bits), rationals(bits))
+
+
+def scale(p, k):
+    return Point(p.x * k, p.y * k)
 
 
 # --- the Fraction formulas the integer paths replaced (reference only) ---
@@ -508,14 +511,15 @@ def test_point_at_parameter_matches_vertex_formula(bits, data):
 @given(data=st.data())
 def test_parameter_points_build_no_point_and_no_scaled_point(bits, data):
     """point_at_parameter, latus_endpoints and vertex write each coordinate
-    directly: neither ``euclid.point`` nor ``euclid.scale`` runs."""
+    directly: ``euclid.point`` does not run, and the kernel has no point
+    scaling helper to run."""
     parabola = data.draw(parabolas(bits))
     t = data.draw(rationals(13))
     with pytest.MonkeyPatch.context() as patch:
         points_built = count_kernel_calls(patch, "point")
-        scaled = count_kernel_calls(patch, "scale")
         point_at_parameter(parabola, t), parabola.latus_endpoints, parabola.vertex
-        assert points_built == scaled == [0]
+        assert points_built == [0]
+    assert not hasattr(euclid, "scale")
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -1097,14 +1101,13 @@ def count_calls(monkeypatch, owner, name) -> list[int]:
 def test_figure_scene_builds_no_tangent_and_no_intersection(bits, monkeypatch):
     import parbelos.svg as svg
 
-    # The drawing has no tangent construction to call at all; it reads the
-    # figure's corners and builds neither an intersection nor a pedal.
-    assert not hasattr(svg, "tangent_at")
+    # The drawing has no tangent construction and no line intersection to
+    # call at all; it reads the figure's corners and builds no pedal.
+    assert not hasattr(svg, "tangent_at") and not hasattr(svg, "line_intersection")
     fig = build_parbelos(*FIGURE_CUSPS[bits], "left")
-    meets = count_calls(monkeypatch, svg, "line_intersection")
     feet = count_calls(monkeypatch, svg, "pedal_point")
     figure_scene(fig)
-    assert (meets[0], feet[0]) == (0, 0)
+    assert feet[0] == 0
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)

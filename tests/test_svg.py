@@ -12,6 +12,9 @@ from parbelos.parabola import LEFT, RIGHT, Parabola, parabola_from_latus_rectum,
 from parbelos.svg import (
     Scene,
     _certified_arc,
+    _clip_line,
+    _Frame,
+    _scene_bounds,
     _sqrt_decimal,
     bindings_scene,
     figure_scene,
@@ -203,6 +206,31 @@ def test_clipped_line_endpoints_inside_canvas():
     scene.lines.append(Line(1, 0, -100))  # far off-screen: dropped
     document = render_svg(scene)
     assert document.count('class="line"') == 1
+
+
+def test_clipped_line_endpoints_are_exact():
+    """Points (0, 0) and (10, 10) on the default 800 x 600 canvas give scale
+    52 and the view x in [-35/13, 165/13], y in [-10/13, 140/13]."""
+    scene = Scene()
+    scene.add_point(point(0, 0), "A")
+    scene.add_point(point(10, 10), "B")
+    frame = _Frame(_scene_bounds(scene), 800, 600, 40, 12)
+    assert (frame.x_lo, frame.x_hi, frame.y_lo, frame.y_hi) == (
+        F(-35, 13), F(165, 13), F(-10, 13), F(140, 13)
+    )
+    clipped = {
+        "vertical x = 3": (Line(1, 0, -3), ((3, F(-10, 13)), (3, F(140, 13)))),
+        "horizontal y = 2": (Line(0, 1, -2), ((F(-35, 13), 2), (F(165, 13), 2))),
+        "slanted y = x": (Line(1, -1, 0), ((F(-10, 13), F(-10, 13)), (F(140, 13), F(140, 13)))),
+        # meets the corner (x_lo, y_lo) twice, as x = x_lo and as y = y_lo
+        "through a corner": (Line(13, -13, 25), ((F(-35, 13), F(-10, 13)), (F(115, 13), F(140, 13)))),
+    }
+    for name, (line, ends) in clipped.items():
+        assert _clip_line(line, frame) == tuple(point(x, y) for x, y in ends), name
+    assert _clip_line(Line(1, 0, -100), frame) is None  # misses the view
+    assert _clip_line(Line(13, 13, 45), frame) is None  # touches it at one corner only
+    scene.lines.append(Line(1, -1, 0))
+    assert '<line class="line" x1="100" y1="600" x2="700" y2="0"/>' in render_svg(scene)
 
 
 def test_render_custom_options():
