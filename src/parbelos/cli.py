@@ -16,8 +16,9 @@ Subcommands:
     fuzz [--cases N] [--seed S] [--max-height H] [--parallel]
         Seeded randomized invariant suites; cusp coordinates have numerators
         and denominators of at most H (H >= 22).  Exit 0 iff zero failures,
-        2 when N is not positive, H is below 22, or a kernel or OS error
-        stops the run.
+        1 when a case fails (a kernel error inside a case is listed as that
+        case's failure), 2 when N is not positive, H is below 22, or an OS
+        error stops the run.
 
     render FILE.geo --svg OUT.svg [--width W] [--height H] [--margin M] [--digits D]
         Evaluate a script and render its drawable bindings.  Exit 0 when
@@ -39,6 +40,7 @@ from .euclid import Point
 from .figure import NAMED_POINTS, build_parbelos, corollary_checks, sondow_checks
 from .fuzz import DEFAULT_MAX_HEIGHT, MIN_MAX_HEIGHT, run_all
 from .jsonio import verification_json
+from .parabola import LEFT, RIGHT
 from .rational import format_rational, parse_rational, too_long_to_print
 from .svg import bindings_scene, figure_scene, render_svg
 
@@ -51,19 +53,6 @@ def _parse_point(text: str) -> Point:
         return Point(parse_rational(parts[0]), parse_rational(parts[1]))
     except (ValueError, GeometryError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parbelos_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="parbelos parbelos", description="build and verify a parbelos figure"
-    )
-    parser.add_argument("--c1", type=_parse_point, required=True, metavar="X,Y")
-    parser.add_argument("--c2", type=_parse_point, required=True, metavar="X,Y")
-    parser.add_argument("--c3", type=_parse_point, required=True, metavar="X,Y")
-    parser.add_argument("--side", choices=("left", "right"), default="left")
-    parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--svg", metavar="OUT.svg", help="also render the figure")
-    return parser
 
 
 def _figure_text(fig, side: str) -> tuple[str, bool]:
@@ -79,8 +68,12 @@ def _figure_text(fig, side: str) -> tuple[str, bool]:
     return "\n".join(lines), overall
 
 
-def _cmd_parbelos(argv: list[str]) -> int:
-    args = _parbelos_parser().parse_args(argv)
+def _write(path: str, document: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(document)
+
+
+def _cmd_parbelos(args: argparse.Namespace) -> int:
     fig = build_parbelos(args.c1, args.c2, args.c3, args.side)
     # The whole output is built, and the SVG written, before any of it is printed.
     try:
@@ -93,8 +86,7 @@ def _cmd_parbelos(argv: list[str]) -> int:
     except ValueError:  # an int past the interpreter's digit limit turned into text
         raise GeometryError(too_long_to_print("the figure")) from None
     if document is not None:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        _write(args.svg, document)
     print(text)
     return 0 if overall else 1
 
@@ -112,13 +104,7 @@ def _evaluate_script(path: str) -> EvalReport:
     return evaluate(parse_script(source))
 
 
-def _cmd_check(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="parbelos check", description="evaluate a construction script"
-    )
-    parser.add_argument("file", metavar="FILE.geo")
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
+def _cmd_check(args: argparse.Namespace) -> int:
     report = _evaluate_script(args.file)
     if args.json:
         print(json.dumps(report_json(report), indent=2))
@@ -134,20 +120,7 @@ def _cmd_check(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_fuzz(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="parbelos fuzz", description="seeded randomized invariant suites"
-    )
-    parser.add_argument("--cases", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-height", type=int, default=DEFAULT_MAX_HEIGHT)
-    parser.add_argument("--parallel", action="store_true")
-    args = parser.parse_args(argv)
-    bounds = (("--cases", args.cases, 1), ("--max-height", args.max_height, MIN_MAX_HEIGHT))
-    for flag, value, least in bounds:
-        if value < least:
-            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return 2
+def _cmd_fuzz(args: argparse.Namespace) -> int:
     results = run_all(args.cases, args.seed, args.max_height, args.parallel)
     total_cases = sum(r.cases for r in results)
     total_failures = sum(len(r.failures) for r in results)
@@ -160,61 +133,92 @@ def _cmd_fuzz(argv: list[str]) -> int:
     return 0 if total_failures == 0 else 1
 
 
-def _cmd_render(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="parbelos render", description="render a script's constructions to SVG"
-    )
-    parser.add_argument("file", metavar="FILE.geo")
-    parser.add_argument("--svg", required=True, metavar="OUT.svg")
-    parser.add_argument("--width", type=int, default=800)
-    parser.add_argument("--height", type=int, default=600)
-    parser.add_argument("--margin", type=int, default=40)
-    parser.add_argument("--digits", type=int, default=12)
-    args = parser.parse_args(argv)
-    drawable = min(args.width, args.height) - 2 * args.margin
-    # A coordinate rounded to more digits than the interpreter prints (0: no
-    # limit) can never be written, so say so before evaluating anything.
-    limit = sys.get_int_max_str_digits()
-    for bad, problem in (
-        (args.width <= 0, f"--width must be positive, got {args.width}"),
-        (args.height <= 0, f"--height must be positive, got {args.height}"),
-        (drawable <= 0, f"--margin {args.margin} leaves no drawing area"),
-        (args.digits < 0, f"--digits must not be negative, got {args.digits}"),
-        (0 < limit < args.digits, too_long_to_print("the drawing")),
-    ):
-        if bad:
-            print(f"error: {problem}", file=sys.stderr)
-            return 2
+def _cmd_render(args: argparse.Namespace) -> int:
     report = _evaluate_script(args.file)
     try:
         scene = bindings_scene(report.bindings)
         document = render_svg(scene, args.width, args.height, args.margin, args.digits)
     except ValueError:  # an int past the interpreter's digit limit turned into text
         raise GeometryError(too_long_to_print("the drawing")) from None
-    with open(args.svg, "w", encoding="utf-8") as handle:
-        handle.write(document)
+    _write(args.svg, document)
     print(f"wrote {args.svg}")
     return 0
 
 
-# The subcommands by name; ``main`` dispatches through this table alone.
-COMMANDS = {"parbelos": _cmd_parbelos, "check": _cmd_check, "fuzz": _cmd_fuzz, "render": _cmd_render}
+def _command(name: str, description: str, handler, *arguments, rules=lambda args: ()) -> tuple:
+    """``name`` and its row of :data:`COMMANDS`: the parser of ``parbelos
+    {name}``, built here once from ``arguments`` (each a flag and its
+    ``add_argument`` options), the flag rules and the handler."""
+    parser = argparse.ArgumentParser(prog=f"parbelos {name}", description=description)
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    return name, (parser, rules, handler)
+
+
+_POINT = {"type": _parse_point, "required": True, "metavar": "X,Y"}
+_SCRIPT = ("file", {"metavar": "FILE.geo"})
+_SWITCH = {"action": "store_true"}
+
+# One row per subcommand: (parser, flag rules, handler).  ``main`` alone parses;
+# it refuses the first flag whose rule, a (bad, message) pair of the parsed
+# flags, is bad before any work is done, and otherwise hands the parsed flags
+# to the handler.
+COMMANDS = dict([
+    _command(
+        "parbelos", "build and verify a parbelos figure", _cmd_parbelos,
+        ("--c1", _POINT), ("--c2", _POINT), ("--c3", _POINT),
+        ("--side", {"choices": (LEFT, RIGHT), "default": LEFT}),
+        ("--json", {"action": "store_true", "help": "emit the JSON report"}),
+        ("--svg", {"metavar": "OUT.svg", "help": "also render the figure"}),
+    ),
+    _command("check", "evaluate a construction script", _cmd_check, _SCRIPT, ("--json", _SWITCH)),
+    _command(
+        "fuzz", "seeded randomized invariant suites", _cmd_fuzz,
+        ("--cases", {"type": int, "default": 200}), ("--seed", {"type": int, "default": 0}),
+        ("--max-height", {"type": int, "default": DEFAULT_MAX_HEIGHT}), ("--parallel", _SWITCH),
+        rules=lambda args: (
+            (args.cases < 1, f"--cases must be at least 1, got {args.cases}"),
+            (args.max_height < MIN_MAX_HEIGHT,
+             f"--max-height must be at least {MIN_MAX_HEIGHT}, got {args.max_height}"),
+        ),
+    ),
+    _command(
+        "render", "render a script's constructions to SVG", _cmd_render,
+        _SCRIPT, ("--svg", {"required": True, "metavar": "OUT.svg"}),
+        ("--width", {"type": int, "default": 800}), ("--height", {"type": int, "default": 600}),
+        ("--margin", {"type": int, "default": 40}), ("--digits", {"type": int, "default": 12}),
+        # A coordinate rounded to more digits than the interpreter prints
+        # (0: no limit) can never be written, so it is refused up front.
+        rules=lambda args: (
+            (args.width <= 0, f"--width must be positive, got {args.width}"),
+            (args.height <= 0, f"--height must be positive, got {args.height}"),
+            (min(args.width, args.height) <= 2 * args.margin,
+             f"--margin {args.margin} leaves no drawing area"),
+            (args.digits < 0, f"--digits must not be negative, got {args.digits}"),
+            (0 < sys.get_int_max_str_digits() < args.digits, too_long_to_print("the drawing")),
+        ),
+    ),
+])
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in COMMANDS:
-        command, rest = argv[0], argv[1:]
+        parser, rules, handler = COMMANDS[argv.pop(0)]
     elif argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-        command, rest = "parbelos", argv  # bare flags: the figure command
+        parser, rules, handler = COMMANDS["parbelos"]  # bare flags: the figure command
     else:
         print(__doc__.strip(), file=sys.stderr)
         return 0 if argv and argv[0] in ("-h", "--help") else 2
+    args = parser.parse_args(argv)
+    problem = next((message for bad, message in rules(args) if bad), None)
     try:
-        return COMMANDS[command](rest)
+        if problem is None:
+            return handler(args)
     except (GeometryError, OSError) as exc:  # any subcommand's kernel or file error
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        problem = exc
+    print(f"error: {problem}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import GeometryError
 from .euclid import (
     Circle,
     Line,
@@ -327,6 +328,14 @@ SUITES = {
 }
 
 
+def _listed(case, args: tuple[int, int, int]) -> list[str]:
+    """The failures of ``case(args)``; a kernel error it raises is the case's one failure."""
+    try:
+        return case(args)
+    except GeometryError as exc:
+        return [f"case {args[1]}: {type(exc).__name__}: {exc}"]
+
+
 def _run_suite(
     name: str, cases: int, seed: int, scale: int, pool: ProcessPoolExecutor | None
 ) -> SuiteResult:
@@ -334,14 +343,14 @@ def _run_suite(
     total, failures = 0, []
     for k, (case_name, divisor) in enumerate(SUITES[name].parts):
         count = max(1, cases // divisor)
-        one_case = globals()[case_name]
-        args = [(seed + k, i, scale) for i in range(count)]
+        # _listed's arguments: the case function, looked up now, and each case's args.
+        jobs = ([globals()[case_name]] * count, [(seed + k, i, scale) for i in range(count)])
         if pool is not None and count > 1:
             # About four chunks per worker, as multiprocessing.Pool.map sizes them,
             # so a short suite still reaches every worker.
-            results = pool.map(one_case, args, chunksize=-(-count // (4 * _workers())))
+            results = pool.map(_listed, *jobs, chunksize=-(-count // (4 * _workers())))
         else:
-            results = map(one_case, args)
+            results = map(_listed, *jobs)
         for result in results:
             failures.extend(result)
         total += count

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -201,15 +202,133 @@ def test_every_command_turns_a_kernel_or_os_error_into_one_error_line(
 
 
 def test_every_command_in_the_table_dispatches(monkeypatch):
+    """Each row's parser reads the flags and its handler gets the namespace."""
     calls = []
+    for command, (parser, rules, _) in list(cli.COMMANDS.items()):
+        handler = lambda args, _c=command: calls.append((_c, args)) or 0
+        monkeypatch.setitem(cli.COMMANDS, command, (parser, rules, handler))
+    flags = {
+        "parbelos": ["--c1", "0,0", "--c2", "1,0", "--c3", "4,0"],
+        "check": ["x.geo"],
+        "fuzz": ["--seed", "7"],
+        "render": ["x.geo", "--svg", "o.svg"],
+    }
     for command in cli.COMMANDS:
-        monkeypatch.setitem(cli.COMMANDS, command, lambda argv, _c=command: calls.append((_c, argv)) or 0)
-    for command in cli.COMMANDS:
-        assert main([command, "--x", "y"]) == 0
-    assert main(["--c1", "0,0"]) == 0  # bare flags: the figure command
-    expected = [(command, ["--x", "y"]) for command in cli.COMMANDS]
-    assert calls == expected + [("parbelos", ["--c1", "0,0"])]
+        assert main([command, *flags[command]]) == 0
+    assert main(flags["parbelos"]) == 0  # bare flags: the figure command
+    expected = [(command, cli.COMMANDS[command][0].parse_args(flags[command])) for command in cli.COMMANDS]
+    assert calls == expected + [expected[0]]
+    assert vars(dict(calls)["fuzz"]) == {"cases": 200, "seed": 7, "max_height": 10_000, "parallel": False}
     assert sorted(cli.COMMANDS) == ["check", "fuzz", "parbelos", "render"]
+
+
+def test_a_main_call_builds_no_parser(monkeypatch, tmp_path, capsys):
+    """Each subcommand's parser is built once, when ``cli`` is imported."""
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    sondow = str(DATA / "sondow.geo")
+    for argv in (
+        ("--c1", "0,0", "--c2", "1,0", "--c3", "4,0"),
+        ("check", sondow),
+        ("fuzz", "--cases", "0"),
+        ("render", sondow, "--svg", str(tmp_path / "o.svg")),
+    ):
+        run(capsys, *argv)
+    assert built == []
+
+
+def argparse_result(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+FIGURE_USAGE = (
+    "usage: parbelos parbelos [-h] --c1 X,Y --c2 X,Y --c3 X,Y [--side {left,right}]\n"
+    "                         [--json] [--svg OUT.svg]\n"
+)
+CHECK_USAGE = "usage: parbelos check [-h] [--json] FILE.geo\n"
+FUZZ_USAGE = (
+    "usage: parbelos fuzz [-h] [--cases CASES] [--seed SEED]\n"
+    "                     [--max-height MAX_HEIGHT] [--parallel]\n"
+)
+RENDER_USAGE = (
+    "usage: parbelos render [-h] --svg OUT.svg [--width WIDTH] [--height HEIGHT]\n"
+    "                       [--margin MARGIN] [--digits DIGITS]\n"
+    "                       FILE.geo\n"
+)
+CUSPS = ("--c1", "0,0", "--c2", "1,0", "--c3", "4,0")
+# Each subcommand's help text and argparse's refusals at 80 columns: a
+# missing argument, an unknown flag and a value of the wrong type.
+ARGPARSE_TEXT = {
+    ("parbelos", "-h"): (
+        0,
+        FIGURE_USAGE + "\nbuild and verify a parbelos figure\n\noptions:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --c1 X,Y\n  --c2 X,Y\n  --c3 X,Y\n  --side {left,right}\n"
+        "  --json               emit the JSON report\n"
+        "  --svg OUT.svg        also render the figure\n",
+        "",
+    ),
+    ("parbelos", "--c1", "0,0"): (
+        2, "", FIGURE_USAGE + "parbelos parbelos: error: the following arguments are required: --c2, --c3\n"
+    ),
+    ("parbelos", *CUSPS, "--bogus"): (
+        2, "", FIGURE_USAGE + "parbelos parbelos: error: unrecognized arguments: --bogus\n"
+    ),
+    ("parbelos", "--c1", "x", *CUSPS[2:]): (
+        2, "", FIGURE_USAGE + "parbelos parbelos: error: argument --c1: expected X,Y with rational parts, got 'x'\n"
+    ),
+    ("check", "-h"): (
+        0,
+        CHECK_USAGE + "\nevaluate a construction script\n\npositional arguments:\n  FILE.geo\n\n"
+        "options:\n  -h, --help  show this help message and exit\n  --json\n",
+        "",
+    ),
+    ("check",): (2, "", CHECK_USAGE + "parbelos check: error: the following arguments are required: FILE.geo\n"),
+    ("check", "a.geo", "--bogus"): (2, "", CHECK_USAGE + "parbelos check: error: unrecognized arguments: --bogus\n"),
+    ("check", "a.geo", "b.geo"): (2, "", CHECK_USAGE + "parbelos check: error: unrecognized arguments: b.geo\n"),
+    ("fuzz", "-h"): (
+        0,
+        FUZZ_USAGE + "\nseeded randomized invariant suites\n\noptions:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --cases CASES\n  --seed SEED\n  --max-height MAX_HEIGHT\n  --parallel\n",
+        "",
+    ),
+    ("fuzz", "--cases"): (2, "", FUZZ_USAGE + "parbelos fuzz: error: argument --cases: expected one argument\n"),
+    ("fuzz", "--bogus"): (2, "", FUZZ_USAGE + "parbelos fuzz: error: unrecognized arguments: --bogus\n"),
+    ("fuzz", "--cases", "x"): (2, "", FUZZ_USAGE + "parbelos fuzz: error: argument --cases: invalid int value: 'x'\n"),
+    ("fuzz", "--max-height", "1.5"): (
+        2, "", FUZZ_USAGE + "parbelos fuzz: error: argument --max-height: invalid int value: '1.5'\n"
+    ),
+    ("render", "-h"): (
+        0,
+        RENDER_USAGE + "\nrender a script's constructions to SVG\n\npositional arguments:\n  FILE.geo\n\n"
+        "options:\n  -h, --help       show this help message and exit\n  --svg OUT.svg\n"
+        "  --width WIDTH\n  --height HEIGHT\n  --margin MARGIN\n  --digits DIGITS\n",
+        "",
+    ),
+    ("render", "a.geo"): (2, "", RENDER_USAGE + "parbelos render: error: the following arguments are required: --svg\n"),
+    ("render", "a.geo", "--svg", "o.svg", "--bogus"): (
+        2, "", RENDER_USAGE + "parbelos render: error: unrecognized arguments: --bogus\n"
+    ),
+    ("render", "a.geo", "--svg", "o.svg", "--width", "x"): (
+        2, "", RENDER_USAGE + "parbelos render: error: argument --width: invalid int value: 'x'\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ARGPARSE_TEXT), ids=" ".join)
+def test_argparse_help_and_refusals_keep_their_text(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert argparse_result(capsys, *argv) == ARGPARSE_TEXT[argv]
 
 
 def test_no_arguments_prints_usage(capsys):

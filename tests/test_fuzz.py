@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import multiprocessing
 import pathlib
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -7,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from parbelos import figure, fuzz
+from parbelos import figure, fuzz, theorems
+from parbelos.cli import main
 from parbelos.euclid import Point, line_through
 from parbelos.fuzz import (
     SUITES,
@@ -290,3 +292,27 @@ def test_parallel_run_opens_one_pool(monkeypatch):
     parallel = run_suite("converse lambert", 40, 3, parallel=True)
     assert len(opened) == 2
     assert parallel == run_suite("converse lambert", 40, 3)
+
+
+KERNEL_ERROR = "NotTangent: line 1 is not tangent"
+
+
+def test_a_kernel_error_in_a_case_is_that_cases_failure(monkeypatch, capsys):
+    """A case whose theorem refuses its input is listed as failing, and the run goes on.
+
+    With ``theorems.is_tangent`` forced false, every case of the three suites
+    that call a theorem raises ``NotTangent`` from its precondition.
+    """
+    monkeypatch.setattr(theorems, "is_tangent", lambda parabola, line: False)
+    for name in ("lambert circumcircle", "converse lambert", "diagonal proof replay"):
+        serial = run_suite(name, 60, 205)
+        counts = [max(1, 60 // divisor) for _, divisor in SUITES[name].parts]
+        assert serial.failures == [f"case {i}: {KERNEL_ERROR}" for n in counts for i in range(n)]
+        # Pool workers see the patch only when they are forked from this process.
+        if multiprocessing.get_start_method() == "fork":
+            assert run_suite(name, 60, 205, parallel=True) == serial
+    assert main(["fuzz", "--cases", "20"]) == 1
+    out = capsys.readouterr().out
+    assert "  [FAIL] lambert circumcircle: 20 cases, 20 failures\n" in out
+    assert f"      case 0: {KERNEL_ERROR}\n" in out
+    assert out.endswith("overall: 43 failures in 133 cases\n")

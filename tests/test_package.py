@@ -1,12 +1,13 @@
 """Static checks on the package source, with the standard library's ``ast``.
 
-No linter ships with the project, so these stand in for the five checks
+No linter ships with the project, so these stand in for the six checks
 that matter after a deletion: a module still importing a name it no longer
 uses, the package's ``__all__`` drifting from what ``__init__.py`` imports,
 an error class that nothing raises any more, a private function, class or
-method that nothing calls any more, and a public function that is neither
-exported nor called; a sixth keeps each error template's ``{}`` fields
-matched to the values raised with it.
+method that nothing calls any more, a private module-level constant that
+nothing reads any more, and a public function that is neither exported nor
+called; a seventh keeps each error template's ``{}`` fields matched to the
+values raised with it.
 """
 
 import ast
@@ -126,6 +127,22 @@ def test_every_private_function_is_referenced():
     private = [d for d in private if d.name.startswith("_") and not d.name.endswith("__")]
     unused = [d.name for d in private if used[d.name] == references(d)[d.name]]
     assert len(private) >= 40 and unused == []
+
+
+def test_every_private_constant_is_read():
+    """Each module-level ``_NAME`` bound by assignment (a table, a pattern, a
+    parser) is read somewhere in the package outside its own binding, so a
+    table or parser whose last reader is gone cannot stay behind."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    used = sum((references(tree) for tree in trees), Counter())
+    bound = []
+    for tree in trees:
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            bound += [(name, node) for name in names if name.startswith("_") and not name.endswith("__")]
+    unread = [name for name, node in bound if used[name] == references(node)[name]]
+    assert len(bound) >= 9 and unread == []
 
 
 def docstrings(tree: ast.Module) -> list[str]:
