@@ -68,8 +68,16 @@ def _figure_text(fig, side: str) -> tuple[str, bool]:
     return "\n".join(lines), overall
 
 
+def _open(path: str, mode: str, encoding: str):
+    """``open``, with a path the OS cannot take (a NUL byte in it) refused as an ``OSError``."""
+    try:
+        return open(path, mode, encoding=encoding)
+    except ValueError as exc:
+        raise OSError(f"{path!r}: {exc}") from None
+
+
 def _write(path: str, document: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _open(path, "w", "utf-8") as handle:
         handle.write(document)
 
 
@@ -97,7 +105,7 @@ def _evaluate_script(path: str) -> EvalReport:
     A leading byte-order mark, as some editors save UTF-8, is dropped.
     """
     try:
-        with open(path, encoding="utf-8-sig") as handle:
+        with _open(path, "r", "utf-8-sig") as handle:
             source = handle.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None

@@ -10,11 +10,17 @@ Vieta's root factoring, which keeps the whole kernel rational-closed.
 The predicates ``Line.contains``, ``on_circle`` and ``equidistant`` and the
 constructions ``circumcircle``, ``second_intersection`` and
 ``circle_through_points`` write their points over one shared denominator
-(``_common``) and work on the integer numerators, so they build no
-intermediate Fractions; ``line_through`` does the same with each point over
-its own denominator.  ``Line`` reduces integer a, b with a Fraction c by
-gcd(a, b, numerator of c) before it clears c's denominator, which is the
-shape ``perpendicular_through`` hands it.
+(``_common``) and work on the integer numerators, so the only Fractions they
+build are the coordinates (and squared radius) of the point or circle they
+return; ``line_through`` does the same with each point over its own
+denominator, and builds none.  ``_second_root``, the Vieta step behind
+``second_intersection``, returns its point as a homogeneous integer triple
+(X, Y, Z) with Z > 0 and builds no Fraction, so a caller that needs only
+the line through two roots (``theorems._converse_chord``) takes that line
+as the cross product of the two triples and makes no Points.  ``Line`` reduces
+integer a, b with a Fraction c by gcd(a, b, numerator of c) before it
+clears c's denominator, which is the shape ``perpendicular_through`` hands
+it.
 
 ``pedal_point``, ``midpoint`` and ``line_intersection`` stay on Fraction
 arithmetic.  Their integer forms end in a ``Fraction(n, d)`` whose gcd runs
@@ -298,22 +304,25 @@ def second_intersection(line: Line, circle: Circle, p: Point) -> Point:
     offset = _circle_offset(circle, p)
     if not offset[0]:
         raise PointNotIncident("{} is not on the circle", p)
-    return _second_root(line, offset)
+    x, y, z = _second_root(line, offset)
+    return Point(Fraction(x, z), Fraction(y, z))
 
 
-def _second_root(line: Line, offset: tuple[bool, int, int, int, int, int]) -> Point:
-    """The other point of ``line`` on a circle, from the :func:`_circle_offset`
-    of a point p known to be on both (the caller's duty; nothing is checked).
+def _second_root(line: Line, offset: tuple[bool, int, int, int, int, int]) -> tuple[int, int, int]:
+    """The other point of ``line`` on a circle, as the homogeneous integer
+    triple (X', Y', Z') with Z' > 0, from the :func:`_circle_offset` of a
+    point p known to be on both (the caller's duty; nothing is checked).
 
     Over the shared denominator W of p = (X, Y)/W and center = (CX, CY)/W,
     with e = (X - CX, Y - CY), d the line's direction, s = d.e and
-    n = |d|^2, the answer is (n*X - 2s*dx, n*Y - 2s*dy)/(n*W); its two
-    coordinates are the only Fractions built.
+    n = |d|^2, the point is (n*X - 2s*dx, n*Y - 2s*dy)/(n*W).  The triple
+    is not reduced: the line through two such roots is the cross product of
+    their triples, which ``Line`` reduces once.
     """
     _, w, x, y, ex, ey = offset
     dx, dy = line.direction()
     n, s = dx * dx + dy * dy, dx * ex + dy * ey
-    return Point(Fraction(n * x - 2 * s * dx, n * w), Fraction(n * y - 2 * s * dy, n * w))
+    return n * x - 2 * s * dx, n * y - 2 * s * dy, n * w
 
 
 def circle_through_points(p: Point, q: Point, t: Rational) -> Circle:

@@ -44,7 +44,7 @@ from .parabola import (
     point_at_parameter,
     tangent_at,
 )
-from .theorems import converse_lambert, lambert_circumcircle_check
+from .theorems import _converse_chord, _converse_crossing, converse_lambert, lambert_circumcircle_check
 
 
 @dataclass
@@ -92,19 +92,23 @@ def rand_cusps(rng: random.Random, scale: int = 20) -> tuple[Point, Point, Point
     """Three collinear cusps on a random rational line, C2 strictly interior.
 
     The two steps along the line share one denominator so coordinate heights
-    stay within the budget analyzed in :func:`height_scale`.
+    stay within the budget analyzed in :func:`height_scale`.  In its terms,
+    with the base coordinate p/q0 and the step n/q along d, each coordinate
+    of C2 and C3 is the one Fraction (p*q + n*d*q0) / (q0*q).
     """
     base = Point(rand_rational(rng, scale, scale), rand_rational(rng, scale, scale))
     while True:
         dx, dy = rng.randint(-5, 5), rng.randint(-5, 5)
         if (dx, dy) != (0, 0):
             break
-    den = rng.randint(1, 2 * scale)
+    q = rng.randint(1, 2 * scale)
     n1 = rng.randint(1, 2 * scale)
     n2 = n1 + rng.randint(1, 2 * scale)
-    first, second = Fraction(n1, den), Fraction(n2, den)
-    c2 = Point(base.x + first * dx, base.y + first * dy)
-    c3 = Point(base.x + second * dx, base.y + second * dy)
+    (px, qx), (py, qy) = base.x.as_integer_ratio(), base.y.as_integer_ratio()
+    c2, c3 = (
+        Point(Fraction(px * q + n * dx * qx, qx * q), Fraction(py * q + n * dy * qy, qy * q))
+        for n in (n1, n2)
+    )
     return base, c2, c3, rand_side(rng)
 
 
@@ -182,14 +186,18 @@ def _lambert_case(args: tuple[int, int, int]) -> list[str]:
 
 
 def _converse_case(args: tuple[int, int, int]) -> list[str]:
+    """Lambert's converse on 100 circles of the pencil through the focus and
+    the crossing I of two tangents.  The tangency preconditions are decided,
+    and I found, once for the pair; each circle then runs the rest of
+    ``converse_lambert``: focus and I on the circle, and the chord tangent."""
     index, rng, parabola, _, (p1, p2) = _parabola_points(args, 2)
     l1, l2 = tangent_at(parabola, p1), tangent_at(parabola, p2)
     focus = parabola.focus
-    crossing = line_intersection(l1, l2)
+    crossing = _converse_crossing(parabola, l1, l2)
     failures = []
     for j in range(100):
         circle = circle_through_points(focus, crossing, rand_rational(rng, 40, 12))
-        _, report = converse_lambert(parabola, l1, l2, circle)
+        _, report = _converse_chord(parabola, l1, l2, crossing, circle)
         if not report.verdict:
             failures.append(f"case {index}.{j}: converse output not tangent")
     return failures

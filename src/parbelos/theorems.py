@@ -1,15 +1,19 @@
 """Executable theorem checks: Simson-Wallace, Lambert, and Lambert's converse.
 
 Each check re-walks a classical construction with exact arithmetic and
-returns a report carrying every intermediate witness (pedal points, triangle
-vertices, circles, constructed lines), so a frontend can print the full trace.
-Verdicts are exact booleans; nothing is compared with a tolerance.
+returns a report of one exact verdict, decided when the check runs, and its
+intermediate witnesses (pedal points, triangle vertices, circles, the
+constructed line), so a frontend can print the full trace.  The witnesses
+are built by a function that runs only when ``report.witnesses`` is read:
+the converse's second roots are Points only then.  Nothing is compared with
+a tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Any, Callable
 
 from .errors import (
     CircleMissesFocusOrI,
@@ -36,8 +40,13 @@ from .parabola import Parabola, is_tangent
 
 @dataclass(frozen=True)
 class TheoremReport:
-    witnesses: dict[str, Any]  # name -> raw value, as a predicate's witness
+    build_witnesses: Callable[[], dict[str, Any]] = field(repr=False)
     verdict: bool
+
+    @property
+    def witnesses(self) -> dict[str, Any]:
+        """name -> raw value, as a predicate's witness; built on each read."""
+        return self.build_witnesses()
 
 
 def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
@@ -56,7 +65,7 @@ def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
     pedals_collinear = is_collinear(pedal_bc, pedal_ca, pedal_ab)
     point_on_circle = on_circle(circle, p)
     return TheoremReport(
-        witnesses={
+        lambda: {
             "pedal_bc": pedal_bc,
             "pedal_ca": pedal_ca,
             "pedal_ab": pedal_ab,
@@ -88,7 +97,7 @@ def lambert_circumcircle_check(
         raise DegenerateTriangle("two tangents are parallel") from exc
     circle = circumcircle(p12, p23, p31)
     return TheoremReport(
-        witnesses={
+        lambda: {
             "vertex_12": p12,
             "vertex_23": p23,
             "vertex_31": p31,
@@ -107,35 +116,59 @@ def converse_lambert(
     I is the tangent intersection; each tangent meets the circle again at H_i
     (taken via the known-root second intersection, so H_i = I exactly when
     the circle is tangent to l_i there).  The constructed line is the one
-    chord ``line_through(h1, h2)``.  A circle cannot touch two crossing lines
-    at the same point, so at most one H_i is I, and then the chord is the
-    other tangent itself.  The report passes iff the constructed line
-    satisfies the pedal tangency criterion.
+    chord H1H2.  A circle cannot touch two crossing lines at the same point,
+    so at most one H_i is I, and then the chord is the other tangent itself.
+    The report passes iff the constructed line satisfies the pedal tangency
+    criterion.
 
-    I's offset from the circle's center is computed once and both roots are
-    taken from it.  I needs no incidence test against l1 or l2: it is their
-    exact ``line_intersection``, so it lies on both.
+    The check is :func:`_converse_crossing` (the preconditions on l1 and l2,
+    and I) followed by :func:`_converse_chord` (the circle and the chord), so
+    a caller with many circles for one tangent pair runs the first step once.
+    """
+    return _converse_chord(parabola, l1, l2, _converse_crossing(parabola, l1, l2), circle)
+
+
+def _converse_crossing(parabola: Parabola, l1: Line, l2: Line) -> Point:
+    """I, the crossing of l1 and l2, once both are certified tangents.
+
+    Raises ``NotTangent`` naming the first line that is not tangent, and
+    ``ParallelTangents`` when the two do not cross.
     """
     for index, line in enumerate((l1, l2), start=1):
         if not is_tangent(parabola, line):
             raise NotTangent("line {} is not tangent", index)
     try:
-        intersection = line_intersection(l1, l2)
+        return line_intersection(l1, l2)
     except ParallelLines as exc:
         raise ParallelTangents("{} and {} have no intersection", l1, l2) from exc
-    offset = _circle_offset(circle, intersection)
+
+
+def _converse_chord(
+    parabola: Parabola, l1: Line, l2: Line, crossing: Point, circle: Circle
+) -> tuple[Line, TheoremReport]:
+    """The converse's construction on one circle, given the ``crossing`` I of
+    :func:`_converse_crossing` for the tangents l1 and l2.
+
+    The circle must pass through the focus and I (``CircleMissesFocusOrI``
+    otherwise).  I needs no incidence test against l1 or l2: it is their
+    exact ``line_intersection``, so it lies on both.  I's offset from the
+    circle's center is computed once, and both second roots are taken from
+    it as homogeneous integer triples; the chord is the canonical ``Line``
+    of their cross product, so no Fraction is built.  H1 and H2 become
+    Points only when the report's witnesses are read.
+    """
+    offset = _circle_offset(circle, crossing)
     if not (on_circle(circle, parabola.focus) and offset[0]):
         raise CircleMissesFocusOrI(
             "circle must pass through the focus and the tangent intersection"
         )
-    h1 = _second_root(l1, offset)
-    h2 = _second_root(l2, offset)
-    constructed = line_through(h1, h2)
+    (x1, y1, z1), (x2, y2, z2) = _second_root(l1, offset), _second_root(l2, offset)
+    constructed = Line(y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
     report = TheoremReport(
-        witnesses={
-            "intersection": intersection,
-            "h1": h1,
-            "h2": h2,
+        lambda: {
+            "intersection": crossing,
+            "h1": Point(Fraction(x1, z1), Fraction(y1, z1)),
+            "h2": Point(Fraction(x2, z2), Fraction(y2, z2)),
             "constructed": constructed,
         },
         verdict=is_tangent(parabola, constructed),

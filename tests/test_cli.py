@@ -425,6 +425,23 @@ def test_parbelos_unwritable_svg_exit_2(tmp_path, capsys):
     assert not target.exists()
 
 
+NUL_ERROR = "error: 'a\\x00b': embedded null byte\n"
+
+
+def test_check_path_with_a_nul_byte_exit_2(capsys):
+    assert run(capsys, "check", "a\x00b") == (2, "", NUL_ERROR)
+
+
+def test_render_svg_path_with_a_nul_byte_exit_2(capsys):
+    argv = ("render", str(DATA / "sondow.geo"), "--svg", "a\x00b")
+    assert run(capsys, *argv) == (2, "", NUL_ERROR)
+
+
+def test_parbelos_svg_path_with_a_nul_byte_exit_2(capsys):
+    argv = ("--c1", "0,0", "--c2", "1,0", "--c3", "4,0", "--svg", "a\x00b")
+    assert run(capsys, *argv) == (2, "", NUL_ERROR)
+
+
 def test_render_unwritable_svg_exit_2(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "out.svg"
     code, out, err = run(capsys, "render", str(DATA / "sondow.geo"), "--svg", str(target))

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import multiprocessing
 import pathlib
 from collections import Counter
@@ -316,3 +317,72 @@ def test_a_kernel_error_in_a_case_is_that_cases_failure(monkeypatch, capsys):
     assert "  [FAIL] lambert circumcircle: 20 cases, 20 failures\n" in out
     assert f"      case 0: {KERNEL_ERROR}\n" in out
     assert out.endswith("overall: 43 failures in 133 cases\n")
+
+
+def test_a_wrong_root_fails_every_circle_of_the_converse_suite(monkeypatch):
+    """Negative control: with every second root moved by (1, 0), each chord is
+    the true tangent moved by (1, 0), a parallel line and so not tangent (a
+    parabola has one tangent per direction).  Every circle of every pair is
+    then listed, serially and on a forked pool, and so is the degenerate
+    branch, which goes through the public ``converse_lambert``."""
+    second_root = theorems._second_root
+
+    def moved(line, offset):
+        x, y, z = second_root(line, offset)
+        return x + z, y, z
+
+    monkeypatch.setattr(theorems, "_second_root", moved)
+    serial = run_suite("converse lambert", 4, 11)
+    assert serial.failures == [
+        f"case {i}.{j}: converse output not tangent" for i in range(4) for j in range(100)
+    ] + [
+        "case 0: degenerate-branch output not tangent",
+        "case 0: degenerate branch should return the other tangent",
+    ]
+    # Pool workers see the patch only when they are forked from this process.
+    if multiprocessing.get_start_method() == "fork":
+        assert run_suite("converse lambert", 4, 11, parallel=True) == serial
+
+
+def test_a_converse_case_decides_its_tangents_once(monkeypatch):
+    """The pair's two tangency preconditions run once, then one chord check per
+    circle; the public ``converse_lambert`` is not called per circle."""
+    args = (303, 0, height_scale(10_000))
+    _, _, parabola, _, points = fuzz._parabola_points(args, 2)
+    decided = []
+    is_tangent = theorems.is_tangent
+
+    def counted(parabola, line):
+        decided.append(line)
+        return is_tangent(parabola, line)
+
+    def refused(*args):
+        raise AssertionError("converse_lambert called per circle")
+
+    monkeypatch.setattr(theorems, "is_tangent", counted)
+    monkeypatch.setattr(fuzz, "converse_lambert", refused)
+    assert fuzz._converse_case(args) == []
+    assert len(decided) == 2 + 100
+    assert decided[:2] == [fuzz.tangent_at(parabola, p) for p in points]
+
+
+# sha256 of the draws below, recorded from the generators before C2 and C3
+# were built as single Fractions; a change to any generator shows here.
+DRAWS_DIGEST = "f1f4cb21f63effd38953a0a7b33a78698867195f2b84998484db3ee0062c43cc"
+
+
+def test_instance_draws_are_pinned():
+    """What ``(suite, seed, index)`` replays: the cusps at scales 1, 20 and
+    1000 and the parabola points for 2 and 3 parameters, each with the next
+    draw of the rng the case goes on with."""
+    digest = hashlib.sha256()
+    for seed in (0, 13, 303, 10**9):
+        for scale in (1, 20, 1000):
+            for index in range(25):
+                _, rng, *cusps = fuzz._cusps((seed, index, scale))
+                digest.update(repr((cusps, rng.random())).encode())
+        for count in (2, 3):
+            for index in range(25):
+                _, rng, parabola, params, points = fuzz._parabola_points((seed, index, 20), count)
+                digest.update(repr((parabola, params, points, rng.random())).encode())
+    assert digest.hexdigest() == DRAWS_DIGEST

@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 import oracles
 import parbelos.euclid as euclid
 import parbelos.parabola as parabola_module
+import parbelos.theorems as theorems
 from parbelos.dsl import evaluate, parse_script
 from parbelos.errors import (
     CoincidentPoints,
@@ -697,7 +698,12 @@ def test_converse_lambert_roots_match_second_intersection(bits, data):
     """H1 and H2, both taken from one offset of I, are the public second
     intersections; I's offset and the focus's are the only two computed.
     The circle is a member of the pencil through the focus and I, or the
-    one tangent to l1 at I."""
+    one tangent to l1 at I.
+
+    The check builds no Point of its own: H1 and H2 become Points when the
+    report's witnesses are read, and each read builds equal ones.  The
+    constructed line, taken from the two integer roots, is the line through
+    those Points."""
     parabola = data.draw(parabolas(bits))
     t1, t2 = data.draw(st.lists(rationals(13), min_size=2, max_size=2, unique=True))
     l1, l2 = (tangent_at(parabola, point_at_parameter(parabola, t)) for t in (t1, t2))
@@ -708,12 +714,22 @@ def test_converse_lambert_roots_match_second_intersection(bits, data):
         circle = circle_through_points(parabola.focus, crossing, data.draw(rationals(13)))
     with pytest.MonkeyPatch.context() as patch:
         offsets = count_kernel_calls(patch, "_circle_offset")
-        _, report = converse_lambert(parabola, l1, l2, circle)
-        assert offsets == [2]
-    witnesses = dict(report.witnesses)
+        built = [0]
+
+        def counted_point(x, y):
+            built[0] += 1
+            return Point(x, y)
+
+        patch.setattr(theorems, "Point", counted_point)
+        constructed, report = converse_lambert(parabola, l1, l2, circle)
+        assert (offsets, built) == ([2], [0])
+        witnesses = report.witnesses
+        assert (offsets, built) == ([2], [2])
     assert report.verdict and witnesses["intersection"] == crossing
     assert witnesses["h1"] == second_intersection(l1, circle, crossing)
     assert witnesses["h2"] == second_intersection(l2, circle, crossing)
+    assert witnesses["constructed"] == constructed == line_through(witnesses["h1"], witnesses["h2"])
+    assert report.witnesses == witnesses
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
