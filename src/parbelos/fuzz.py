@@ -186,19 +186,24 @@ def _lambert_case(args: tuple[int, int, int]) -> list[str]:
 
 
 def _converse_case(args: tuple[int, int, int]) -> list[str]:
-    """Lambert's converse on 100 circles of the pencil through the focus and
-    the crossing I of two tangents.  The tangency preconditions are decided,
-    and I found, once for the pair; each circle then runs the rest of
-    ``converse_lambert``: focus and I on the circle, and the chord tangent."""
+    """Lambert's converse on 100 distinct circles of the pencil through the
+    focus and the crossing I of two tangents.  The tangency preconditions are
+    decided, and I found, once for the pair; each circle then runs the rest
+    of ``converse_lambert``: focus and I on the circle, and the chord
+    tangent.  A pencil parameter already drawn is skipped, so circle ``j`` is
+    the ``j``-th distinct draw."""
     index, rng, parabola, _, (p1, p2) = _parabola_points(args, 2)
     l1, l2 = tangent_at(parabola, p1), tangent_at(parabola, p2)
     focus = parabola.focus
     crossing = _converse_crossing(parabola, l1, l2)
+    params: dict[Fraction, None] = {}  # insertion-ordered set
+    while len(params) < 100:
+        params.setdefault(rand_rational(rng, 40, 12))
     failures = []
-    for j in range(100):
-        circle = circle_through_points(focus, crossing, rand_rational(rng, 40, 12))
-        _, report = _converse_chord(parabola, l1, l2, crossing, circle)
-        if not report.verdict:
+    for j, t in enumerate(params):
+        circle = circle_through_points(focus, crossing, t)
+        _, tangent, _ = _converse_chord(parabola, l1, l2, crossing, circle)
+        if not tangent:
             failures.append(f"case {index}.{j}: converse output not tangent")
     return failures
 

@@ -1,19 +1,18 @@
 """Executable theorem checks: Simson-Wallace, Lambert, and Lambert's converse.
 
 Each check re-walks a classical construction with exact arithmetic and
-returns a report of one exact verdict, decided when the check runs, and its
-intermediate witnesses (pedal points, triangle vertices, circles, the
-constructed line), so a frontend can print the full trace.  The witnesses
-are built by a function that runs only when ``report.witnesses`` is read:
-the converse's second roots are Points only then.  Nothing is compared with
-a tolerance.
+returns a report: a plain value holding one exact verdict and the
+intermediate witnesses that decided it (pedal points, triangle vertices,
+circles, the constructed line), so a frontend can print the full trace.  A
+report pickles and compares by value.  Nothing is compared with a
+tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from .errors import (
     CircleMissesFocusOrI,
@@ -40,13 +39,20 @@ from .parabola import Parabola, is_tangent
 
 @dataclass(frozen=True)
 class TheoremReport:
-    build_witnesses: Callable[[], dict[str, Any]] = field(repr=False)
-    verdict: bool
+    """An exact verdict and its witnesses (name -> raw value, as a
+    predicate's witness), left out of ``repr`` because a witness can be
+    thousands of digits long."""
 
-    @property
-    def witnesses(self) -> dict[str, Any]:
-        """name -> raw value, as a predicate's witness; built on each read."""
-        return self.build_witnesses()
+    verdict: bool
+    witnesses: dict[str, Any] = field(repr=False)
+
+
+def _require_tangents(parabola: Parabola, *lines: Line) -> None:
+    """Raise ``NotTangent`` naming (from 1) the first line not tangent to
+    the parabola."""
+    for index, line in enumerate(lines, start=1):
+        if not is_tangent(parabola, line):
+            raise NotTangent("line {} is not tangent", index)
 
 
 def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
@@ -65,7 +71,8 @@ def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
     pedals_collinear = is_collinear(pedal_bc, pedal_ca, pedal_ab)
     point_on_circle = on_circle(circle, p)
     return TheoremReport(
-        lambda: {
+        pedals_collinear == point_on_circle,
+        {
             "pedal_bc": pedal_bc,
             "pedal_ca": pedal_ca,
             "pedal_ab": pedal_ab,
@@ -73,7 +80,6 @@ def simson_check(p: Point, a: Point, b: Point, c: Point) -> TheoremReport:
             "pedals_collinear": pedals_collinear,
             "point_on_circle": point_on_circle,
         },
-        verdict=pedals_collinear == point_on_circle,
     )
 
 
@@ -86,9 +92,7 @@ def lambert_circumcircle_check(
     most two tangents pass through any point), so pairwise crossing tangents
     always make a proper triangle.
     """
-    for index, line in enumerate((l1, l2, l3), start=1):
-        if not is_tangent(parabola, line):
-            raise NotTangent("line {} is not tangent", index)
+    _require_tangents(parabola, l1, l2, l3)
     try:
         p12 = line_intersection(l1, l2)
         p23 = line_intersection(l2, l3)
@@ -97,14 +101,14 @@ def lambert_circumcircle_check(
         raise DegenerateTriangle("two tangents are parallel") from exc
     circle = circumcircle(p12, p23, p31)
     return TheoremReport(
-        lambda: {
+        on_circle(circle, parabola.focus),
+        {
             "vertex_12": p12,
             "vertex_23": p23,
             "vertex_31": p31,
             "circumcircle": circle,
             "focus": parabola.focus,
         },
-        verdict=on_circle(circle, parabola.focus),
     )
 
 
@@ -122,10 +126,16 @@ def converse_lambert(
     criterion.
 
     The check is :func:`_converse_crossing` (the preconditions on l1 and l2,
-    and I) followed by :func:`_converse_chord` (the circle and the chord), so
-    a caller with many circles for one tangent pair runs the first step once.
+    and I) followed by :func:`_converse_chord` (the circle, the chord and
+    the verdict), so a caller with many circles for one tangent pair runs the
+    first step once and builds no report.  Only here do H1 and H2 become
+    Points, for the report's witnesses.
     """
-    return _converse_chord(parabola, l1, l2, _converse_crossing(parabola, l1, l2), circle)
+    crossing = _converse_crossing(parabola, l1, l2)
+    constructed, verdict, roots = _converse_chord(parabola, l1, l2, crossing, circle)
+    h1, h2 = (Point(Fraction(x, z), Fraction(y, z)) for x, y, z in roots)
+    witnesses = {"intersection": crossing, "h1": h1, "h2": h2, "constructed": constructed}
+    return constructed, TheoremReport(verdict, witnesses)
 
 
 def _converse_crossing(parabola: Parabola, l1: Line, l2: Line) -> Point:
@@ -134,9 +144,7 @@ def _converse_crossing(parabola: Parabola, l1: Line, l2: Line) -> Point:
     Raises ``NotTangent`` naming the first line that is not tangent, and
     ``ParallelTangents`` when the two do not cross.
     """
-    for index, line in enumerate((l1, l2), start=1):
-        if not is_tangent(parabola, line):
-            raise NotTangent("line {} is not tangent", index)
+    _require_tangents(parabola, l1, l2)
     try:
         return line_intersection(l1, l2)
     except ParallelLines as exc:
@@ -145,32 +153,23 @@ def _converse_crossing(parabola: Parabola, l1: Line, l2: Line) -> Point:
 
 def _converse_chord(
     parabola: Parabola, l1: Line, l2: Line, crossing: Point, circle: Circle
-) -> tuple[Line, TheoremReport]:
+) -> tuple[Line, bool, tuple[tuple[int, int, int], tuple[int, int, int]]]:
     """The converse's construction on one circle, given the ``crossing`` I of
-    :func:`_converse_crossing` for the tangents l1 and l2.
+    :func:`_converse_crossing` for the tangents l1 and l2: the chord H1H2,
+    whether it is tangent, and H1 and H2 as homogeneous integer triples.
 
     The circle must pass through the focus and I (``CircleMissesFocusOrI``
     otherwise).  I needs no incidence test against l1 or l2: it is their
     exact ``line_intersection``, so it lies on both.  I's offset from the
     circle's center is computed once, and both second roots are taken from
-    it as homogeneous integer triples; the chord is the canonical ``Line``
-    of their cross product, so no Fraction is built.  H1 and H2 become
-    Points only when the report's witnesses are read.
+    it; the chord is the canonical ``Line`` of their cross product, so no
+    Fraction, Point or report is built.
     """
     offset = _circle_offset(circle, crossing)
     if not (on_circle(circle, parabola.focus) and offset[0]):
         raise CircleMissesFocusOrI(
             "circle must pass through the focus and the tangent intersection"
         )
-    (x1, y1, z1), (x2, y2, z2) = _second_root(l1, offset), _second_root(l2, offset)
+    roots = (x1, y1, z1), (x2, y2, z2) = _second_root(l1, offset), _second_root(l2, offset)
     constructed = Line(y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
-    report = TheoremReport(
-        lambda: {
-            "intersection": crossing,
-            "h1": Point(Fraction(x1, z1), Fraction(y1, z1)),
-            "h2": Point(Fraction(x2, z2), Fraction(y2, z2)),
-            "constructed": constructed,
-        },
-        verdict=is_tangent(parabola, constructed),
-    )
-    return constructed, report
+    return constructed, is_tangent(parabola, constructed), roots

@@ -366,6 +366,21 @@ def test_a_converse_case_decides_its_tangents_once(monkeypatch):
     assert decided[:2] == [fuzz.tangent_at(parabola, p) for p in points]
 
 
+def test_a_converse_case_checks_100_distinct_circles(monkeypatch):
+    """A pencil parameter drawn twice for one pair is skipped, so each of the
+    pair's 100 circles is a different member of the pencil."""
+    drawn = []
+    circle_through_points = fuzz.circle_through_points
+
+    def recorded(p, q, t):
+        drawn.append(t)
+        return circle_through_points(p, q, t)
+
+    monkeypatch.setattr(fuzz, "circle_through_points", recorded)
+    assert fuzz._converse_case((303, 0, height_scale(10_000))) == []
+    assert len(drawn) == len(set(drawn)) == 100
+
+
 # sha256 of the draws below, recorded from the generators before C2 and C3
 # were built as single Fractions; a change to any generator shows here.
 DRAWS_DIGEST = "f1f4cb21f63effd38953a0a7b33a78698867195f2b84998484db3ee0062c43cc"

@@ -696,14 +696,13 @@ def test_second_intersection_error_texts():
 @given(data=st.data())
 def test_converse_lambert_roots_match_second_intersection(bits, data):
     """H1 and H2, both taken from one offset of I, are the public second
-    intersections; I's offset and the focus's are the only two computed.
-    The circle is a member of the pencil through the focus and I, or the
-    one tangent to l1 at I.
+    intersections.  The circle is a member of the pencil through the focus
+    and I, or the one tangent to l1 at I.
 
-    The check builds no Point of its own: H1 and H2 become Points when the
-    report's witnesses are read, and each read builds equal ones.  The
-    constructed line, taken from the two integer roots, is the line through
-    those Points."""
+    The per-circle step ``_converse_chord`` builds no Point, and I's offset
+    and the focus's are the only two it computes; the public call builds
+    exactly two Points, H1 and H2, for the report.  The constructed line,
+    taken from the two integer roots, is the line through those Points."""
     parabola = data.draw(parabolas(bits))
     t1, t2 = data.draw(st.lists(rationals(13), min_size=2, max_size=2, unique=True))
     l1, l2 = (tangent_at(parabola, point_at_parameter(parabola, t)) for t in (t1, t2))
@@ -713,23 +712,34 @@ def test_converse_lambert_roots_match_second_intersection(bits, data):
     else:
         circle = circle_through_points(parabola.focus, crossing, data.draw(rationals(13)))
     with pytest.MonkeyPatch.context() as patch:
-        offsets = count_kernel_calls(patch, "_circle_offset")
-        built = [0]
+        offset_points, built = [], [0]
+        circle_offset = euclid._circle_offset
+
+        def recorded_offset(circle, p):
+            offset_points.append(p)
+            return circle_offset(circle, p)
 
         def counted_point(x, y):
             built[0] += 1
             return Point(x, y)
 
+        for module in (euclid, theorems):
+            patch.setattr(module, "_circle_offset", recorded_offset)
         patch.setattr(theorems, "Point", counted_point)
-        constructed, report = converse_lambert(parabola, l1, l2, circle)
-        assert (offsets, built) == ([2], [0])
-        witnesses = report.witnesses
-        assert (offsets, built) == ([2], [2])
-    assert report.verdict and witnesses["intersection"] == crossing
+        constructed, verdict, roots = theorems._converse_chord(parabola, l1, l2, crossing, circle)
+        assert built == [0]
+        assert Counter(offset_points) == Counter([crossing, parabola.focus])
+        report = converse_lambert(parabola, l1, l2, circle)[1]
+        assert built == [2]
+    witnesses = report.witnesses
+    assert report.verdict and verdict and witnesses["intersection"] == crossing
     assert witnesses["h1"] == second_intersection(l1, circle, crossing)
     assert witnesses["h2"] == second_intersection(l2, circle, crossing)
+    assert [Point(Fraction(x, z), Fraction(y, z)) for x, y, z in roots] == [
+        witnesses["h1"],
+        witnesses["h2"],
+    ]
     assert witnesses["constructed"] == constructed == line_through(witnesses["h1"], witnesses["h2"])
-    assert report.witnesses == witnesses
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)

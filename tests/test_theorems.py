@@ -1,5 +1,6 @@
 import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -173,3 +174,28 @@ def test_converse_feeds_back_into_lambert():
             continue
         assert report.verdict
         checked += 1
+
+
+REPORT_CALLS = {
+    "simson": (simson_check, (point(2, 0), point(1, 0), Point(F(1, 2), F(-1, 2)), point(2, -2))),
+    "lambert": (lambert_circumcircle_check, (OUTER, Line(1, 1, 0), Line(1, -1, -4), Line(2, 4, 1))),
+    "converse": (converse_lambert, (OUTER, Line(1, 1, 0), Line(1, -1, -4), RECT_CIRCLE)),
+}
+
+
+def _report(result):
+    """The report of a check's result (``converse_lambert`` pairs it with its line)."""
+    return result[1] if isinstance(result, tuple) else result
+
+
+@pytest.mark.parametrize("name", REPORT_CALLS)
+def test_reports_are_values(name):
+    """A report pickles, compares by value (also across a process pool) and
+    prints only its verdict."""
+    check, args = REPORT_CALLS[name]
+    report = _report(check(*args))
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert _report(check(*pickle.loads(pickle.dumps(args)))) == report
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        assert _report(pool.submit(check, *args).result()) == report
+    assert repr(report) == "TheoremReport(verdict=True)"
