@@ -24,8 +24,9 @@ Subcommands:
         Evaluate a script and render its drawable bindings.  Exit 0 when
         OUT.svg is written, 2 on an unreadable or non-UTF-8 script, a parse
         or evaluation error, an empty scene, an unwritable OUT.svg, a W or
-        H that is not positive, a margin that leaves no drawing area, a
-        negative D, or a D above the interpreter's limit on printed digits.
+        H that is not positive, a negative margin, a margin that leaves no
+        drawing area, a negative D, or a D above the interpreter's limit on
+        printed digits.
 """
 
 from __future__ import annotations
@@ -200,6 +201,7 @@ COMMANDS = dict([
         rules=lambda args: (
             (args.width <= 0, f"--width must be positive, got {args.width}"),
             (args.height <= 0, f"--height must be positive, got {args.height}"),
+            (args.margin < 0, f"--margin must not be negative, got {args.margin}"),
             (min(args.width, args.height) <= 2 * args.margin,
              f"--margin {args.margin} leaves no drawing area"),
             (args.digits < 0, f"--digits must not be negative, got {args.digits}"),

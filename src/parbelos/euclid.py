@@ -13,7 +13,10 @@ constructions ``circumcircle``, ``second_intersection`` and
 (``_common``) and work on the integer numerators, so the only Fractions they
 build are the coordinates (and squared radius) of the point or circle they
 return; ``line_through`` does the same with each point over its own
-denominator, and builds none.  ``_second_root``, the Vieta step behind
+denominator, and builds none.  The integer tests of ``on_circle`` and
+``equidistant`` are cores of their own (``_on_circle``, ``_equidistant``),
+which a figure also runs on the numerators of its frame
+(``figure.ParbelosFigure.frame``).  ``_second_root``, the Vieta step behind
 ``second_intersection``, returns its point as a homogeneous integer triple
 (X, Y, Z) with Z > 0 and builds no Fraction, so a caller that needs only
 the line through two roots (``theorems._converse_chord``) takes that line
@@ -89,39 +92,39 @@ def dist_sq(p: Point, q: Point) -> Rational:
     return dot(d, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Line:
     """The line a*x + b*y + c = 0 with a canonical primitive integer triple.
 
     Canonical form: gcd(|a|, |b|, |c|) = 1 and the leading nonzero coefficient
     (a if a != 0, else b) is positive.  Rational coefficients passed to the
     constructor are cleared to integers, so two equal lines always compare
-    structurally equal.
+    structurally equal.  The constructor sets each coefficient once, already
+    canonical.
     """
 
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        ia, ib, ic = self.a, self.b, self.c
-        if type(ia) is not int or type(ib) is not int or type(ic) not in (int, Fraction):
-            a, b, c = Fraction(ia), Fraction(ib), Fraction(ic)
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar):
+        if type(a) is not int or type(b) is not int or type(c) not in (int, Fraction):
+            a, b, c = Fraction(a), Fraction(b), Fraction(c)
             mult = math.lcm(a.denominator, b.denominator, c.denominator)
-            ia, ib, ic = int(a * mult), int(b * mult), int(c * mult)
-        if ia == 0 and ib == 0:
+            a, b, c = int(a * mult), int(b * mult), int(c * mult)
+        if a == 0 and b == 0:
             raise DegenerateLine("line needs (a, b) != (0, 0)")
         # Integers a, b and c = n/d in lowest terms (d = 1 for an int c):
         # gcd(a*d, b*d, n) is gcd(a, b, n) because gcd(n, d) = 1, so the triple
         # is divided by it before d is cleared, and no Fraction is built.
-        n, d = ic.numerator, ic.denominator
-        g = math.gcd(ia, ib, n)
-        ia, ib, ic = ia // g * d, ib // g * d, n // g
-        if ia < 0 or (ia == 0 and ib < 0):
-            ia, ib, ic = -ia, -ib, -ic
-        object.__setattr__(self, "a", ia)
-        object.__setattr__(self, "b", ib)
-        object.__setattr__(self, "c", ic)
+        n, d = c.numerator, c.denominator
+        g = math.gcd(a, b, n)
+        a, b, c = a // g * d, b // g * d, n // g
+        if a < 0 or (a == 0 and b < 0):
+            a, b, c = -a, -b, -c
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def evaluate(self, p: Point) -> Rational:
         """Signed value a*x + b*y + c; zero exactly on the line."""
@@ -269,13 +272,24 @@ def _circle_offset(circle: Circle, p: Point) -> tuple[bool, int, int, int, int, 
     """Whether p is on the circle, with the integers that decided it.
 
     Over the shared denominator W of p = (X, Y)/W and center = (CX, CY)/W,
-    with radius^2 = R/Q and e = (X - CX, Y - CY), p is on the circle exactly
-    when Q*|e|^2 == R*W^2.  Returns (verdict, W, X, Y, ex, ey).
+    with e = (X - CX, Y - CY), :func:`_on_circle` decides.  Returns
+    (verdict, W, X, Y, ex, ey).
     """
-    w, [(x, y), (cx, cy)] = _common(p, circle.center)
-    ex, ey = x - cx, y - cy
-    r = circle.radius_sq
-    return (ex * ex + ey * ey) * r.denominator == r.numerator * w * w, w, x, y, ex, ey
+    w, [(x, y), center] = _common(p, circle.center)
+    verdict = _on_circle(w, (center, circle.radius_sq), (x, y))
+    return verdict, w, x, y, x - center[0], y - center[1]
+
+
+def _on_circle(w: int, circle: tuple, p: tuple[int, int]) -> bool:
+    """The integer core of :func:`on_circle`: is the point (X, Y)/W on the
+    circle given as (center numerators (CX, CY) over W, radius^2)?
+
+    With radius^2 = R/Q and e = (X - CX, Y - CY), it is exactly when
+    Q*|e|^2 == R*W^2.
+    """
+    (cx, cy), r = circle
+    ex, ey = p[0] - cx, p[1] - cy
+    return (ex * ex + ey * ey) * r.denominator == r.numerator * w * w
 
 
 def on_circle(circle: Circle, p: Point) -> bool:
@@ -284,7 +298,13 @@ def on_circle(circle: Circle, p: Point) -> bool:
 
 def equidistant(p: Point, a: Point, b: Point) -> bool:
     """|P - A|^2 == |P - B|^2, over the shared denominator of the three points."""
-    _, [(px, py), (ax, ay), (bx, by)] = _common(p, a, b)
+    return _equidistant(*_common(p, a, b)[1])
+
+
+def _equidistant(p: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """The integer core of :func:`equidistant`, on numerators over any one
+    shared denominator."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
     ux, uy, vx, vy = px - ax, py - ay, px - bx, py - by
     return ux * ux + uy * uy == vx * vx + vy * vy
 

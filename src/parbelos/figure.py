@@ -24,6 +24,19 @@ foci, the feet of T1 and T3 on the cusp line, and their shifts by T2 - F.
 The forms use only sums, differences and quarter turns of the cusps'
 numerators, never a chosen axis, so a similarity of the cusps still maps
 the figure, which is what makes the similarity-invariance checks meaningful.
+K is the circle on O through C2.
+
+So every field's denominator divides a known bound.  With V = P3 - P1 the
+cusps' integer difference, T1, T2, T3, F, H, A1, A3 and the square's corners
+divide 2W, O divides 4W, K's squared radius 16W^2 and the contact W*|V|^2;
+the tests check each bound, and that a field moved by 1/(2W + 1) breaks it.
+The checks and the drawing read the figure's frame over D = 4W
+(``ParbelosFigure.frame``), which holds every field but the contact: each
+row, and each latus arc's certificate, whose fields all lie in the frame is
+decided there by the integer core that its predicate runs after its own
+``_common``.  The rows that read the contact point keep their own shared
+denominator; it has about a third more bits than 4W, and a frame that held
+it too would lift every other row to its size.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CuspNotInterior, CuspsNotCollinear, DegenerateSide, InvalidRotation
 from .euclid import (
@@ -38,7 +52,8 @@ from .euclid import (
     Line,
     Point,
     _common,
-    circumcircle,
+    _equidistant,
+    _on_circle,
     cross,
     dist_sq,
     dist_sq_point_line,
@@ -51,7 +66,7 @@ from .euclid import (
     on_circle,
     pedal_point,
 )
-from .parabola import LEFT, RIGHT, Parabola, Side, _on_latus, contains_point, is_tangent
+from .parabola import LEFT, RIGHT, Parabola, Side, _on_latus, _tangent, contains_point, is_tangent
 
 
 @dataclass(frozen=True)
@@ -79,6 +94,59 @@ class ParbelosFigure:
     H: Point
     A1: Point
     A3: Point
+
+    @cached_property
+    def frame(self) -> tuple[int, dict]:
+        """(D, forms): the figure's integer frame, derived from its fields on first read.
+
+        D = 4W, W the cusps' shared denominator.  ``forms`` maps the name of
+        each field whose points all have denominators dividing D to its form
+        over D: a point as its numerators (X, Y), the square as a tuple of
+        them, a circle as (center numerators, radius^2), a parabola as
+        (focus numerators, directrix), and a line as itself.  A field with a
+        point outside the frame (divmod(D, d) leaves a remainder), such as
+        the contact point or a forged field, has no form.  The figure is
+        frozen, so the frame is cached; a figure made by
+        ``dataclasses.replace`` is a new object and derives its own.
+        """
+        w, _ = _common(self.C1, self.C2, self.C3)
+        d = 4 * w
+        # divmod(D, d) per denominator d: the frame's points share a handful
+        # of denominators (8-12 among their 36 coordinates on the benchmark's
+        # 3300-bit figures).
+        quotients: dict[int, tuple[int, int]] = {}
+
+        def numerators(p: Point) -> tuple[int, int] | None:
+            (xn, xd), (yn, yd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+            qx, rx = quotients.get(xd) or quotients.setdefault(xd, divmod(d, xd))
+            qy, ry = quotients.get(yd) or quotients.setdefault(yd, divmod(d, yd))
+            return None if rx or ry else (xn * qx, yn * qy)
+
+        forms = {}
+        for name, value in vars(self).items():  # the fields: the frame is not cached yet
+            kind = type(value)
+            if kind is Point:
+                form = numerators(value)
+            elif kind is Line:
+                form = value
+            elif kind is tuple:
+                form = tuple(map(numerators, value))
+                form = None if None in form else form
+            elif kind is Circle:
+                center = numerators(value.center)
+                form = None if center is None else (center, value.radius_sq)
+            elif kind is Parabola:
+                focus = numerators(value.focus)
+                form = None if focus is None else (focus, value.directrix)
+            else:
+                form = None
+            if form is not None:
+                forms[name] = form
+        return d, forms
+
+    def __getstate__(self) -> dict:
+        # The frame is derived, so a pickle holds the fields alone.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # The figure's named points in report order: (short name, field).  The CLI
@@ -112,8 +180,10 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
     feet S - r of the three axes, F = S13, the square is S12, S23,
     S23 - r13, S12 - r13, H = 2*P2 - r13, A1 = S12 - r23 and A3 = S23 - r12;
     O = 2*P2 + S13 - r13 over 4W.  The cusp tangents, the diagonal and the
-    bisector are integer triples.  The contact point is computed as
-    diagonal ∩ bisector and K as the circle through C2, T1 and T2; both,
+    bisector are integer triples.  K is centred on O itself (the same
+    Point), the centre of the rectangle C2 T1 T2 T3, through C2: its squared
+    radius is |T2 - 2*P2|^2 / 16W^2 with T2's numerators over 2W.  The
+    contact point is computed as diagonal ∩ bisector.  K and the contact,
     like every other field, are then re-certified by the exact predicates
     of :func:`sondow_checks` and :func:`corollary_checks` rather than assumed.
     """
@@ -149,7 +219,10 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
     t2x, t2y = s13x - r13x, s13y - r13y
     diagonal = _line_along(den, (t1x, t1y), t3x - t1x, t3y - t1y)
     bisector = _line_along(w, p2, -vy, vx)
-    t1, t2 = at(t1x, t1y), at(t2x, t2y)
+    # O is the centre of the rectangle C2 T1 T2 T3, so K is the circle on
+    # O through C2: radius^2 = |T2 - 2*P2|^2 / 16W^2 over the cusps' frame.
+    center = Point(Fraction(2 * x2 + t2x, 2 * den), Fraction(2 * y2 + t2y, 2 * den))
+    kx, ky = t2x - 2 * x2, t2y - 2 * y2
     return ParbelosFigure(
         C1=c1,
         C2=c2,
@@ -161,8 +234,8 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
         tangent_at_C3=_line_along(w, p3, -vx - r13x, -vy - r13y),
         tangent_at_C2_left=_line_along(w, p2, -ux - r12x, -uy - r12y),
         tangent_at_C2_right=_line_along(w, p2, vx - ux - r23x, vy - uy - r23y),
-        T1=t1,
-        T2=t2,
+        T1=at(t1x, t1y),
+        T2=at(t2x, t2y),
         T3=at(t3x, t3y),
         square_R=(
             inner1.focus,
@@ -170,8 +243,8 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
             at(s23x - r13x, s23y - r13y),
             at(s12x - r13x, s12y - r13y),
         ),
-        center_O=Point(Fraction(2 * x2 + t2x, 2 * den), Fraction(2 * y2 + t2y, 2 * den)),
-        circumcircle_K=circumcircle(c2, t1, t2),
+        center_O=center,
+        circumcircle_K=Circle(center, Fraction(kx * kx + ky * ky, 4 * den * den)),
         focus_F=outer.focus,
         diagonal=diagonal,
         contact_T=line_intersection(diagonal, bisector),
@@ -190,10 +263,17 @@ def _line_along(w: int, p: tuple[int, int], ex: int, ey: int) -> Line:
 def _square_check(square_R, center_O, C2, T1, T2, T3) -> bool:
     """square_R has four equal sides at right angles, centered where r is.
 
-    Decided on the integer numerators of the nine points over their shared
-    denominator; each centre test p + q == 2*O needs no halving.
+    Decided by :func:`_square` on the integer numerators of the nine points
+    over their shared denominator.
     """
-    _, [r1, r2, r3, r4, o, c2, t1, t2, t3] = _common(*square_R, center_O, C2, T1, T2, T3)
+    _, [r1, r2, r3, r4, *points] = _common(*square_R, center_O, C2, T1, T2, T3)
+    return _square((r1, r2, r3, r4), *points)
+
+
+def _square(square, o, c2, t1, t2, t3) -> bool:
+    """The integer core of :func:`_square_check`, on numerators over any one
+    shared denominator; each centre test p + q == 2*O needs no halving."""
+    r1, r2, r3, r4 = square
     sides = [(q[0] - p[0], q[1] - p[1]) for p, q in ((r1, r2), (r2, r3), (r3, r4), (r4, r1))]
     if len({x * x + y * y for x, y in sides}) != 1:
         return False
@@ -316,13 +396,35 @@ COROLLARIES = (
 )
 
 
+# The integer core of each word that a row can decide on the figure's
+# frame: core(D, *forms) on the fields' forms over D (``ParbelosFigure.frame``).
+# Each is the test its word's verdict makes after its own ``_common``.
+_CORES = {
+    "tangent": _tangent,
+    "concyclic": _on_circle,
+    "equidistant": lambda d, p, a, b: _equidistant(p, a, b),
+    "square": lambda d, *forms: _square(*forms),
+}
+
+
 def _checks(fig: ParbelosFigure, table: tuple) -> list[tuple[str, str, bool]]:
-    """Each row's verdict column on the figure's fields; no witness is computed."""
+    """Each row's verdict on the figure's fields; no witness is computed.
+
+    A row whose fields all have a form in the figure's frame is decided by its
+    word's integer core on those forms; any other row (the contact point lies
+    outside the frame) by the word's verdict, over the fields' own
+    denominator.
+    """
+    d, forms = fig.frame
     checks = []
     for label, failure, key, *arguments in table:
-        verdict = PREDICATES[key][1]
+        verdict, core = PREDICATES[key][1], _CORES.get(key)
         for names in arguments:
-            ok = verdict(*[getattr(fig, name) for name in names])
+            framed = list(map(forms.get, names))
+            if core is None or None in framed:
+                ok = verdict(*[getattr(fig, name) for name in names])
+            else:
+                ok = core(d, *framed)
             if not ok:
                 break
         checks.append((label, failure, ok))

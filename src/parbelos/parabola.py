@@ -15,8 +15,10 @@ computed only when a caller asks -- decides membership and builds the
 tangent at a point, here and in the drawing's arc certificate.  The tangency predicate is the pedal criterion
 (the foot of the focus on a tangent lies on the supporting line), written
 through the directrix, since the supporting line is the directrix moved
-halfway to the focus.  The parabola of a latus rectum is built in integers
-too, with the focus as its only Fractions.
+halfway to the focus; its integer core ``_tangent`` takes the focus's
+numerators over any denominator, so a figure runs it on its frame.  The
+parabola of a latus rectum is built in integers too, with the focus as its
+only Fractions.
 
 The elements are plain properties of :class:`Parabola`, each derived from the
 focus and the directrix when read, without going through another element:
@@ -155,7 +157,7 @@ def _on_latus(w: int, p1: tuple[int, int], p2: tuple[int, int], side: Side):
     return Parabola(focus, directrix), (sx, sy), (rx, ry)
 
 
-def _focal(parabola: Parabola, w: int, x: int, y: int, fx: int, fy: int):
+def _focal(directrix: Line, w: int, x: int, y: int, fx: int, fy: int):
     """The focus-directrix equation at the point (X, Y)/W, and its gradient on request.
 
     With the focus (FX, FY)/W over the same denominator, the directrix
@@ -167,11 +169,10 @@ def _focal(parabola: Parabola, w: int, x: int, y: int, fx: int, fy: int):
     membership test reads f alone, so g is computed only when asked for.  g
     is never zero on the parabola: a zero g puts the focus on the directrix.
     """
-    line = parabola.directrix
-    a, b = line.a, line.b
+    a, b = directrix.a, directrix.b
     n = a * a + b * b
     dx, dy = x - fx, y - fy
-    v = a * x + b * y + line.c * w
+    v = a * x + b * y + directrix.c * w
     return n * (dx * dx + dy * dy) - v * v, lambda: (n * dx - v * a, n * dy - v * b)
 
 
@@ -180,7 +181,7 @@ def contains_point(parabola: Parabola, p: Point) -> bool:
     (the equation of :func:`_focal` over the shared denominator of p and the
     focus; its gradient is not computed)."""
     w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
-    return _focal(parabola, w, x, y, fx, fy)[0] == 0
+    return _focal(parabola.directrix, w, x, y, fx, fy)[0] == 0
 
 
 def point_at_parameter(parabola: Parabola, t: Rational) -> Point:
@@ -196,7 +197,7 @@ def point_at_parameter(parabola: Parabola, t: Rational) -> Point:
     """
     ux, uy = parabola.directrix.direction()
     (nx, ny), k = parabola._opening()
-    c = t * t / (4 * k) - k
+    c = t * t / (k * 4) - k
     f = parabola.focus
     return Point(f.x + t * ux + c * nx, f.y + t * uy + c * ny)
 
@@ -217,7 +218,7 @@ def tangent_at(parabola: Parabola, p: Point) -> Line:
     a tangent.
     """
     w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
-    f, gradient = _focal(parabola, w, x, y, fx, fy)
+    f, gradient = _focal(parabola.directrix, w, x, y, fx, fy)
     if f:
         raise PointNotOnParabola("{} is not on the parabola", p)
     gx, gy = gradient()
@@ -239,9 +240,16 @@ def is_tangent(parabola: Parabola, line: Line) -> bool:
     where the affine L takes the value L(F)/2.  So S = L - L(F)/2 and
     S(F) = L(F)/2.  Taking S = (p, q, r - L(F)/2) and clearing the half, the
     test is n*(p*X + q*Y + r*W) == 2*v*(p*a + q*b), and nothing is derived.
+    The test is :func:`_tangent`, here over the focus's own denominator.
     """
-    w, [(x, y)] = _common(parabola.focus)
+    w, [focus] = _common(parabola.focus)
+    return _tangent(w, (focus, parabola.directrix), line)
+
+
+def _tangent(w: int, parabola: tuple, line: Line) -> bool:
+    """The integer core of :func:`is_tangent`, on a parabola given as (focus
+    numerators (X, Y) over W, directrix)."""
+    (x, y), d = parabola
     a, b = line.a, line.b
-    d = parabola.directrix
     v = a * x + b * y + line.c * w
     return (a * a + b * b) * (d.a * x + d.b * y + d.c * w) == 2 * v * (d.a * a + d.b * b)

@@ -7,9 +7,11 @@ decided in integers: both endpoints on the parabola and the control point on
 the tangent at each.  The figure's arcs take the corners T1, T3 and T2 of its
 tangent rectangle as their control points; a parabola binding's latus arc
 takes the foot of its axis on the directrix, where the tangents at the latus
-ends meet.  Coordinates stay rational until the final string conversion: the
-scene's bounds are found by integer keys, the canvas map is exact and runs in
-integers, and each point is mapped and rounded once per render.  The y axis
+ends meet.  A figure's certificates are decided on its frame
+(``figure.ParbelosFigure.frame``) by the same integer core.  Coordinates
+stay rational until the final string conversion: the scene's bounds are
+found by integer keys, the canvas map is exact and runs in integers, and
+each point is mapped and rounded once per render.  The y axis
 is flipped from SVG's screen-down convention to the usual mathematical
 orientation, and output is byte-stable for fixed inputs: fixed element order,
 fixed formatting, no floating point anywhere.
@@ -74,19 +76,29 @@ def _certified_arc(parabola: Parabola, p0: Point, control: Point, p1: Point) -> 
     when it is orthogonal to the normal g from that endpoint.  Every failure
     raises :class:`PointNotOnParabola`; none is an ``assert``.  The messages
     name the points by their role, since a tall point's integers may be past
-    the interpreter's limit for printing them.
+    the interpreter's limit for printing them.  :func:`_certify` runs the
+    tests on the numerators.
     """
+    w, [q0, qc, q1, focus] = _common(p0, control, p1, parabola.focus)
+    _certify(w, (focus, parabola.directrix), q0, qc, q1)
+    return ArcElement(parabola, p0, p1, control)
+
+
+def _certify(w: int, parabola: tuple, p0: tuple, control: tuple, p1: tuple) -> None:
+    """The integer core of :func:`_certified_arc`: raise unless the Bezier on
+    the numerators p0, control and p1 over W retraces the parabola, given as
+    (focus numerators over W, directrix)."""
     if p0 == p1:
         raise EmptyScene("degenerate arc: p0 = p1")
-    w, [(x0, y0), (xc, yc), (x1, y1), (fx, fy)] = _common(p0, control, p1, parabola.focus)
-    for x, y, end in ((x0, y0, "p0"), (x1, y1, "p1")):
-        f, gradient = _focal(parabola, w, x, y, fx, fy)
+    (fx, fy), directrix = parabola
+    xc, yc = control
+    for (x, y), end in ((p0, "p0"), (p1, "p1")):
+        f, gradient = _focal(directrix, w, x, y, fx, fy)
         if f:
             raise PointNotOnParabola(f"arc endpoint {end} is not on the parabola")
         gx, gy = gradient()
         if gx * (xc - x) + gy * (yc - y) != 0:
             raise PointNotOnParabola(f"Bezier control point is off the tangent at {end}")
-    return ArcElement(parabola, p0, p1, control)
 
 
 @dataclass
@@ -111,15 +123,24 @@ def figure_scene(fig: ParbelosFigure) -> Scene:
     The cusp tangents meet at the corners of the tangent rectangle, so each
     latus arc's control point is one of them: T1 for inner1, T3 for inner2
     and T2 for the outer parabola.  The certificate rejects a figure whose
-    corners are not where the tangents meet.
+    corners are not where the tangents meet.  It is decided on the figure's
+    frame (``ParbelosFigure.frame``) when the parabola and the three points
+    all have a form there, and by :func:`_certified_arc` otherwise.
     """
     scene = Scene()
-    for parabola, start, control, end in (
-        (fig.inner1, fig.C1, fig.T1, fig.C2),
-        (fig.inner2, fig.C2, fig.T3, fig.C3),
-        (fig.outer, fig.C1, fig.T2, fig.C3),
+    d, forms = fig.frame
+    for names in (
+        ("inner1", "C1", "T1", "C2"),
+        ("inner2", "C2", "T3", "C3"),
+        ("outer", "C1", "T2", "C3"),
     ):
-        scene.arcs.append(_certified_arc(parabola, start, control, end))
+        parabola, start, control, end = (getattr(fig, name) for name in names)
+        framed = list(map(forms.get, names))
+        if None in framed:
+            scene.arcs.append(_certified_arc(parabola, start, control, end))
+        else:
+            _certify(d, *framed)
+            scene.arcs.append(ArcElement(parabola, start, end, control))
     scene.circles.append(fig.circumcircle_K)
     scene.add_segment(fig.C1, fig.C3, "baseline")
     for a, b in ((fig.C2, fig.T1), (fig.T1, fig.T2), (fig.T2, fig.T3), (fig.T3, fig.C2)):

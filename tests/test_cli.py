@@ -462,6 +462,14 @@ def test_bad_literals_exit_2_with_position(tmp_path, capsys):
         assert not (tmp_path / "o.svg").exists()
 
 
+def test_render_negative_margin_exit_2(tmp_path, capsys):
+    """A negative margin would scale the drawing past its viewBox and crop it."""
+    target = tmp_path / "out.svg"
+    argv = ("render", str(DATA / "sondow.geo"), "--svg", str(target), "--margin", "-100")
+    assert run(capsys, *argv) == (2, "", "error: --margin must not be negative, got -100\n")
+    assert not target.exists()
+
+
 def test_render_bad_canvas_exit_2(tmp_path, capsys):
     target = tmp_path / "out.svg"
     for flag, value in (("--digits", "-1"), ("--margin", "400"), ("--width", "0")):

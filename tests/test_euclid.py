@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -60,6 +62,22 @@ def test_line_canonical_form():
     assert Line(F(1, 2), F(1, 3), F(1, 6)) == Line(3, 2, 1)
     with pytest.raises(DegenerateLine):
         Line(0, 0, 5)
+
+
+def test_line_is_a_plain_frozen_value():
+    """The one canonicalising constructor keeps a dataclass's value semantics:
+    keywords, fields, repr, eq, hash, pickling and ``dataclasses.replace``."""
+    line = Line(a=-4, b=F(2), c=F(6, 4))
+    assert (line.a, line.b, line.c) == (8, -4, -3)
+    assert repr(line) == "Line(a=8, b=-4, c=-3)"
+    assert [f.name for f in dataclasses.fields(Line)] == ["a", "b", "c"]
+    assert line == Line(16, -8, -6) and hash(line) == hash(Line(16, -8, -6))
+    assert pickle.loads(pickle.dumps(line)) == line
+    assert dataclasses.replace(line, c=6) == Line(4, -2, 3)
+    with pytest.raises(DegenerateLine):
+        dataclasses.replace(line, a=0, b=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        line.a = 1
 
 
 def test_line_through_examples():

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from parbelos.errors import (
     CuspNotInterior,
     CuspsNotCollinear,
     DegenerateSide,
+    GeometryError,
     InvalidRotation,
 )
 from parbelos.euclid import (
@@ -41,6 +43,7 @@ from parbelos.figure import (
     similarity,
     sondow_checks,
 )
+from parbelos.fuzz import height_scale, rand_cusps
 from parbelos.jsonio import figure_json, verification_json
 from parbelos.parabola import (
     LEFT,
@@ -50,6 +53,7 @@ from parbelos.parabola import (
     parabola_from_latus_rectum,
     tangent_at,
 )
+from parbelos.svg import _certified_arc, figure_scene
 from parbelos.theorems import converse_lambert
 
 F = Fraction
@@ -611,3 +615,147 @@ def test_named_points_listing_and_dsl_aliases():
     fields = {f.name for f in dataclasses.fields(ParbelosFigure)}
     assert {field for _, field in NAMED_POINTS} <= fields
     assert set(_FIGURE_ALIASES.values()) <= fields
+
+
+# --- the figure's frame: denominator bounds, and the checks and arcs on it ---
+
+TWO_W_FIELDS = ("T1", "T2", "T3", "focus_F", "H", "A1", "A3")
+
+
+def cusp_frame(fig):
+    """W and |V|^2 for V = P3 - P1, the cusps' integer difference over W."""
+    w, [p1, _, p3] = _common(fig.C1, fig.C2, fig.C3)
+    return w, (p3[0] - p1[0]) ** 2 + (p3[1] - p1[1]) ** 2
+
+
+def bounded_points(fig):
+    """(name, point, bound) for each bounded point of the figure."""
+    w, vv = cusp_frame(fig)
+    named = [(name, getattr(fig, name), 2 * w) for name in TWO_W_FIELDS]
+    corners = [(f"square_R[{k}]", r, 2 * w) for k, r in enumerate(fig.square_R)]
+    return named + corners + [("center_O", fig.center_O, 4 * w), ("contact_T", fig.contact_T, w * vv)]
+
+
+def divides(p: Point, bound: int) -> bool:
+    return bound % p.x.denominator == 0 and bound % p.y.denominator == 0
+
+
+def moved(p: Point, step: Fraction) -> Point:
+    return Point(p.x + step, p.y)
+
+
+def drawn_cusps(bits, seed, general):
+    """A cusp triple of about ``bits`` bits: from ``fuzz.rand_cusps`` (cusp
+    lines with small directions), or with a general rational direction."""
+    rng = random.Random(seed)
+    if general:
+        return seeded_cusps(rng, bits)
+    max_height = 10**4 if bits == 13 else 10**1000
+    return rand_cusps(rng, height_scale(max_height))[:3]
+
+
+@pytest.mark.parametrize("bits", (13, 3300))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), general=st.booleans())
+def test_every_field_divides_its_denominator_bound(bits, seed, general):
+    """Over W, the cusps' shared denominator: T1, T2, T3, F, H, A1, A3 and the
+    square's corners divide 2W, O divides 4W, K's squared radius 16W^2 and
+    the contact W*|V|^2.  A point moved by 1/(2W + 1) breaks a 2W or 4W
+    bound, and one moved by 1/(W*|V|^2 + 1) the contact's."""
+    cusps = drawn_cusps(bits, seed, general)
+    for side in (LEFT, RIGHT):
+        fig = build_parbelos(*cusps, side)
+        w, vv = cusp_frame(fig)
+        assert (16 * w * w) % fig.circumcircle_K.radius_sq.denominator == 0
+        assert (16 * w * w) % (fig.circumcircle_K.radius_sq + F(1, 2 * w + 1)).denominator
+        for name, p, bound in bounded_points(fig):
+            assert divides(p, bound), name
+            step = F(1, w * vv + 1) if name == "contact_T" else F(1, 2 * w + 1)
+            assert not divides(moved(p, step), bound), name
+
+
+def reference_verdicts(fig, table):
+    """Each row's verdict from the public predicates alone, each on its own ``_common``."""
+    return [
+        all(PREDICATES[key][1](*[getattr(fig, name) for name in names]) for names in arguments)
+        for _, _, key, *arguments in table
+    ]
+
+
+ARCS = (("inner1", "C1", "T1", "C2"), ("inner2", "C2", "T3", "C3"), ("outer", "C1", "T2", "C3"))
+
+
+def outcome(draw):
+    """The arcs a drawing returns, or the class and message of what it raised."""
+    try:
+        return draw()
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+def point_mutants(fig, step):
+    """(point name, figure) with that one point of fig moved by ``step``."""
+    for name in ("C1", "C2", "C3", *TWO_W_FIELDS, "center_O", "contact_T"):
+        yield name, dataclasses.replace(fig, **{name: moved(getattr(fig, name), step)})
+    for k, r in enumerate(fig.square_R):
+        corners = tuple(moved(c, step) if j == k else c for j, c in enumerate(fig.square_R))
+        yield f"square_R[{k}]", dataclasses.replace(fig, square_R=corners)
+    center, radius_sq = fig.circumcircle_K.center, fig.circumcircle_K.radius_sq
+    yield "K's center", dataclasses.replace(fig, circumcircle_K=Circle(moved(center, step), radius_sq))
+    for name in ("inner1", "outer"):
+        g = getattr(fig, name)
+        moved_focus = type(g)(moved(g.focus, step), g.directrix)
+        yield f"{name}'s focus", dataclasses.replace(fig, **{name: moved_focus})
+
+
+@pytest.mark.parametrize("bits, general, seeds", [(13, True, 4), (13, False, 4), (3300, False, 1)])
+def test_frame_decides_like_the_public_predicates(bits, general, seeds):
+    """Every row's verdict and every arc's outcome on the figure's 4W frame is
+    what the public predicate or ``_certified_arc`` gives on its own
+    ``_common``: on seeded figures, and on mutants with one point moved
+    inside the frame (by 1/4W) or outside it (by 1/(4W + 1))."""
+    for seed in range(seeds):
+        cusps = drawn_cusps(bits, seed, general)
+        for side in (LEFT, RIGHT):
+            fig = build_parbelos(*cusps, side)
+            d, forms = fig.frame
+            assert d == 4 * cusp_frame(fig)[0]
+            every_field = {field.name for field in dataclasses.fields(ParbelosFigure)}
+            assert every_field - {"contact_T"} <= set(forms)
+            cases = [("figure", fig)]
+            for where, step in (("inside", F(1, d)), ("outside", F(1, d + 1))):
+                cases += [(f"{name} moved {where}", mutant) for name, mutant in point_mutants(fig, step)]
+            for label, figure in cases:
+                verdicts = []
+                for table, checks in ((SONDOW, sondow_checks), (COROLLARIES, corollary_checks)):
+                    verdicts += [ok for _, _, ok in checks(figure)]
+                    assert verdicts[-len(table):] == reference_verdicts(figure, table), label
+                reference = outcome(
+                    lambda: [_certified_arc(*(getattr(figure, name) for name in arc)) for arc in ARCS]
+                )
+                arcs = outcome(lambda: figure_scene(figure).arcs)
+                assert arcs == reference, label
+                # the figure holds, and every mutant fails a row or its drawing
+                assert (all(verdicts) and type(arcs) is list) == (figure is fig), label
+
+
+def test_mutant_in_and_out_of_the_frame():
+    """A point moved by 1/4W has a form in the mutant's frame, one moved by
+    1/(4W + 1) has none, and the mutant's frame is its own."""
+    d, forms = P16.frame
+    inside = dataclasses.replace(P16, H=moved(P16.H, F(1, d)))
+    outside = dataclasses.replace(P16, H=moved(P16.H, F(1, d + 1)))
+    assert "H" in forms and "H" in inside.frame[1] and "H" not in outside.frame[1]
+    assert inside.frame[1]["H"] == (forms["H"][0] + 1, forms["H"][1])
+    assert "contact_T" not in build_axis_aligned(2, 5).frame[1]
+
+
+def test_frame_leaves_equality_hash_and_pickling_alone():
+    fig = build_axis_aligned(2, 5)
+    before = pickle.dumps(fig)
+    assert fig.frame  # derived and cached
+    assert pickle.dumps(fig) == before
+    copy = pickle.loads(before)
+    assert copy == fig and hash(copy) == hash(fig)
+    assert [f.name for f in dataclasses.fields(ParbelosFigure)] == list(vars(copy))
+    assert copy.frame == fig.frame

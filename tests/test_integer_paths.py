@@ -1077,7 +1077,7 @@ def test_drawing_leaves_the_inner_vertex_and_supporting_line_underived(bits, mon
     """Building, checking and drawing a figure reads no parabola's vertex,
     supporting line or latus endpoints, and builds no pedal and no midpoint.
     The build takes no tangent from ``tangent_at``, one line intersection
-    (the contact point) and one circumcircle (K)."""
+    (the contact point) and no circumcircle (K is built on O)."""
     reads = count_reads(monkeypatch)
     pedals = count_kernel_calls(monkeypatch, "pedal_point")
     midpoints = count_kernel_calls(monkeypatch, "midpoint")
@@ -1087,7 +1087,7 @@ def test_drawing_leaves_the_inner_vertex_and_supporting_line_underived(bits, mon
     for side in ("left", "right"):
         pedals[0] = midpoints[0] = meets[0] = circles[0] = tangents[0] = 0
         fig = build_parbelos(*FIGURE_CUSPS[bits], side)
-        assert (tangents[0], meets[0], circles[0]) == (0, 1, 1)
+        assert (tangents[0], meets[0], circles[0]) == (0, 1, 0)
         assert all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
         render_svg(figure_scene(fig))
         assert (pedals[0], midpoints[0]) == (0, 0)
@@ -1140,8 +1140,8 @@ def test_figure_scene_builds_no_tangent_and_no_intersection(bits, monkeypatch):
 def test_build_parbelos_builds_no_bisector_and_no_collinearity_test(bits, monkeypatch):
     import parbelos.figure as figure
 
-    # The cusp tests are one cross and two dots on integers, and the
-    # circumcircle is one determinant.  The figure module binds is_collinear
+    # The cusp tests are one cross and two dots on integers, and K is built
+    # on O in closed form.  The figure module binds is_collinear
     # for the predicate table's ``collinear`` word, so its calls are counted
     # under both names.
     assert not hasattr(figure, "perpendicular_bisector")
