@@ -12,10 +12,10 @@ constructions ``circumcircle``, ``second_intersection`` and
 ``circle_through_points`` write their points over one shared denominator
 (``_common``) and work on the integer numerators, so the only Fractions they
 build are the coordinates (and squared radius) of the point or circle they
-return; ``line_through`` does the same with each point over its own
-denominator, and builds none.  The integer tests of ``on_circle`` and
-``equidistant`` are cores of their own (``_on_circle``, ``_equidistant``),
-which a figure also runs on the numerators of its frame
+return; ``line_through`` frames its two points the same way and builds
+none, handing ``Line`` the triple to reduce.  The integer tests of
+``on_circle`` and ``equidistant`` are cores of their own (``_on_circle``,
+``_equidistant``), which a figure also runs on the numerators of its frame
 (``figure.ParbelosFigure.frame``).  ``_second_root``, the Vieta step behind
 ``second_intersection``, returns its point as a homogeneous integer triple
 (X, Y, Z) with Z > 0 and builds no Fraction, so a caller that needs only
@@ -163,12 +163,8 @@ def line_through(p: Point, q: Point) -> Line:
     """Canonical line containing two distinct points."""
     if p == q:
         raise CoincidentPoints("no unique line through {} twice", p)
-    # Each point over its own lcm denominator, as a one-point ``_common``.
-    (pxn, pxd), (pyn, pyd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
-    (qxn, qxd), (qyn, qyd) = q.x.as_integer_ratio(), q.y.as_integer_ratio()
-    pw, qw = math.lcm(pxd, pyd), math.lcm(qxd, qyd)
-    px, py, qx, qy = pxn * (pw // pxd), pyn * (pw // pyd), qxn * (qw // qxd), qyn * (qw // qyd)
-    return Line(py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx)
+    w, [(px, py), (qx, qy)] = _common(p, q)
+    return Line((py - qy) * w, (qx - px) * w, px * qy - py * qx)
 
 
 def _common(*points: Point) -> tuple[int, list[tuple[int, int]]]:
@@ -245,11 +241,9 @@ def circumcircle(a: Point, b: Point, c: Point) -> Circle:
     u = B - A and v = C - A in those numerators, d = 2*cross(u, v) is zero
     exactly when the points are collinear or two coincide.  Otherwise the
     center is a + e/(d*W) with e = (vy*|u|^2 - uy*|v|^2, ux*|v|^2 - vx*|u|^2),
-    and radius^2 = |e|^2/(d*W)^2.  e and d*W are first divided by their gcd:
-    on 3300-bit points with unrelated denominators it has about the bits of
-    W, which the Fractions would otherwise strip from much larger numbers.
-    The center's coordinates, each added to a's over a's own denominator,
-    and radius^2 are the only Fractions built.
+    and radius^2 = |e|^2/(d*W)^2.  The center's coordinates, each added to
+    a's over a's own denominator, and radius^2 are the only Fractions built,
+    and they do the reducing.
     """
     w, [(ax, ay), (bx, by), (cx, cy)] = _common(a, b, c)
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
@@ -258,8 +252,6 @@ def circumcircle(a: Point, b: Point, c: Point) -> Circle:
         raise DegenerateTriangle("collinear or coincident: {}, {}, {}", a, b, c)
     su, sv = ux * ux + uy * uy, vx * vx + vy * vy
     ex, ey, den = vy * su - uy * sv, ux * sv - vx * su, d * w
-    g = math.gcd(ex, ey, den)
-    ex, ey, den = ex // g, ey // g, den // g
     x, y = a.x, a.y
     center = Point(
         Fraction(x.numerator * den + ex * x.denominator, x.denominator * den),

@@ -208,22 +208,17 @@ def tangent_at(parabola: Parabola, p: Point) -> Line:
     With p = (X, Y)/W and the focus over one shared denominator W,
     :func:`_focal` gives the equation f and the normal g at p; the point is
     on the parabola when f == 0, and the tangent is then the integer triple
-    (gx*W, gy*W, -(gx*X + gy*Y)).  g is first divided by gcd(gx, gy): on
-    3300-bit figures that common factor has about three times the bits of W,
-    and the canonical line would otherwise strip it from larger numbers.  The
-    tangent at p is unique, so this is the same canonical line as the
-    perpendicular bisector of the focus and the pedal of p on the directrix;
-    the test-suite certifies it against that construction and
-    ``is_tangent``.  At the vertex it is the supporting line, which counts as
-    a tangent.
+    (gx*W, gy*W, -(gx*X + gy*Y)), which ``Line`` reduces.  The tangent at p
+    is unique, so this is the same canonical line as the perpendicular
+    bisector of the focus and the pedal of p on the directrix; the test-suite
+    certifies it against that construction and ``is_tangent``.  At the vertex
+    it is the supporting line, which counts as a tangent.
     """
     w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
     f, gradient = _focal(parabola.directrix, w, x, y, fx, fy)
     if f:
         raise PointNotOnParabola("{} is not on the parabola", p)
     gx, gy = gradient()
-    h = math.gcd(gx, gy)
-    gx, gy = gx // h, gy // h
     return Line(gx * w, gy * w, -(gx * x + gy * y))
 
 

@@ -4,10 +4,11 @@ Every coordinate and every predicate in this package is computed over the
 rationals; floating point never enters a geometric decision.  The scalar type
 is ``fractions.Fraction``, which already maintains the canonical form we rely
 on (denominator positive, numerator and denominator coprime, value equality =
-structural equality of the canonical pair).  This module pins that choice
-behind a small interface: strict construction, the ``p/q`` text form used by
-the DSL and JSON reports, and the one sanctioned escape hatch into decimal
-strings for rendering.
+structural equality of the canonical pair), and every module builds
+``Fraction`` directly, leaving each reduction to it.  This module holds what
+``Fraction`` does not: strict construction, the ``p/q`` text form used by
+the DSL and JSON reports, and the one rounding out of exact form, into
+decimal strings for rendering (:func:`ratio_to_decimal_string`).
 """
 
 from __future__ import annotations

@@ -48,8 +48,9 @@ class ArcElement:
     """Parabola arc between two of its points, with its exact Bezier data.
 
     The control point is the intersection of the endpoint tangents; the arc
-    IS the quadratic Bezier on (p0, control, p1).  Built via
-    :func:`_certified_arc`, which certifies that identity exactly.
+    IS the quadratic Bezier on (p0, control, p1).  Every arc is built after
+    that identity is certified exactly: by :func:`_certified_arc`, or, for a
+    figure's arcs, by :func:`_certify` on the figure's frame.
     """
 
     parabola: Parabola
@@ -184,12 +185,18 @@ def bindings_scene(bindings: dict[str, object]) -> Scene:
 
 
 def _sqrt_decimal(value: Rational, digits: int) -> str:
-    """Decimal string of sqrt(value) to ``digits`` digits, integers only."""
+    """Decimal string of sqrt(value) to ``digits`` digits, integers only.
+
+    With k = ``digits``, sqrt(n/d) * 10^k is sqrt(n*d*10^(2k)) / d; the root is truncated by
+    ``isqrt`` and the quotient rounded half-up by ``ratio_to_decimal_string``
+    as every coordinate is.  The truncated root is the one inexact step, so
+    a radius may print one unit low in its last digit.  Its fix changes
+    recorded SVG bytes, so it waits on the benchmark's re-record (ROADMAP
+    item 1).
+    """
     num, den = value.numerator, value.denominator
-    # sqrt(n/d) * 10^digits = sqrt(n*d*10^(2*digits)) / d
     root = math.isqrt(num * den * 10 ** (2 * digits))
-    rounded = (2 * root + den) // (2 * den)
-    return ratio_to_decimal_string(rounded, 10**digits, digits)
+    return ratio_to_decimal_string(root, den * 10**digits, digits)
 
 
 class _Frame:

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -613,3 +614,32 @@ def test_cli_workload_outputs_match_the_recorded_digests(tmp_path, capsys):
     digests = {key: hashlib.sha256(data).hexdigest() for key, data in outputs.items()}
     assert digests == expected["cli"]
     assert figure_svg.read_bytes() == (root / "tests" / "data" / "parbelos_p13.svg").read_bytes()
+
+
+def test_figure_workload_outputs_match_every_recorded_digest(tmp_path, capsys, monkeypatch):
+    """Every recorded seed of the benchmark's ``figures`` and ``figures-tall``
+    workloads, through ``cli.main``, against its digest.
+
+    The benchmark's gate checks the seed it draws; this checks all 64 of
+    each.  ``benchmarks/workloads.py`` supplies the cusp triples, the argv
+    and the digest, and ``benchmarks/`` is only read.
+    """
+    root = pathlib.Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # ``dataclass`` looks its module up there
+    spec.loader.exec_module(workloads)
+    expected = json.loads((root / "benchmarks" / "expected.json").read_text())
+    svg = tmp_path / "figure.svg"
+    for name, digits in (("figures", 4), ("figures-tall", 1000)):
+        digests = {}
+        for seed in range(workloads.RECORDED_SEEDS):
+            outputs = []
+            for triple in workloads.cusp_triples(seed, digits, workloads.REFERENCE):
+                svg.unlink(missing_ok=True)
+                code, out, _ = run(capsys, *workloads.figure_argv(triple, svg))
+                assert code == 0
+                outputs.append(out.encode() + svg.read_bytes())
+            digests[str(seed)] = workloads.digest(outputs)
+        assert digests == expected[name]

@@ -284,9 +284,8 @@ def reference_build(c1, c2, c3, side=LEFT):
     """The figure through kernel operations, as ``build_parbelos`` built it
     before its integer frame: the tangents at the cusps by ``tangent_at``,
     T1, T2 and T3 as their intersections, the square from the cusp line's
-    parallel and perpendiculars, F as a pedal and O as a midpoint."""
-    if side not in (LEFT, RIGHT):
-        raise DegenerateSide(f"side must be 'left' or 'right', got {side!r}")
+    parallel and perpendiculars, F as a pedal and O as a midpoint.  A bad
+    side is refused by ``parabola_from_latus_rectum``, after the cusps pass."""
     if c1 == c3:
         raise CuspNotInterior("outer cusps coincide")
     _, [(ux, uy), (vx, vy)] = _common(c2 - c1, c3 - c1)
@@ -409,6 +408,10 @@ def test_build_rejects_bad_cusps():
         build_parbelos(point(0, 0), point(1, 0), point(0, 0), LEFT)
     with pytest.raises(DegenerateSide):
         build_parbelos(point(0, 0), point(1, 0), point(4, 0), "up")
+    # The side is checked in one place, where the latus rectum is built, so
+    # bad cusps are refused first.
+    with pytest.raises(CuspsNotCollinear):
+        build_parbelos(point(0, 0), point(1, 1), point(4, 0), "up")
 
 
 BAD_CUSPS = [
