@@ -32,7 +32,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .dsl import EvalReport, evaluate, parse_script, report_json
@@ -40,7 +39,7 @@ from .errors import GeometryError
 from .euclid import Point
 from .figure import NAMED_POINTS, build_parbelos, corollary_checks, sondow_checks
 from .fuzz import DEFAULT_MAX_HEIGHT, MIN_MAX_HEIGHT, run_all
-from .jsonio import verification_json
+from .jsonio import dumps, verification
 from .parabola import LEFT, RIGHT
 from .rational import format_rational, parse_rational, too_long_to_print
 from .svg import bindings_scene, figure_scene, render_svg
@@ -87,8 +86,8 @@ def _cmd_parbelos(args: argparse.Namespace) -> int:
     # The whole output is built, and the SVG written, before any of it is printed.
     try:
         if args.json:
-            doc = verification_json(fig)
-            text, overall = json.dumps(doc, indent=2), doc["overall"]
+            doc = verification(fig)
+            text, overall = dumps(doc), doc["overall"]
         else:
             text, overall = _figure_text(fig, args.side)
         document = render_svg(figure_scene(fig)) if args.svg else None
@@ -116,7 +115,7 @@ def _evaluate_script(path: str) -> EvalReport:
 def _cmd_check(args: argparse.Namespace) -> int:
     report = _evaluate_script(args.file)
     if args.json:
-        print(json.dumps(report_json(report), indent=2))
+        print(dumps(report_json(report)))
     else:
         for result in report.assertions:
             status = "pass" if result.passed else "FAIL"

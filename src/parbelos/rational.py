@@ -47,10 +47,9 @@ def parse_rational(text: str) -> Rational:
 
 
 def format_rational(value: Rational) -> str:
-    """Inverse of :func:`parse_rational`: ``p/q``, or ``p`` when q = 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Inverse of :func:`parse_rational`: ``p/q``, or ``p`` when q = 1, which
+    is the ``str`` of a ``Fraction`` (and of an int)."""
+    return str(value)
 
 
 def too_long_to_print(what: str) -> str:

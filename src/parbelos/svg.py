@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import EmptyScene, PointNotOnParabola
@@ -206,7 +207,10 @@ class _Frame:
     scale = S/D and offset = O/D the canvas x of v = n/d is the unreduced
     ratio (n*S + d*O)/(d*D), rounded once; no Fraction is built per
     coordinate.  ``shift`` moves the result by a whole number of canvas
-    units (the labels sit 5 right of and 5 above their points).
+    units (the labels sit 5 right of and 5 above their points).  The visible
+    math-space rectangle, ``x_lo`` to ``x_hi`` by ``y_lo`` to ``y_hi``, is
+    computed when :func:`_clip_line` first reads it; a scene without lines
+    never builds it.
     """
 
     def __init__(self, bounds, width: int, height: int, margin: int, digits: int):
@@ -218,17 +222,18 @@ class _Frame:
         inner_w, inner_h = width - 2 * margin, height - 2 * margin
         if inner_w <= 0 or inner_h <= 0:
             raise ValueError("margin leaves no drawing area")
-        self.scale = min(Fraction(inner_w, xmax - xmin), Fraction(inner_h, ymax - ymin))
-        self.offset_x = (width - (xmax - xmin) * self.scale) / 2 - xmin * self.scale
-        self.offset_y = height - (height - (ymax - ymin) * self.scale) / 2 + ymin * self.scale
-        self.digits = digits
-        # visible math-space rectangle (for clipping infinite lines)
-        self.x_lo = (0 - self.offset_x) / self.scale
-        self.x_hi = (width - self.offset_x) / self.scale
-        self.y_lo = (self.offset_y - height) / self.scale
-        self.y_hi = self.offset_y / self.scale
-        self._dx, [(self._sx, self._ox)] = _common(Point(self.scale, self.offset_x))
-        self._dy, [(self._sy, self._oy)] = _common(Point(self.scale, self.offset_y))
+        self.width, self.height, self.digits = width, height, digits
+        self.scale = scale = min(Fraction(inner_w, xmax - xmin), Fraction(inner_h, ymax - ymin))
+        # The bounds' midpoint goes to the canvas centre.
+        self.offset_x = (width - (xmin + xmax) * scale) / 2
+        self.offset_y = (height + (ymin + ymax) * scale) / 2
+        self._dx, [(self._sx, self._ox)] = _common(Point(scale, self.offset_x))
+        self._dy, [(self._sy, self._oy)] = _common(Point(scale, self.offset_y))
+
+    x_lo = cached_property(lambda self: -self.offset_x / self.scale)
+    x_hi = cached_property(lambda self: (self.width - self.offset_x) / self.scale)
+    y_lo = cached_property(lambda self: (self.offset_y - self.height) / self.scale)
+    y_hi = cached_property(lambda self: self.offset_y / self.scale)
 
     def x(self, v: Rational, shift: int = 0) -> str:
         n, d = v.numerator, v.denominator

@@ -1043,16 +1043,38 @@ def test_unreduced_ratio_rounds_like_its_fraction(bits, data):
         assert ratio_to_decimal_string(k * v.numerator, k * v.denominator, digits) == to_decimal_string(v, digits)
 
 
+def reference_frame(bounds, width, height, margin):
+    """The canvas map's closed forms: scale, offset_x, offset_y and the
+    visible rectangle (x_lo, x_hi, y_lo, y_hi)."""
+    xmin, ymin, xmax, ymax = bounds
+    if xmax == xmin:
+        xmin, xmax = xmin - 1, xmax + 1
+    if ymax == ymin:
+        ymin, ymax = ymin - 1, ymax + 1
+    s = min(Fraction(width - 2 * margin, xmax - xmin), Fraction(height - 2 * margin, ymax - ymin))
+    ox = (width - (xmax - xmin) * s) / 2 - xmin * s
+    oy = height - (height - (ymax - ymin) * s) / 2 + ymin * s
+    return s, ox, oy, ((0 - ox) / s, (width - ox) / s, (oy - height) / s, oy / s)
+
+
 @pytest.mark.parametrize("bits", HEIGHTS)
 @SETTINGS
 @given(data=st.data())
 def test_canvas_map_matches_fraction_formula(bits, data):
+    """Also with degenerate bounds (a point, or an axis-parallel segment);
+    the visible rectangle is built only when it is read."""
     x0, x1, y0, y1 = (data.draw(rationals(bits)) for _ in range(4))
+    x1, y1 = data.draw(st.sampled_from(((x1, y1), (x0, y1), (x1, y0), (x0, y0))))
     xmin, xmax, ymin, ymax = min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)
     width, height = data.draw(st.integers(100, 1200)), data.draw(st.integers(100, 1200))
     margin = data.draw(st.integers(0, 40))
     digits = data.draw(st.sampled_from((0, 12)))
     frame = _Frame((xmin, ymin, xmax, ymax), width, height, margin, digits)
+    borders = ("x_lo", "x_hi", "y_lo", "y_hi")
+    assert not set(borders) & set(vars(frame))
+    assert (frame.scale, frame.offset_x, frame.offset_y, tuple(getattr(frame, b) for b in borders)) == (
+        reference_frame((xmin, ymin, xmax, ymax), width, height, margin)
+    )
     # left of and above the canvas: negative canvas coordinates
     far_left, far_up = xmin - width / frame.scale, ymax + height / frame.scale
     xs = [data.draw(rationals(bits)), xmin, xmax, far_left]
