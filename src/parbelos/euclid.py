@@ -99,8 +99,13 @@ class Line:
     Canonical form: gcd(|a|, |b|, |c|) = 1 and the leading nonzero coefficient
     (a if a != 0, else b) is positive.  Rational coefficients passed to the
     constructor are cleared to integers, so two equal lines always compare
-    structurally equal.  The constructor sets each coefficient once, already
-    canonical.
+    structurally equal.  The constructor writes the three canonical
+    coefficients once, through the instance dict.  Its reduction is one
+    gcd(a, b, c): a caller that hands it (a*W, b*W, c) on a primitive normal
+    (a, b) gets gcd(a*W, b*W) = W, in a few steps when (a, b) is small, and
+    then one gcd at W's height, which is how the figure builds its lines.
+    The integer cores take a line over a shared denominator W as the triple
+    (a, b, c*W), zero at the numerators of its points.
     """
 
     a: int
@@ -122,9 +127,8 @@ class Line:
         a, b, c = a // g * d, b // g * d, n // g
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        fields = self.__dict__  # written once, past the frozen __setattr__
+        fields["a"], fields["b"], fields["c"] = a, b, c
 
     def evaluate(self, p: Point) -> Rational:
         """Signed value a*x + b*y + c; zero exactly on the line."""

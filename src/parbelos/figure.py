@@ -24,7 +24,11 @@ foci, the feet of T1 and T3 on the cusp line, and their shifts by T2 - F.
 The forms use only sums, differences and quarter turns of the cusps'
 numerators, never a chosen axis, so a similarity of the cusps still maps
 the figure, which is what makes the similarity-invariance checks meaningful.
-K is the circle on O through C2.
+K is the circle on O through C2.  Each line, the directrices included, is
+built from its primitive normal (a, b): ``Line`` is handed
+(a*W, b*W, -(a*X + b*Y)) for a point (X, Y)/W on it, so its one reduction
+is gcd(a*W, b*W) = W and then one gcd at the frame's height, where the
+unreduced direction times W would double that height.
 
 So every field's denominator divides a known bound.  With V = P3 - P1 the
 cusps' integer difference, T1, T2, T3, F, H, A1, A3 and the square's corners
@@ -34,13 +38,18 @@ The checks and the drawing read the figure's frame over D = 4W
 (``ParbelosFigure.frame``), which holds every field but the contact: each
 row, and each latus arc's certificate, whose fields all lie in the frame is
 decided there by the integer core that its predicate runs after its own
-``_common``.  The rows that read the contact point keep their own shared
-denominator; it has about a third more bits than 4W, and a frame that held
-it too would lift every other row to its size.
+``_common``.  A line lies in the frame as its primitive normal and its
+offset over D, so the pedal test and the arc certificates multiply integers
+of about the frame's height, not twice it; a core's verdict is the same on
+any nonzero multiple of a line's triple, so this form and the public
+(a, b, c*W) decide alike.  The rows that read the contact point keep their
+own shared denominator; it has about a third more bits than 4W, and a frame
+that held it too would lift every other row to its size.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -86,10 +95,14 @@ def _form(value, den: int, quotients: dict[int, tuple[int, int]]):
     """The form of a value over the denominator D = ``den``, or None if it has none.
 
     One rule: a point is its numerators (X, Y) over D, and has no form if
-    divmod(D, d) leaves a remainder for one of its denominators d; a line or
-    a Fraction is itself; a tuple or any other dataclass is the tuple of its
-    parts' forms (:func:`_parts`), and has none if a part has none.
-    ``quotients`` holds divmod(D, d) per denominator d, across one frame.
+    divmod(D, d) leaves a remainder for one of its denominators d; a line
+    a*x + b*y + c = 0 is (a/M, b/M, c*D/M) with M = gcd(a, b), its primitive
+    normal and its offset over D, zero at a point's numerators exactly on
+    the line, and has no form if divmod(D, M) leaves a remainder (M shares
+    no factor with c, so that is when c*D/M does); a Fraction is itself; a
+    tuple or any other dataclass is the tuple of its parts' forms
+    (:func:`_parts`), and has none if a part has none.  ``quotients`` holds
+    divmod(D, d) per denominator or normal gcd d, across one frame.
     """
     kind = type(value)
     if kind is Point:
@@ -97,7 +110,12 @@ def _form(value, den: int, quotients: dict[int, tuple[int, int]]):
         qx, rx = quotients.get(xd) or quotients.setdefault(xd, divmod(den, xd))
         qy, ry = quotients.get(yd) or quotients.setdefault(yd, divmod(den, yd))
         return None if rx or ry else (xn * qx, yn * qy)
-    if kind is Line or kind is Fraction:
+    if kind is Line:
+        a, b, c = value.a, value.b, value.c
+        m = math.gcd(a, b)
+        q, r = quotients.get(m) or quotients.setdefault(m, divmod(den, m))
+        return None if r else (a // m, b // m, c * q)
+    if kind is Fraction:
         return value
     parts = tuple([_form(part, den, quotients) for part in _parts(value)])
     return None if None in parts else parts
@@ -135,10 +153,12 @@ class ParbelosFigure:
 
         D = 4W, W the cusps' shared denominator.  ``forms`` maps the name of
         each field that has a form over D (:func:`_form`) to that form: a
-        point is its numerators (X, Y), the square a tuple of them, a circle
-        (center numerators, radius^2) and a parabola (focus numerators,
-        directrix).  The contact point, or a forged field, lies outside the
-        frame and has no form.  The figure is frozen, so the frame is cached; a figure made by
+        point is its numerators (X, Y), a line its primitive normal and its
+        offset over D, (A, B, C) with A*X + B*Y + C = 0 on the line, the
+        square a tuple of points, a circle (center numerators, radius^2) and
+        a parabola (focus numerators, directrix form).  The contact point, or
+        a forged field, lies outside the frame and has no form.  The figure
+        is frozen, so the frame is cached; a figure made by
         ``dataclasses.replace`` is a new object and derives its own.
         """
         w, _ = _common(self.C1, self.C2, self.C3)
@@ -191,7 +211,8 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
     feet S - r of the three axes, F = S13, the square is S12, S23,
     S23 - r13, S12 - r13, H = 2*P2 - r13, A1 = S12 - r23 and A3 = S23 - r12;
     O = 2*P2 + S13 - r13 over 4W.  The cusp tangents, the diagonal and the
-    bisector are integer triples.  K is centred on O itself (the same
+    bisector are integer triples built from their primitive directions
+    (:func:`_line_along`).  K is centred on O itself (the same
     Point), the centre of the rectangle C2 T1 T2 T3, through C2: its squared
     radius is |T2 - 2*P2|^2 / 16W^2 with T2's numerators over 2W.  The
     contact point is computed as diagonal ∩ bisector.  K and the contact,
@@ -265,7 +286,15 @@ def build_parbelos(c1: Point, c2: Point, c3: Point, side: Side = LEFT) -> Parbel
 
 
 def _line_along(w: int, p: tuple[int, int], ex: int, ey: int) -> Line:
-    """The line through the point (X, Y)/W along the direction (ex, ey)."""
+    """The line through the point (X, Y)/W along the direction (ex, ey).
+
+    The direction is divided by its gcd first, so ``Line`` gets
+    (ey*W, -ex*W, ex*Y - ey*X) on the primitive direction: its reduction is
+    gcd(ey*W, ex*W) = W, a few steps when the direction is small, and then
+    one gcd at the frame's height.
+    """
+    g = math.gcd(ex, ey)
+    ex, ey = ex // g, ey // g
     return Line(ey * w, -ex * w, ex * p[1] - ey * p[0])
 
 
@@ -409,7 +438,7 @@ COROLLARIES = (
 # frame: core(D, *forms) on the fields' forms over D (``ParbelosFigure.frame``).
 # Each is the test its word's verdict makes after its own ``_common``.
 _CORES = {
-    "tangent": _tangent,
+    "tangent": lambda d, g, line: _tangent(g, line),
     "concyclic": _on_circle,
     "equidistant": lambda d, p, a, b: _equidistant(p, a, b),
     "square": lambda d, *forms: _square(*forms),

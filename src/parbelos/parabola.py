@@ -12,13 +12,19 @@ This module is the one place that turns (focus, directrix) into integer
 tests.  The focal form ``_focal`` -- the equation n*|X - F|^2 - L(X)^2 at a
 point over one shared denominator W (``euclid._common``), with its gradient
 computed only when a caller asks -- decides membership and builds the
-tangent at a point, here and in the drawing's arc certificate.  The tangency predicate is the pedal criterion
-(the foot of the focus on a tangent lies on the supporting line), written
-through the directrix, since the supporting line is the directrix moved
-halfway to the focus; its integer core ``_tangent`` takes the focus's
-numerators over any denominator, so a figure runs it on its frame.  The
-parabola of a latus rectum is built in integers too, with the focus as its
-only Fractions.
+tangent at a point, here and in the drawing's arc certificate.  The
+tangency predicate is the pedal criterion (the foot of the focus on a
+tangent lies on the supporting line), written through the directrix, since
+the supporting line is the directrix moved halfway to the focus; its
+integer core is ``_tangent``.  Each core takes the focus's numerators over
+the caller's shared denominator, and each line as an integer triple
+(A, B, C) with A*X + B*Y + C = 0 at the numerators (X, Y) of its points
+there.  The public predicates pass (a, b, c*W) over their own
+``_common``, and a figure its frame's forms, each line's primitive normal
+and its offset over D.  A core's verdict is the same on any nonzero
+multiple of a line's triple, so the two decide alike.  The parabola of a
+latus rectum is built in integers too, with the focus as its only
+Fractions, and its directrix from its primitive normal.
 
 The elements are plain properties of :class:`Parabola`, each derived from the
 focus and the directrix when read, without going through another element:
@@ -139,10 +145,11 @@ def _on_latus(w: int, p1: tuple[int, int], p2: tuple[int, int], side: Side):
     S = P1 + P2, and r is the quarter turn of d = P2 - P1 toward the side:
     (-dy, dx) for left, (dy, -dx) for right.  The focus is S/2W; r is both
     the directrix normal and twice the step from the focus to the directrix,
-    so the directrix passes through the foot of the axis (S - r)/2W and is
-    the integer triple (2W*rx, 2W*ry, -r.(S - r)).  The focus coordinates are
-    the only Fractions built.  The tangents at P1 and P2 run to that foot,
-    along d - r and -d - r.
+    so the directrix passes through the foot of the axis (S - r)/2W.  With
+    n = r/gcd(rx, ry) its primitive normal, it is the integer triple
+    (2W*nx, 2W*ny, -n.(S - r)), which ``Line`` reduces by 2W and one gcd at
+    the frame's height.  The focus coordinates are the only Fractions built.
+    The tangents at P1 and P2 run to that foot, along d - r and -d - r.
     """
     (x1, y1), (x2, y2) = p1, p2
     if side == LEFT:
@@ -153,26 +160,32 @@ def _on_latus(w: int, p1: tuple[int, int], p2: tuple[int, int], side: Side):
         raise DegenerateSide(f"side must be 'left' or 'right', got {side!r}")
     sx, sy = x1 + x2, y1 + y2
     focus = Point(Fraction(sx, 2 * w), Fraction(sy, 2 * w))
-    directrix = Line(2 * w * rx, 2 * w * ry, -(rx * (sx - rx) + ry * (sy - ry)))
+    m = math.gcd(rx, ry)
+    nx, ny = rx // m, ry // m
+    directrix = Line(2 * w * nx, 2 * w * ny, -(nx * (sx - rx) + ny * (sy - ry)))
     return Parabola(focus, directrix), (sx, sy), (rx, ry)
 
 
-def _focal(directrix: Line, w: int, x: int, y: int, fx: int, fy: int):
+def _focal(directrix: tuple[int, int, int], x: int, y: int, fx: int, fy: int):
     """The focus-directrix equation at the point (X, Y)/W, and its gradient on request.
 
-    With the focus (FX, FY)/W over the same denominator, the directrix
-    a*x + b*y + c, n = a^2 + b^2 and v = a*X + b*Y + c*W, returns
-    f = n*|X - F|^2 - v^2 and a function giving g = n*(X - F) - v*(a, b) as
-    (gx, gy).  The point is on the parabola exactly when f == 0
-    (|p - F|^2 = L(p)^2 / n with W^2 n cleared), and g is W times half the
-    gradient of n*|x - F|^2 - L(x)^2 there, the normal of the tangent.  A
-    membership test reads f alone, so g is computed only when asked for.  g
-    is never zero on the parabola: a zero g puts the focus on the directrix.
+    With the focus (FX, FY)/W over the same denominator and the directrix
+    as an integer triple (a, b, c) with a*X + b*Y + c = 0 at its points'
+    numerators over W (the line a*x + b*y + c' is (a, b, c'*W)),
+    n = a^2 + b^2 and v = a*X + b*Y + c, returns f = n*|X - F|^2 - v^2 and a
+    function giving g = n*(X - F) - v*(a, b) as (gx, gy).  The point is on
+    the parabola exactly when f == 0 (|p - F|^2 = L(p)^2 / n with W^2 n
+    cleared), and g is W times half the gradient of n*|x - F|^2 - L(x)^2
+    there, the normal of the tangent.  A membership test reads f alone, so
+    g is computed only when asked for.  g is never zero on the parabola: a
+    zero g puts the focus on the directrix.  A multiple k of the triple
+    multiplies f and g by k^2, so f == 0 and the direction of g do not
+    depend on which multiple a caller passes.
     """
-    a, b = directrix.a, directrix.b
+    a, b, c = directrix
     n = a * a + b * b
     dx, dy = x - fx, y - fy
-    v = a * x + b * y + directrix.c * w
+    v = a * x + b * y + c
     return n * (dx * dx + dy * dy) - v * v, lambda: (n * dx - v * a, n * dy - v * b)
 
 
@@ -181,7 +194,8 @@ def contains_point(parabola: Parabola, p: Point) -> bool:
     (the equation of :func:`_focal` over the shared denominator of p and the
     focus; its gradient is not computed)."""
     w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
-    return _focal(parabola.directrix, w, x, y, fx, fy)[0] == 0
+    d = parabola.directrix
+    return _focal((d.a, d.b, d.c * w), x, y, fx, fy)[0] == 0
 
 
 def point_at_parameter(parabola: Parabola, t: Rational) -> Point:
@@ -215,7 +229,8 @@ def tangent_at(parabola: Parabola, p: Point) -> Line:
     it is the supporting line, which counts as a tangent.
     """
     w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
-    f, gradient = _focal(parabola.directrix, w, x, y, fx, fy)
+    d = parabola.directrix
+    f, gradient = _focal((d.a, d.b, d.c * w), x, y, fx, fy)
     if f:
         raise PointNotOnParabola("{} is not on the parabola", p)
     gx, gy = gradient()
@@ -235,16 +250,21 @@ def is_tangent(parabola: Parabola, line: Line) -> bool:
     where the affine L takes the value L(F)/2.  So S = L - L(F)/2 and
     S(F) = L(F)/2.  Taking S = (p, q, r - L(F)/2) and clearing the half, the
     test is n*(p*X + q*Y + r*W) == 2*v*(p*a + q*b), and nothing is derived.
-    The test is :func:`_tangent`, here over the focus's own denominator.
+    The test is :func:`_tangent`, here over the focus's own denominator,
+    with each line as (a, b, c*W).
     """
     w, [focus] = _common(parabola.focus)
-    return _tangent(w, (focus, parabola.directrix), line)
+    d = parabola.directrix
+    return _tangent((focus, (d.a, d.b, d.c * w)), (line.a, line.b, line.c * w))
 
 
-def _tangent(w: int, parabola: tuple, line: Line) -> bool:
+def _tangent(parabola: tuple, line: tuple[int, int, int]) -> bool:
     """The integer core of :func:`is_tangent`, on a parabola given as (focus
-    numerators (X, Y) over W, directrix)."""
-    (x, y), d = parabola
-    a, b = line.a, line.b
-    v = a * x + b * y + line.c * w
-    return (a * a + b * b) * (d.a * x + d.b * y + d.c * w) == 2 * v * (d.a * a + d.b * b)
+    numerators (X, Y), directrix) and a line, each line an integer triple
+    (A, B, C) with A*X + B*Y + C = 0 on numerators over the caller's shared
+    denominator.  Both sides of the test scale alike with either triple, so
+    any nonzero multiple of a line decides as the line does."""
+    (x, y), (p, q, r) = parabola
+    a, b, c = line
+    v = a * x + b * y + c
+    return (a * a + b * b) * (p * x + q * y + r) == 2 * v * (p * a + q * b)

@@ -82,20 +82,23 @@ def _certified_arc(parabola: Parabola, p0: Point, control: Point, p1: Point) -> 
     tests on the numerators.
     """
     w, [q0, qc, q1, focus] = _common(p0, control, p1, parabola.focus)
-    _certify(w, (focus, parabola.directrix), q0, qc, q1)
+    d = parabola.directrix
+    _certify((focus, (d.a, d.b, d.c * w)), q0, qc, q1)
     return ArcElement(parabola, p0, p1, control)
 
 
-def _certify(w: int, parabola: tuple, p0: tuple, control: tuple, p1: tuple) -> None:
+def _certify(parabola: tuple, p0: tuple, control: tuple, p1: tuple) -> None:
     """The integer core of :func:`_certified_arc`: raise unless the Bezier on
-    the numerators p0, control and p1 over W retraces the parabola, given as
-    (focus numerators over W, directrix)."""
+    the numerators p0, control and p1 retraces the parabola, given as (focus
+    numerators, directrix triple) over the same denominator.  Any nonzero
+    multiple of the directrix's triple gives the same outcome
+    (:func:`parabola._focal`)."""
     if p0 == p1:
         raise EmptyScene("degenerate arc: p0 = p1")
     (fx, fy), directrix = parabola
     xc, yc = control
     for (x, y), end in ((p0, "p0"), (p1, "p1")):
-        f, gradient = _focal(directrix, w, x, y, fx, fy)
+        f, gradient = _focal(directrix, x, y, fx, fy)
         if f:
             raise PointNotOnParabola(f"arc endpoint {end} is not on the parabola")
         gx, gy = gradient()
@@ -130,7 +133,7 @@ def figure_scene(fig: ParbelosFigure) -> Scene:
     all have a form there, and by :func:`_certified_arc` otherwise.
     """
     scene = Scene()
-    d, forms = fig.frame
+    forms = fig.frame[1]
     for names in (
         ("inner1", "C1", "T1", "C2"),
         ("inner2", "C2", "T3", "C3"),
@@ -141,7 +144,7 @@ def figure_scene(fig: ParbelosFigure) -> Scene:
         if None in framed:
             scene.arcs.append(_certified_arc(parabola, start, control, end))
         else:
-            _certify(d, *framed)
+            _certify(*framed)
             scene.arcs.append(ArcElement(parabola, start, end, control))
     scene.circles.append(fig.circumcircle_K)
     scene.add_segment(fig.C1, fig.C3, "baseline")

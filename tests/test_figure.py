@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -38,6 +39,7 @@ from parbelos.figure import (
     PREDICATES,
     SONDOW,
     ParbelosFigure,
+    _checks,
     build_parbelos,
     corollary_checks,
     similarity,
@@ -711,12 +713,46 @@ def point_mutants(fig, step):
         yield f"{name}'s focus", dataclasses.replace(fig, **{name: moved_focus})
 
 
+def shifted(line: Line, step: Fraction) -> Line:
+    """``line`` moved along its normal: a*x + b*y + c grows by ``step`` times
+    M = gcd(a, b).  Over a frame of denominator D, a step of 1/D adds 1 to the
+    offset of the line's form (a/M, b/M, c*D/M), and a step of 1/(D + 1)
+    leaves the line without a form (M divides D, so it shares no factor with
+    D + 1)."""
+    return Line(line.a, line.b, line.c + step * math.gcd(line.a, line.b))
+
+
+# The shared cusp tangent at C1, as a row of the tests alone: no statement of
+# the figure reads it, so its mutants fail here.
+CUSP_TANGENT = (
+    (
+        "C1's tangent touches outer and inner1",
+        "C1's tangent misses outer or inner1",
+        "tangent",
+        ("outer", "tangent_at_C1"),
+        ("inner1", "tangent_at_C1"),
+    ),
+)
+
+
+def line_mutants(fig, step):
+    """(field name, figure) with that one line field of fig, or that
+    parabola's directrix, moved by :func:`shifted`."""
+    for name in ("diagonal", "tangent_at_C1"):
+        yield name, dataclasses.replace(fig, **{name: shifted(getattr(fig, name), step)})
+    for name in ("inner1", "inner2", "outer"):
+        g = getattr(fig, name)
+        moved_directrix = type(g)(g.focus, shifted(g.directrix, step))
+        yield name, dataclasses.replace(fig, **{name: moved_directrix})
+
+
 @pytest.mark.parametrize("bits, general, seeds", [(13, True, 4), (13, False, 4), (3300, False, 1)])
 def test_frame_decides_like_the_public_predicates(bits, general, seeds):
     """Every row's verdict and every arc's outcome on the figure's 4W frame is
     what the public predicate or ``_certified_arc`` gives on its own
     ``_common``: on seeded figures, and on mutants with one point moved
-    inside the frame (by 1/4W) or outside it (by 1/(4W + 1))."""
+    inside the frame (by 1/4W) or outside it (by 1/(4W + 1)), or one line
+    shifted inside it (its form's offset + 1) or outside it."""
     for seed in range(seeds):
         cusps = drawn_cusps(bits, seed, general)
         for side in (LEFT, RIGHT):
@@ -728,9 +764,16 @@ def test_frame_decides_like_the_public_predicates(bits, general, seeds):
             cases = [("figure", fig)]
             for where, step in (("inside", F(1, d)), ("outside", F(1, d + 1))):
                 cases += [(f"{name} moved {where}", mutant) for name, mutant in point_mutants(fig, step)]
+                for name, mutant in line_mutants(fig, step):
+                    assert (name in mutant.frame[1]) == (where == "inside"), name
+                    cases.append((f"{name}'s line shifted {where}", mutant))
             for label, figure in cases:
                 verdicts = []
-                for table, checks in ((SONDOW, sondow_checks), (COROLLARIES, corollary_checks)):
+                for table, checks in (
+                    (SONDOW, sondow_checks),
+                    (COROLLARIES, corollary_checks),
+                    (CUSP_TANGENT, lambda f: _checks(f, CUSP_TANGENT)),
+                ):
                     verdicts += [ok for _, _, ok in checks(figure)]
                     assert verdicts[-len(table):] == reference_verdicts(figure, table), label
                 reference = outcome(
@@ -744,13 +787,22 @@ def test_frame_decides_like_the_public_predicates(bits, general, seeds):
 
 def test_mutant_in_and_out_of_the_frame():
     """A point moved by 1/4W has a form in the mutant's frame, one moved by
-    1/(4W + 1) has none, and the mutant's frame is its own."""
+    1/(4W + 1) has none, and the mutant's frame is its own; likewise a line
+    shifted by one unit of its form's offset, or by D/(D + 1) of one."""
     d, forms = P16.frame
     inside = dataclasses.replace(P16, H=moved(P16.H, F(1, d)))
     outside = dataclasses.replace(P16, H=moved(P16.H, F(1, d + 1)))
     assert "H" in forms and "H" in inside.frame[1] and "H" not in outside.frame[1]
     assert inside.frame[1]["H"] == (forms["H"][0] + 1, forms["H"][1])
     assert "contact_T" not in build_axis_aligned(2, 5).frame[1]
+    # A line's form is its primitive normal and its offset over D.
+    a, b, c = forms["diagonal"]
+    assert math.gcd(a, b) == 1
+    assert all(a * x + b * y + c == 0 for x, y in (forms["T1"], forms["T3"]))
+    inside = dataclasses.replace(P16, diagonal=shifted(P16.diagonal, F(1, d)))
+    outside = dataclasses.replace(P16, diagonal=shifted(P16.diagonal, F(1, d + 1)))
+    assert inside.frame[1]["diagonal"] == (a, b, c + 1)
+    assert "diagonal" not in outside.frame[1]
 
 
 def test_frame_leaves_equality_hash_and_pickling_alone():

@@ -22,7 +22,9 @@ figure inputs) and about 3300 bits (cusp coordinates below 10^1000).
 import dataclasses
 import math
 import pickle
+import random
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 
 import oracles
 import parbelos.euclid as euclid
+import parbelos.figure as figure_module
 import parbelos.parabola as parabola_module
 import parbelos.theorems as theorems
 from parbelos.dsl import evaluate, parse_script
@@ -42,6 +45,7 @@ from parbelos.errors import (
     DegenerateSide,
     DegenerateTriangle,
     EmptyScene,
+    GeometryError,
     PointNotIncident,
     PointNotOnParabola,
 )
@@ -74,10 +78,12 @@ from parbelos.figure import (
     similarity,
     sondow_checks,
 )
-from parbelos.fuzz import degenerate_converse_circle, latus_angle_failures
+from parbelos.fuzz import degenerate_converse_circle, height_scale, latus_angle_failures, rand_cusps
 from parbelos.jsonio import verification_json
 from parbelos.parabola import (
     Parabola,
+    _focal,
+    _tangent,
     contains_point,
     is_tangent,
     parabola_from_latus_rectum,
@@ -89,6 +95,7 @@ from parbelos.svg import (
     Scene,
     _Frame,
     _certified_arc,
+    _certify,
     _scene_bounds,
     bindings_scene,
     figure_scene,
@@ -1018,6 +1025,54 @@ def test_certified_arc_accepts_the_tangent_meet(bits, data):
         _certified_arc(parabola, p0, control, parabola.focus)
 
 
+def times(triple, k):
+    return tuple(k * v for v in triple)
+
+
+def over(line, w):
+    """The line as the integer triple (a, b, c*W) that the public predicates
+    hand the cores, zero at the numerators of its points over W."""
+    return line.a, line.b, line.c * w
+
+
+def certificate(*args):
+    """None if ``_certify`` passes, else the class and message of what it raised."""
+    try:
+        return _certify(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@FIGURES
+@given(data=st.data())
+def test_integer_cores_are_homogeneous_in_a_line(bits, data):
+    """Any nonzero multiple of a line's integer triple decides as the triple
+    does: in ``_tangent`` (either line), in ``_focal``'s f == 0 and in
+    ``_certify``.  So a figure's frame, which holds each line as its
+    primitive normal and its offset over D, decides as the public predicates
+    do on (a, b, c*W) over their own ``_common``."""
+    parabola = data.draw(parabolas(bits))
+    t0 = data.draw(rationals(13))
+    t1 = data.draw(rationals(13).filter(lambda t: t != t0))
+    p0, p1, control = reference_parabola_arc(parabola, t0, t1)
+    k, m = data.draw(ints(bits).filter(bool)), data.draw(ints(bits).filter(bool))
+    off = control + Point(Fraction(0), Fraction(1, 7))
+    w, [q0, q1, qc, qo, focus] = _common(p0, p1, control, off, parabola.focus)
+    directrix = over(parabola.directrix, w)
+    for line in (tangent_at(parabola, p0), line_through(p0, p1), parabola.directrix, parabola.axis):
+        expected = is_tangent(parabola, line)
+        assert _tangent((focus, directrix), over(line, w)) == expected
+        assert _tangent((focus, times(directrix, m)), times(over(line, w), k)) == expected
+    for q, p in ((q0, p0), (q1, p1), (qc, control), (qo, off)):
+        assert (_focal(times(directrix, k), *q, *focus)[0] == 0) == contains_point(parabola, p)
+    for arc in ((q0, qc, q1), (q0, qo, q1), (q0, qc, qo), (q0, qc, q0)):
+        expected = certificate((focus, directrix), *arc)
+        assert certificate((focus, times(directrix, k)), *arc) == expected
+    assert certificate((focus, directrix), q0, qc, q1) is None
+    assert certificate((focus, times(directrix, k)), q0, qo, q1) is not None
+
+
 @pytest.mark.parametrize("bits", HEIGHTS)
 @FIGURES
 @given(data=st.data())
@@ -1181,6 +1236,42 @@ def test_build_parbelos_builds_no_bisector_and_no_collinearity_test(bits, monkey
     for side in ("left", "right"):
         build_parbelos(*FIGURE_CUSPS[bits], side)
     assert (bisectors[0], collinear[0], collinear_here[0]) == (0, 0, 0)
+
+
+def test_build_reduces_each_line_at_the_frames_height(monkeypatch):
+    """No gcd that builds a 3300-bit figure takes an argument of 1.5 times the
+    widest integer of the cusps' frame (W and the cusps' numerators).
+
+    The figure's lines are built from their primitive normals: a direction
+    (or normal) is divided by its gcd before it is scaled by W, so ``Line``
+    reduces (a*W, b*W, -(a*X + b*Y)), whose first gcd is W.  On a cusp line
+    with a small direction (``fuzz.rand_cusps``) the widest argument is then
+    about 4/3 of the frame (the diagonal's normal has a third of W's bits),
+    where a triple of the unreduced direction times W took twice.  A
+    general rational direction still reaches 1.6-1.7 times, and up to
+    twice, in gcd(a*W, b*W).  That path was kept: handing ``Line`` the
+    offset as Fraction(-s, W) instead cost about 10 us more per 13-bit
+    build, 3.9% on ``fuzz``.  When this test fails, a figure line is
+    reduced above the frame's height again.
+    """
+    rng = random.Random(7)
+    c1, c2, c3, _ = rand_cusps(rng, height_scale(10**1000))
+    w, numerators = _common(c1, c2, c3)
+    frame = max(abs(v).bit_length() for v in (w, *(v for p in numerators for v in p)))
+    assert frame > 3300
+    widest = [0]
+
+    def gcd(*args):
+        widest[0] = max(widest[0], *(abs(v).bit_length() for v in args))
+        return math.gcd(*args)
+
+    counted = types.SimpleNamespace(**vars(math))
+    counted.gcd = gcd
+    for module in (euclid, figure_module, parabola_module):
+        monkeypatch.setattr(module, "math", counted)
+    for side in ("left", "right"):
+        build_parbelos(c1, c2, c3, side)
+    assert frame < widest[0] < 1.5 * frame
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
