@@ -35,8 +35,9 @@ cusps' integer difference, T1, T2, T3, F, H, A1, A3 and the square's corners
 divide 2W, O divides 4W, K's squared radius 16W^2 and the contact W*|V|^2;
 the tests check each bound, and that a field moved by 1/(2W + 1) breaks it.
 The checks and the drawing read the figure's frame over D = 4W
-(``ParbelosFigure.frame``), which holds every field but the contact: each
-row, and each latus arc's certificate, whose fields all lie in the frame is
+(``ParbelosFigure.frame``), which holds every field that a core reads
+(``READ_FIELDS``) but the contact: each row, and each latus arc's
+certificate (``ARCS``), whose fields all lie in the frame is
 decided there by the integer core that its predicate runs after its own
 ``_common``.  A line lies in the frame as its primitive normal and its
 offset over D, so the pedal test and the arc certificates multiply integers
@@ -152,14 +153,18 @@ class ParbelosFigure:
         """(D, forms): the figure's integer frame, derived from its fields on first read.
 
         D = 4W, W the cusps' shared denominator.  ``forms`` maps the name of
-        each field that has a form over D (:func:`_form`) to that form: a
-        point is its numerators (X, Y), a line its primitive normal and its
-        offset over D, (A, B, C) with A*X + B*Y + C = 0 on the line, the
-        square a tuple of points, a circle (center numerators, radius^2) and
-        a parabola (focus numerators, directrix form).  The contact point, or
-        a forged field, lies outside the frame and has no form.  The figure
-        is frozen, so the frame is cached; a figure made by
-        ``dataclasses.replace`` is a new object and derives its own.
+        each field whose form an integer core reads (``READ_FIELDS``: the
+        fields of a ``SONDOW`` or ``COROLLARIES`` row whose word has a core,
+        and of the drawing's ``ARCS``) and that has a form over D
+        (:func:`_form`) to that form: a point is its numerators (X, Y), a
+        line its primitive normal and its offset over D, (A, B, C) with
+        A*X + B*Y + C = 0 on the line, the square a tuple of points, a circle
+        (center numerators, radius^2) and a parabola (focus numerators,
+        directrix form).  The contact point, or a forged field, lies outside
+        the frame and has no form; a field that no core reads, such as a cusp
+        tangent or the bisector, is not formed.  The figure is frozen, so the
+        frame is cached; a figure made by ``dataclasses.replace`` is a new
+        object and derives its own.
         """
         w, _ = _common(self.C1, self.C2, self.C3)
         d = 4 * w
@@ -168,8 +173,8 @@ class ParbelosFigure:
         # 3300-bit figures).
         quotients: dict[int, tuple[int, int]] = {}
         forms = {}
-        for name, value in vars(self).items():  # the fields: the frame is not cached yet
-            form = _form(value, d, quotients)
+        for name in READ_FIELDS:
+            form = _form(getattr(self, name), d, quotients)
             if form is not None:
                 forms[name] = form
         return d, forms
@@ -443,6 +448,18 @@ _CORES = {
     "equidistant": lambda d, p, a, b: _equidistant(p, a, b),
     "square": lambda d, *forms: _square(*forms),
 }
+
+# The drawing's three latus arcs, one row each: (parabola, start, control,
+# end) fields.  The cusp tangents meet at the corners of the tangent
+# rectangle, so each arc's control point is one of them.
+ARCS = (("inner1", "C1", "T1", "C2"), ("inner2", "C2", "T3", "C3"), ("outer", "C1", "T2", "C3"))
+
+# The fields whose forms a core reads, in first-read order: those of each
+# statement whose word has a core, and those of the arcs.  The frame forms
+# these alone.
+READ_FIELDS = tuple(dict.fromkeys(
+    n for row in [t for _, _, key, *ts in SONDOW + COROLLARIES if key in _CORES for t in ts] + [*ARCS] for n in row
+))
 
 
 def _checks(fig: ParbelosFigure, table: tuple) -> list[tuple[str, str, bool]]:

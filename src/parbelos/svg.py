@@ -10,11 +10,13 @@ takes the foot of its axis on the directrix, where the tangents at the latus
 ends meet.  A figure's certificates are decided on its frame
 (``figure.ParbelosFigure.frame``) by the same integer core.  Coordinates
 stay rational until the final string conversion: the scene's bounds are
-found by integer keys, the canvas map is exact and runs in integers, and
-each point is mapped and rounded once per render.  The y axis
-is flipped from SVG's screen-down convention to the usual mathematical
-orientation, and output is byte-stable for fixed inputs: fixed element order,
-fixed formatting, no floating point anywhere.
+found by integer keys, the canvas map is exact and runs in integers over
+the bounds' own shared denominator, with one divmod per distinct
+coordinate denominator kept for the render (:class:`_Frame`), and each
+point is mapped and rounded once per render.  The y axis is flipped from
+SVG's screen-down convention to the usual mathematical orientation, and
+output is byte-stable for fixed inputs: fixed element order, fixed
+formatting, no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 from .errors import EmptyScene, PointNotOnParabola
 from .euclid import Circle, Line, Point, _common, pedal_point, point
-from .figure import NAMED_POINTS, ParbelosFigure
+from .figure import ARCS, NAMED_POINTS, ParbelosFigure
 from .parabola import Parabola, _focal
 from .rational import Rational, ratio_to_decimal_string
 
@@ -134,11 +136,7 @@ def figure_scene(fig: ParbelosFigure) -> Scene:
     """
     scene = Scene()
     forms = fig.frame[1]
-    for names in (
-        ("inner1", "C1", "T1", "C2"),
-        ("inner2", "C2", "T3", "C3"),
-        ("outer", "C1", "T2", "C3"),
-    ):
+    for names in ARCS:
         parabola, start, control, end = (getattr(fig, name) for name in names)
         framed = list(map(forms.get, names))
         if None in framed:
@@ -206,47 +204,70 @@ def _sqrt_decimal(value: Rational, digits: int) -> str:
 class _Frame:
     """Exact affine map from math coordinates to the SVG canvas (y flipped).
 
-    Each axis keeps its scale and offset over one denominator D, so with
-    scale = S/D and offset = O/D the canvas x of v = n/d is the unreduced
-    ratio (n*S + d*O)/(d*D), rounded once; no Fraction is built per
-    coordinate.  ``shift`` moves the result by a whole number of canvas
-    units (the labels sit 5 right of and 5 above their points).  The visible
-    math-space rectangle, ``x_lo`` to ``x_hi`` by ``y_lo`` to ``y_hi``, is
-    computed when :func:`_clip_line` first reads it; a scene without lines
-    never builds it.
+    The bounds are written over their shared denominator D (``_common``).
+    The axis whose span is the lesser share of its canvas sets the scale
+    inner*D/span, and the bounds' midpoint goes to the canvas centre, so a
+    coordinate N/D maps to x = (inner*(2N - sum_x) + width*span)/(2*span),
+    and y = (inner*(sum_y - 2N) + height*span)/(2*span) on the same ratio,
+    each rounded once; ``shift`` adds a whole number of canvas units (the
+    labels sit 5 right of and 5 above their points).  A coordinate n/d whose
+    d divides D has N = n*(D/d); D/d is found by one divmod per distinct d
+    and kept, with the ratio's other terms, for this frame alone.  Any other
+    coordinate, such as a figure's contact point, takes the same ratio times
+    d.  So mapping a coordinate over D multiplies integers whose sizes add
+    up to about D's, where mapping over the scale's and the offsets' own
+    denominators multiplied two integers of the bounds' full height.  No
+    Fraction is built to map a coordinate: ``scale``, ``offset_x`` and
+    ``offset_y`` are derived when the circle radius or :func:`_clip_line`
+    first reads them, and the visible math-space rectangle, ``x_lo`` to
+    ``x_hi`` by ``y_lo`` to ``y_hi``, when :func:`_clip_line` does.
     """
 
     def __init__(self, bounds, width: int, height: int, margin: int, digits: int):
         xmin, ymin, xmax, ymax = bounds
-        if xmax == xmin:
-            xmin, xmax = xmin - 1, xmax + 1
-        if ymax == ymin:
-            ymin, ymax = ymin - 1, ymax + 1
+        den, [(x0, y0), (x1, y1)] = _common(Point(xmin, ymin), Point(xmax, ymax))
+        if x1 == x0:
+            x0, x1 = x0 - den, x1 + den
+        if y1 == y0:
+            y0, y1 = y0 - den, y1 + den
         inner_w, inner_h = width - 2 * margin, height - 2 * margin
         if inner_w <= 0 or inner_h <= 0:
             raise ValueError("margin leaves no drawing area")
-        self.width, self.height, self.digits = width, height, digits
-        self.scale = scale = min(Fraction(inner_w, xmax - xmin), Fraction(inner_h, ymax - ymin))
-        # The bounds' midpoint goes to the canvas centre.
-        self.offset_x = (width - (xmin + xmax) * scale) / 2
-        self.offset_y = (height + (ymin + ymax) * scale) / 2
-        self._dx, [(self._sx, self._ox)] = _common(Point(scale, self.offset_x))
-        self._dy, [(self._sy, self._oy)] = _common(Point(scale, self.offset_y))
+        self.width, self.height, self.digits, self._den = width, height, digits, den
+        # The limiting axis: the lesser of inner_w/(x1 - x0) and inner_h/(y1 - y0).
+        axes = ((inner_w, x1 - x0), (inner_h, y1 - y0))
+        self._inner, span = axes[inner_w * (y1 - y0) > inner_h * (x1 - x0)]
+        # Over the denominator 2*span: the offsets, and twice the scale times D.
+        self._unit = 2 * span
+        self._ox = width * span - self._inner * (x0 + x1)
+        self._oy = height * span + self._inner * (y0 + y1)
+        self._terms: dict[int, tuple[int, int, int, int]] = {}
 
+    scale = cached_property(lambda self: Fraction(2 * self._inner * self._den, self._unit))
+    offset_x = cached_property(lambda self: Fraction(self._ox, self._unit))
+    offset_y = cached_property(lambda self: Fraction(self._oy, self._unit))
     x_lo = cached_property(lambda self: -self.offset_x / self.scale)
     x_hi = cached_property(lambda self: (self.width - self.offset_x) / self.scale)
     y_lo = cached_property(lambda self: (self.offset_y - self.height) / self.scale)
     y_hi = cached_property(lambda self: self.offset_y / self.scale)
 
+    def _over(self, d: int) -> tuple[int, int, int, int]:
+        """(k, x offset, y offset, unit) for coordinates n/d: canvas x is
+        (n*k + x offset)/unit and y (y offset - n*k)/unit, before a shift.
+        With m = 1 if d divides D and m = d otherwise, n/d = N/(D*m) for
+        N = n*k/(2*inner), and every other term is its frame term times m."""
+        q, r = divmod(self._den, d)
+        q, m = (self._den, d) if r else (q, 1)
+        terms = self._terms[d] = (2 * self._inner * q, m * self._ox, m * self._oy, m * self._unit)
+        return terms
+
     def x(self, v: Rational, shift: int = 0) -> str:
-        n, d = v.numerator, v.denominator
-        num = n * self._sx + d * (self._ox + shift * self._dx)
-        return ratio_to_decimal_string(num, d * self._dx, self.digits)
+        k, ox, _, unit = self._terms.get(v.denominator) or self._over(v.denominator)
+        return ratio_to_decimal_string(v.numerator * k + ox + shift * unit, unit, self.digits)
 
     def y(self, v: Rational, shift: int = 0) -> str:
-        n, d = v.numerator, v.denominator
-        num = d * (self._oy + shift * self._dy) - n * self._sy
-        return ratio_to_decimal_string(num, d * self._dy, self.digits)
+        k, _, oy, unit = self._terms.get(v.denominator) or self._over(v.denominator)
+        return ratio_to_decimal_string(oy - v.numerator * k + shift * unit, unit, self.digits)
 
 
 def _scene_points(scene: Scene):

@@ -37,6 +37,7 @@ from parbelos.figure import (
     COROLLARIES,
     NAMED_POINTS,
     PREDICATES,
+    READ_FIELDS,
     SONDOW,
     ParbelosFigure,
     _checks,
@@ -752,20 +753,25 @@ def test_frame_decides_like_the_public_predicates(bits, general, seeds):
     what the public predicate or ``_certified_arc`` gives on its own
     ``_common``: on seeded figures, and on mutants with one point moved
     inside the frame (by 1/4W) or outside it (by 1/(4W + 1)), or one line
-    shifted inside it (its form's offset + 1) or outside it."""
+    shifted inside it (its form's offset + 1) or outside it.  The frame forms
+    the fields that a core reads (``READ_FIELDS``) and no other, so
+    ``tangent_at_C1``, which only the tests' own ``CUSP_TANGENT`` row names,
+    has no form on either side, and that row gets the public verdict."""
+    unread = {"tangent_at_C1", "tangent_at_C3", "tangent_at_C2_left", "tangent_at_C2_right", "bisector"}
+    assert set(READ_FIELDS) == {field.name for field in dataclasses.fields(ParbelosFigure)} - unread
     for seed in range(seeds):
         cusps = drawn_cusps(bits, seed, general)
         for side in (LEFT, RIGHT):
             fig = build_parbelos(*cusps, side)
             d, forms = fig.frame
             assert d == 4 * cusp_frame(fig)[0]
-            every_field = {field.name for field in dataclasses.fields(ParbelosFigure)}
-            assert every_field - {"contact_T"} <= set(forms)
+            assert set(READ_FIELDS) - {"contact_T"} <= set(forms) <= set(READ_FIELDS)
             cases = [("figure", fig)]
             for where, step in (("inside", F(1, d)), ("outside", F(1, d + 1))):
                 cases += [(f"{name} moved {where}", mutant) for name, mutant in point_mutants(fig, step)]
                 for name, mutant in line_mutants(fig, step):
-                    assert (name in mutant.frame[1]) == (where == "inside"), name
+                    framed = where == "inside" and name in READ_FIELDS
+                    assert (name in mutant.frame[1]) == framed, name
                     cases.append((f"{name}'s line shifted {where}", mutant))
             for label, figure in cases:
                 verdicts = []

@@ -1142,6 +1142,68 @@ def test_canvas_map_matches_fraction_formula(bits, data):
     assert frame.x(far_left).startswith("-") and frame.y(far_up).startswith("-")
 
 
+# Mersenne primes: one that does not divide the bounds' shared denominator
+# gives values off it.
+PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@SETTINGS
+@given(data=st.data())
+def test_canvas_map_off_the_bounds_denominator(bits, data):
+    """A coordinate whose denominator does not divide D, the bounds' shared
+    denominator, maps by the same closed form as one that does (a figure's
+    contact point is such a coordinate): values n/(d*p) with p a prime that
+    does not divide D, at margin 0 and at a drawn one, for shifts 0 and
+    +-5."""
+    x0, x1, y0, y1 = (data.draw(rationals(bits)) for _ in range(4))
+    bounds = min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)
+    width, height = data.draw(st.integers(100, 1200)), data.draw(st.integers(100, 1200))
+    digits = data.draw(st.sampled_from((0, 12)))
+    den = math.lcm(*(v.denominator for v in bounds))
+    p = next(p for p in PRIMES if den % p)
+    values = [bounds[0] + Fraction(1, p), bounds[3] - Fraction(1, p)]
+    for _ in range(3):
+        n = data.draw(ints(bits))
+        values.append(Fraction(n + (n % p == 0), data.draw(st.integers(1, 2**bits)) * p))
+    assert all(den % v.denominator for v in values)
+    for margin in (0, data.draw(st.integers(1, 40))):
+        frame = _Frame(bounds, width, height, margin, digits)
+        scale, offset_x, offset_y, _ = reference_frame(bounds, width, height, margin)
+        for shift in (0, 5, -5):
+            for v in values:
+                assert frame.x(v, shift) == to_decimal_string(v * scale + offset_x + shift, digits)
+                assert frame.y(v, shift) == to_decimal_string(offset_y - v * scale + shift, digits)
+
+
+def test_render_svg_hands_the_rounding_one_denominator(monkeypatch):
+    """On the 3300-bit figure every point's coordinates reach
+    ``ratio_to_decimal_string`` over one denominator: twice the limiting
+    span over the bounds' own D.  Mapping over the scale's and the offsets'
+    own denominators handed it d*dx for a coordinate over d, a different
+    integer per denominator and about twice the frame's height.  The contact
+    point is left out of the scene, since its denominator need not divide D;
+    the bounds stay the same without it."""
+    import parbelos.svg as svg
+
+    fig = build_parbelos(*FIGURE_CUSPS[3300], "right")
+    scene = figure_scene(fig)
+    bounds = _scene_bounds(scene)
+    scene.points = [lp for lp in scene.points if lp.at is not fig.contact_T]
+    assert _scene_bounds(scene) == bounds
+    handed = []
+    rounding = svg.ratio_to_decimal_string
+
+    def recorded(numerator, denominator, digits):
+        handed.append(denominator)
+        return rounding(numerator, denominator, digits)
+
+    monkeypatch.setattr(svg, "ratio_to_decimal_string", recorded)
+    monkeypatch.setattr(svg, "_sqrt_decimal", lambda value, digits: "1")  # the radius is no point
+    render_svg(scene)
+    assert len(handed) > 40 and len(set(handed)) == 1
+
+
 C1_TALL = Point(Fraction(3**2000 + 1, 7**20), Fraction(-(5**1400), 11))
 STEP_TALL = Point(Fraction(2**3300 - 3, 13), Fraction(17, 2**3300 + 1))
 FIGURE_CUSPS = {

@@ -9,7 +9,9 @@ characters.
 
 import json
 import random
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -21,7 +23,7 @@ from parbelos.dsl import evaluate, parse_script, report_json
 from parbelos.euclid import Circle, Line, Point
 from parbelos.figure import build_parbelos
 from parbelos.fuzz import rand_cusps
-from parbelos.jsonio import dumps, value_json, verification, verification_json
+from parbelos.jsonio import _Digits, dumps, value_json, verification, verification_json
 from parbelos.parabola import LEFT, RIGHT, parabola_from_latus_rectum
 
 HEIGHTS = (13, 3300)
@@ -161,3 +163,60 @@ def test_an_int_past_the_digit_limit_raises_value_error():
     for value in (10**limit, [Fraction(1, 10**limit)], {"a": Line(1, 0, 10**limit)}):
         assert outcome(dumps, value) is ValueError
         assert outcome(reference, value) is ValueError
+
+
+# The integers at the edge of the 2^64 bound, below which dumps prints
+# directly, with both signs.
+EDGES = [sign * n for n in (2**64 - 1, 2**64, 2**64 + 1) for sign in (1, -1)]
+LONG = 3**2000 + 2
+
+
+@pytest.mark.parametrize("n", EDGES)
+def test_ints_and_rationals_at_the_64_bit_bound_write_their_json_form(n):
+    """Around the bound, in every place an integer is printed: as an int, a
+    Fraction's numerator or denominator (2^64 - 1 and 2^64 + 1 included), a
+    point's member and a line's coefficient."""
+    values = [n, Fraction(n), Fraction(n, 7), Fraction(7, abs(n)), Fraction(n, 2**64 - 1), Fraction(n, 2**64 + 1)]
+    values += [Point(Fraction(n, 3), Fraction(1, abs(n))), Circle(Point(n, 0), Fraction(n * n, 5)), Line(n, 3, n)]
+    for value in values:
+        assert dumps(value) == reference(value), value
+    assert dumps(values) == reference(values)
+
+
+def test_one_long_integer_repeated_with_both_signs():
+    value = [LONG, -LONG, Fraction(LONG, 3), Fraction(-LONG, 3), Fraction(5, LONG), Fraction(-LONG, LONG + 2)]
+    value += [Line(LONG, -LONG, 1), Point(Fraction(LONG, 11), Fraction(-LONG, 11)), {"a": LONG, "b": -LONG}]
+    assert dumps(value) == reference(value)
+
+
+def count_conversions(monkeypatch) -> Counter:
+    """Count each integer that :class:`jsonio._Digits` converts (until the test ends)."""
+    converted = Counter()
+    convert = _Digits.__missing__
+
+    def counted(digits, n):
+        converted[n] += 1
+        return convert(digits, n)
+
+    monkeypatch.setattr(_Digits, "__missing__", counted)
+    return converted
+
+
+def test_a_tall_document_converts_each_long_integer_once(monkeypatch):
+    """A 3300-bit figure's report prints many long integers more than once
+    (the shared denominators, a line's coefficients, the focus and the centre
+    that two fields hold); each is converted once per document, and a second
+    document converts it again.  A 13-bit report converts nothing."""
+    c1, c2, c3, _ = rand_cusps(random.Random(7), 2**3300)
+    doc = verification(build_parbelos(c1, c2, c3, LEFT))
+    converted = count_conversions(monkeypatch)
+    text = dumps(doc)
+    printed = [int(t) for t in re.findall(r"-?[0-9]+", text) if abs(int(t)) >= 2**64]
+    assert set(converted) == set(printed) and set(converted.values()) == {1}
+    assert len(printed) > 1.5 * len(converted)
+    assert dumps(doc) == text
+    assert set(converted.values()) == {2}
+    converted.clear()
+    c1, c2, c3, _ = rand_cusps(random.Random(7), 2**13)
+    dumps(verification(build_parbelos(c1, c2, c3, LEFT)))
+    assert not converted
