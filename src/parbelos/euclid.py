@@ -13,27 +13,28 @@ constructions ``circumcircle``, ``second_intersection`` and
 (``_common``) and work on the integer numerators, so the only Fractions they
 build are the coordinates (and squared radius) of the point or circle they
 return; ``line_through`` frames its two points the same way and builds
-none, handing ``Line`` the triple to reduce.  The integer tests of
-``on_circle`` and ``equidistant`` are cores of their own (``_on_circle``,
-``_equidistant``), which a figure also runs on the numerators of its frame
-(``figure.ParbelosFigure.frame``).  ``_second_root``, the Vieta step behind
-``second_intersection``, returns its point as a homogeneous integer triple
-(X, Y, Z) with Z > 0 and builds no Fraction, so a caller that needs only
-the line through two roots (``theorems._converse_chord``) takes that line
-as the cross product of the two triples and makes no Points.  ``Line`` reduces
-integer a, b with a Fraction c by gcd(a, b, numerator of c) before it
-clears c's denominator, which is the shape ``perpendicular_through`` hands
-it.
+none, handing ``Line`` the triple to reduce.  The pencil member of
+``circle_through_points`` is the integer core ``_pencil``, which a caller
+with many members of one pencil (``fuzz._converse_case``) runs on one frame
+of the two points.  The integer tests of ``on_circle`` and ``equidistant``
+are cores of their own (``_on_circle``, ``_equidistant``), which a figure
+also runs on the numerators of its frame (``figure.ParbelosFigure.frame``).
+``_second_root``, the Vieta step behind ``second_intersection``, returns
+its point as a homogeneous integer triple (X, Y, Z) with Z > 0 and builds
+no Fraction, so a caller that needs only the line through two roots
+(``theorems._chord``) takes that line as the cross product of the two
+triples and makes no Points.  ``Line`` reduces integer a, b with a Fraction
+c by gcd(a, b, numerator of c) before it clears c's denominator, which is
+the shape ``perpendicular_through`` hands it.
 
 ``pedal_point``, ``midpoint`` and ``line_intersection`` stay on Fraction
 arithmetic.  Their integer forms end in a ``Fraction(n, d)`` whose gcd runs
 over a pair of about twice the input's bits, while Fraction's own ``+`` and
 ``*`` reduce by the gcd of the two denominators and skip that final gcd
-(Henrici's method).  On 3300-bit figure points (2 vCPUs, Python 3.11.7) an
-integer ``pedal_point`` ran 1.8-2.6x slower, and an integer ``midpoint`` of
-two 3300-bit points 10x slower.  Fraction operands are written first
-(``p.x * a``), so an int operand takes ``Fraction.__mul__`` and not the
-``__rmul__`` path with its abstract-base-class check.
+(Henrici's method), so at figure heights their integer forms ran slower.
+Fraction operands are written first (``p.x * a``), so an int operand takes
+``Fraction.__mul__`` and not the ``__rmul__`` path with its
+abstract-base-class check.
 """
 
 from __future__ import annotations
@@ -346,21 +347,31 @@ def circle_through_points(p: Point, q: Point, t: Rational) -> Circle:
 
     The center is midpoint(p, q) + t*d with d the primitive integer direction
     of the perpendicular bisector of pq; t -> circle is injective and reaches
-    every circle through p and q with rational center.
-
-    Over the shared denominator W of p = (PX, PY)/W and q = (QX, QY)/W, d is
-    the primitive quarter turn of Q - P under ``Line.direction``'s sign rule.
-    With t = tn/td and D = 2*W*td, the center is
-    ((PX + QX)*td + 2*W*tn*d)/D and center - p = ((QX - PX)*td + 2*W*tn*d)/D,
-    so the center's coordinates and radius^2 are the only Fractions built.
+    every circle through p and q with rational center.  The two points are
+    framed once by ``_common`` and the member is :func:`_pencil`'s, so its
+    center's coordinates and radius^2 are the only Fractions built.
     """
     if p == q:
         raise CoincidentPoints("circle family needs two distinct points")
-    w, [(px, py), (qx, qy)] = _common(p, q)
+    w, [p, q] = _common(p, q)
+    den, (cx, cy), r = _pencil(w, p, q, t)
+    return Circle(Point(Fraction(cx, den), Fraction(cy, den)), Fraction(r, den * den))
+
+
+def _pencil(w: int, p: tuple, q: tuple, t: Rational) -> tuple[int, tuple[int, int], int]:
+    """The integer core of :func:`circle_through_points`, on two distinct
+    points (PX, PY)/W and (QX, QY)/W: (D, (CX, CY), R) with the member's
+    center (CX, CY)/D and radius^2 R/D^2, over the pencil denominator D.
+
+    d is the primitive quarter turn of Q - P under ``Line.direction``'s sign
+    rule.  With t = tn/td and D = 2*W*td, the center is
+    ((PX + QX)*td + 2*W*tn*d)/D and center - p = ((QX - PX)*td + 2*W*tn*d)/D,
+    whose squared length is R/D^2.  A caller that frames p and q once runs
+    every member of their pencil on the same W and builds no Fraction.
+    """
+    (px, py), (qx, qy) = p, q
     dx, dy = _primitive_direction(py - qy, qx - px)
     tn, td = t.numerator, t.denominator
-    den = 2 * w * td
     kx, ky = 2 * w * tn * dx, 2 * w * tn * dy
     ex, ey = (qx - px) * td + kx, (qy - py) * td + ky
-    center = Point(Fraction((px + qx) * td + kx, den), Fraction((py + qy) * td + ky, den))
-    return Circle(center, Fraction(ex * ex + ey * ey, den * den))
+    return 2 * w * td, ((px + qx) * td + kx, (py + qy) * td + ky), ex * ex + ey * ey

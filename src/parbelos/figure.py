@@ -86,8 +86,7 @@ def _parts(value) -> tuple | list:
     of its ``__init__`` parameters in order, which for every dataclass here
     are all of its fields, so ``kind(*parts)`` rebuilds it.  The figure's
     frame reads four fields' parts per operation, and ``dataclasses.fields``
-    took three times as long (0.72 against 0.24 us per parabola, Python
-    3.11.7 on 2 vCPUs).
+    is the slower read.
     """
     return value if type(value) is tuple else [getattr(value, name) for name in value.__match_args__]
 
@@ -169,8 +168,7 @@ class ParbelosFigure:
         w, _ = _common(self.C1, self.C2, self.C3)
         d = 4 * w
         # divmod(D, d) per denominator d: the frame's points share a handful
-        # of denominators (8-12 among their 36 coordinates on the benchmark's
-        # 3300-bit figures).
+        # of denominators.
         quotients: dict[int, tuple[int, int]] = {}
         forms = {}
         for name in READ_FIELDS:

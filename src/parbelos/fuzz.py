@@ -25,7 +25,7 @@ from .euclid import (
     Line,
     Point,
     _common,
-    circle_through_points,
+    _pencil,
     dist_sq,
     equidistant,
     line_intersection,
@@ -39,12 +39,13 @@ from .parabola import (
     RIGHT,
     Parabola,
     Side,
+    _tangent_frame,
     is_tangent,
     parabola_from_latus_rectum,
     point_at_parameter,
     tangent_at,
 )
-from .theorems import _converse_chord, _converse_crossing, converse_lambert, lambert_circumcircle_check
+from .theorems import _chord, _converse_crossing, converse_lambert, lambert_circumcircle_check
 
 
 @dataclass
@@ -187,23 +188,31 @@ def _lambert_case(args: tuple[int, int, int]) -> list[str]:
 
 def _converse_case(args: tuple[int, int, int]) -> list[str]:
     """Lambert's converse on 100 distinct circles of the pencil through the
-    focus and the crossing I of two tangents.  The tangency preconditions are
-    decided, and I found, once for the pair; each circle then runs the rest
-    of ``converse_lambert``: focus and I on the circle, and the chord
-    tangent.  A pencil parameter already drawn is skipped, so circle ``j`` is
+    focus F and the crossing I of two tangents.  The tangency preconditions
+    are decided, and I found, once for the pair; F and I are then framed
+    once, over the one shared denominator W that also holds the parabola's
+    ``_tangent`` form.  Each circle is the pencil member ``euclid._pencil``
+    on that frame, over its own D = 2*W*td, and runs the rest of
+    ``converse_lambert`` in integers: F and I on the circle, then
+    ``theorems._chord``, so no Circle, Point, Fraction or Line is built per
+    circle.  A pencil parameter already drawn is skipped, so circle ``j`` is
     the ``j``-th distinct draw."""
     index, rng, parabola, _, (p1, p2) = _parabola_points(args, 2)
     l1, l2 = tangent_at(parabola, p1), tangent_at(parabola, p2)
-    focus = parabola.focus
     crossing = _converse_crossing(parabola, l1, l2)
+    w, [f, i], form = _tangent_frame(parabola, crossing)
+    (fx, fy), (ix, iy) = f, i
     params: dict[Fraction, None] = {}  # insertion-ordered set
     while len(params) < 100:
         params.setdefault(rand_rational(rng, 40, 12))
     failures = []
     for j, t in enumerate(params):
-        circle = circle_through_points(focus, crossing, t)
-        _, tangent, _ = _converse_chord(parabola, l1, l2, crossing, circle)
-        if not tangent:
+        den, (cx, cy), r = _pencil(w, f, i, t)
+        k = den // w  # F and I over D
+        x, y = ix * k, iy * k
+        ex, ey, gx, gy = x - cx, y - cy, fx * k - cx, fy * k - cy
+        offset = (ex * ex + ey * ey == r, den, x, y, ex, ey)
+        if not _chord(form, w, l1, l2, offset, gx * gx + gy * gy == r)[1]:
             failures.append(f"case {index}.{j}: converse output not tangent")
     return failures
 

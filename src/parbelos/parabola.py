@@ -253,9 +253,18 @@ def is_tangent(parabola: Parabola, line: Line) -> bool:
     The test is :func:`_tangent`, here over the focus's own denominator,
     with each line as (a, b, c*W).
     """
-    w, [focus] = _common(parabola.focus)
+    w, _, form = _tangent_frame(parabola)
+    return _tangent(form, (line.a, line.b, line.c * w))
+
+
+def _tangent_frame(parabola: Parabola, *points: Point) -> tuple[int, list[tuple[int, int]], tuple]:
+    """(W, numerators, form): the shared denominator W of the focus and
+    ``points`` (``euclid._common``), their numerators, the focus's first,
+    and the parabola's :func:`_tangent` form over W, (focus numerators,
+    directrix (a, b, c*W))."""
+    w, numerators = _common(parabola.focus, *points)
     d = parabola.directrix
-    return _tangent((focus, (d.a, d.b, d.c * w)), (line.a, line.b, line.c * w))
+    return w, numerators, (numerators[0], (d.a, d.b, d.c * w))
 
 
 def _tangent(parabola: tuple, line: tuple[int, int, int]) -> bool:
@@ -263,7 +272,9 @@ def _tangent(parabola: tuple, line: tuple[int, int, int]) -> bool:
     numerators (X, Y), directrix) and a line, each line an integer triple
     (A, B, C) with A*X + B*Y + C = 0 on numerators over the caller's shared
     denominator.  Both sides of the test scale alike with either triple, so
-    any nonzero multiple of a line decides as the line does."""
+    any nonzero multiple of a line decides as the line does.  The line must
+    have (A, B) != (0, 0): on (0, 0, C), both sides are zero and the test
+    reads True, so a caller with a raw triple refuses that first."""
     (x, y), (p, q, r) = parabola
     a, b, c = line
     v = a * x + b * y + c

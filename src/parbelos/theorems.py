@@ -6,6 +6,15 @@ intermediate witnesses that decided it (pedal points, triangle vertices,
 circles, the constructed line), so a frontend can print the full trace.  A
 report pickles and compares by value.  Nothing is compared with a
 tolerance.
+
+Lambert's converse splits into the pair's step, :func:`_converse_crossing`
+(the tangency preconditions and I), and the circle's integer core,
+:func:`_chord` (both second roots from I's offset, the chord as their cross
+product, and its ``_tangent`` verdict).  ``converse_lambert`` runs both on
+one circle.  A converse fuzz case runs the first once per tangent pair,
+frames the focus and I once over the shared denominator W that also holds
+the parabola's ``_tangent`` form, and then runs the core on each pencil
+circle over that frame, with no Circle, Point, Fraction or Line per circle.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from typing import Any
 
 from .errors import (
     CircleMissesFocusOrI,
+    DegenerateLine,
     DegenerateTriangle,
     NotTangent,
     ParallelLines,
@@ -34,7 +44,7 @@ from .euclid import (
     on_circle,
     pedal_point,
 )
-from .parabola import Parabola, is_tangent
+from .parabola import Parabola, _tangent, _tangent_frame, is_tangent
 
 
 @dataclass(frozen=True)
@@ -127,9 +137,10 @@ def converse_lambert(
 
     The check is :func:`_converse_crossing` (the preconditions on l1 and l2,
     and I) followed by :func:`_converse_chord` (the circle, the chord and
-    the verdict), so a caller with many circles for one tangent pair runs the
-    first step once and builds no report.  Only here do H1 and H2 become
-    Points, for the report's witnesses.
+    the verdict, decided by the core :func:`_chord`), so a caller with many
+    circles for one tangent pair runs the first step once and the core per
+    circle, and builds no report.  Only here do H1 and H2 become Points, for
+    the report's witnesses.
     """
     crossing = _converse_crossing(parabola, l1, l2)
     constructed, verdict, roots = _converse_chord(parabola, l1, l2, crossing, circle)
@@ -158,18 +169,39 @@ def _converse_chord(
     :func:`_converse_crossing` for the tangents l1 and l2: the chord H1H2,
     whether it is tangent, and H1 and H2 as homogeneous integer triples.
 
-    The circle must pass through the focus and I (``CircleMissesFocusOrI``
-    otherwise).  I needs no incidence test against l1 or l2: it is their
-    exact ``line_intersection``, so it lies on both.  I's offset from the
-    circle's center is computed once, and both second roots are taken from
-    it; the chord is the canonical ``Line`` of their cross product, so no
-    Fraction, Point or report is built.
+    I needs no incidence test against l1 or l2: it is their exact
+    ``line_intersection``, so it lies on both.  I's offset from the circle's
+    center and the focus's incidence are computed here, and the rest is
+    :func:`_chord`, on the parabola's ``_tangent`` form over the focus's own
+    denominator; only the chord becomes a ``Line``, and no Fraction, Point
+    or report is built.
     """
+    w, _, form = _tangent_frame(parabola)
     offset = _circle_offset(circle, crossing)
-    if not (on_circle(circle, parabola.focus) and offset[0]):
+    triple, verdict, roots = _chord(form, w, l1, l2, offset, on_circle(circle, parabola.focus))
+    return Line(*triple), verdict, roots
+
+
+def _chord(
+    form: tuple, w: int, l1: Line, l2: Line, offset: tuple, focus_on_circle: bool
+) -> tuple[tuple[int, int, int], bool, tuple[tuple[int, int, int], tuple[int, int, int]]]:
+    """The integer core of the converse on one circle: the chord's triple
+    (A, B, C), with A*x + B*y + C = 0 on it, whether it is tangent to the
+    parabola given as its ``_tangent`` form over W, and the roots H1 and H2.
+
+    ``offset`` is the ``_circle_offset`` of I from the circle's center, over
+    any denominator, and its verdict and ``focus_on_circle`` say whether I
+    and the focus lie on the circle (``CircleMissesFocusOrI`` otherwise).
+    Both second roots are taken from that one offset, and the chord is the
+    cross product of their triples.  Two equal roots give (0, 0, 0), which
+    is no line, so a = b = 0 raises ``DegenerateLine`` before the verdict.
+    """
+    if not (focus_on_circle and offset[0]):
         raise CircleMissesFocusOrI(
             "circle must pass through the focus and the tangent intersection"
         )
     roots = (x1, y1, z1), (x2, y2, z2) = _second_root(l1, offset), _second_root(l2, offset)
-    constructed = Line(y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
-    return constructed, is_tangent(parabola, constructed), roots
+    a, b, c = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+    if a == 0 and b == 0:
+        raise DegenerateLine("the chord H1H2 needs H1 != H2")
+    return (a, b, c), _tangent(form, (a, b, c * w)), roots

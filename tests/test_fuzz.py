@@ -11,6 +11,7 @@ import pytest
 
 from parbelos import figure, fuzz, theorems
 from parbelos.cli import main
+from parbelos.errors import DegenerateLine
 from parbelos.euclid import Point, line_through
 from parbelos.fuzz import (
     SUITES,
@@ -345,40 +346,86 @@ def test_a_wrong_root_fails_every_circle_of_the_converse_suite(monkeypatch):
 
 
 def test_a_converse_case_decides_its_tangents_once(monkeypatch):
-    """The pair's two tangency preconditions run once, then one chord check per
-    circle; the public ``converse_lambert`` is not called per circle."""
+    """The pair's two tangency preconditions run once and are its only
+    ``is_tangent`` calls; then each circle is decided once, by the integer
+    core ``theorems._chord``, and the public ``converse_lambert`` is not
+    called per circle."""
     args = (303, 0, height_scale(10_000))
     _, _, parabola, _, points = fuzz._parabola_points(args, 2)
-    decided = []
-    is_tangent = theorems.is_tangent
+    decided, chords = [], []
+    is_tangent, chord = theorems.is_tangent, fuzz._chord
 
     def counted(parabola, line):
         decided.append(line)
         return is_tangent(parabola, line)
 
+    def counted_chord(*args):
+        result = chord(*args)
+        chords.append(result[1])
+        return result
+
     def refused(*args):
         raise AssertionError("converse_lambert called per circle")
 
     monkeypatch.setattr(theorems, "is_tangent", counted)
+    monkeypatch.setattr(fuzz, "_chord", counted_chord)
     monkeypatch.setattr(fuzz, "converse_lambert", refused)
     assert fuzz._converse_case(args) == []
-    assert len(decided) == 2 + 100
-    assert decided[:2] == [fuzz.tangent_at(parabola, p) for p in points]
+    assert decided == [fuzz.tangent_at(parabola, p) for p in points]
+    assert chords == [True] * 100
 
 
 def test_a_converse_case_checks_100_distinct_circles(monkeypatch):
     """A pencil parameter drawn twice for one pair is skipped, so each of the
     pair's 100 circles is a different member of the pencil."""
     drawn = []
-    circle_through_points = fuzz.circle_through_points
+    pencil = fuzz._pencil
 
-    def recorded(p, q, t):
+    def recorded(w, p, q, t):
         drawn.append(t)
-        return circle_through_points(p, q, t)
+        return pencil(w, p, q, t)
 
-    monkeypatch.setattr(fuzz, "circle_through_points", recorded)
+    monkeypatch.setattr(fuzz, "_pencil", recorded)
     assert fuzz._converse_case((303, 0, height_scale(10_000))) == []
     assert len(drawn) == len(set(drawn)) == 100
+
+
+CHORD_ERROR = "DegenerateLine: the chord H1H2 needs H1 != H2"
+
+
+def test_equal_roots_fail_every_circle_of_the_converse_suite(monkeypatch):
+    """Negative control for the chord's guard: with both second roots put at
+    I, each chord's triple is (0, 0, 0), which ``parabola._tangent`` alone
+    reads as tangent.  The core refuses it with ``DegenerateLine``, which
+    ends its case, so every pair and the degenerate branch are listed as
+    that kernel error, serially and on a forked pool.  With the error caught
+    per circle and read as a failed verdict, each of the 400 circles raises
+    it and is listed."""
+    monkeypatch.setattr(theorems, "_second_root", lambda line, offset: (*offset[2:4], offset[1]))
+    serial = run_suite("converse lambert", 4, 11)
+    assert serial.failures == [f"case {i}: {CHORD_ERROR}" for i in range(4)] + [
+        f"case 0: {CHORD_ERROR}"
+    ]
+    chord, refused = fuzz._chord, []
+
+    def caught(*args):
+        try:
+            return chord(*args)
+        except DegenerateLine:
+            refused.append(args[-2][1:])
+            return None, False, None
+
+    monkeypatch.setattr(fuzz, "_chord", caught)
+    listed = run_suite("converse lambert", 4, 11)
+    assert listed.failures == [
+        f"case {i}.{j}: converse output not tangent" for i in range(4) for j in range(100)
+    ] + [f"case 0: {CHORD_ERROR}"]
+    assert len(refused) == len(set(refused)) == 400
+    # Pool workers see the patches only when they are forked from this process.
+    if multiprocessing.get_start_method() == "fork":
+        assert run_suite("converse lambert", 4, 11, parallel=True) == listed
+        monkeypatch.setattr(fuzz, "_chord", chord)
+        assert run_suite("converse lambert", 4, 11, parallel=True) == serial
 
 
 # sha256 of the draws below, recorded from the generators before C2 and C3

@@ -84,6 +84,7 @@ from parbelos.parabola import (
     Parabola,
     _focal,
     _tangent,
+    _tangent_frame,
     contains_point,
     is_tangent,
     parabola_from_latus_rectum,
@@ -748,6 +749,46 @@ def test_converse_lambert_roots_match_second_intersection(bits, data):
         witnesses["h2"],
     ]
     assert witnesses["constructed"] == constructed == line_through(witnesses["h1"], witnesses["h2"])
+
+
+@pytest.mark.parametrize("bits", HEIGHTS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_pencil_and_chord_cores_match_the_public_converse(bits, data):
+    """Each circle run as a converse fuzz case runs it, on one frame of the
+    focus F and the crossing I: ``_pencil``'s numerators over its
+    denominator are the center and radius^2 of ``circle_through_points``,
+    and ``_chord`` decides as ``converse_lambert`` on that circle, with its
+    triple the call's constructed line.  t = 0 is included.  With every
+    second root moved by (1, 0), so that the chords are no longer the
+    tangents, the two still agree."""
+    parabola = data.draw(parabolas(bits))
+    t1, t2 = data.draw(st.lists(rationals(13), min_size=2, max_size=2, unique=True))
+    l1, l2 = (tangent_at(parabola, point_at_parameter(parabola, t)) for t in (t1, t2))
+    crossing = line_intersection(l1, l2)
+    w, [(fx, fy), (ix, iy)], form = _tangent_frame(parabola, crossing)
+    moved = data.draw(st.booleans())
+    with pytest.MonkeyPatch.context() as patch:
+        if moved:
+            second_root = theorems._second_root
+
+            def moved_root(line, offset):
+                x, y, z = second_root(line, offset)
+                return x + z, y, z
+
+            patch.setattr(theorems, "_second_root", moved_root)
+        for t in (Fraction(0), data.draw(rationals(13)), data.draw(rationals(bits))):
+            circle = circle_through_points(parabola.focus, crossing, t)
+            den, (cx, cy), r = euclid._pencil(w, (fx, fy), (ix, iy), t)
+            assert Circle(Point(Fraction(cx, den), Fraction(cy, den)), Fraction(r, den * den)) == circle
+            k = den // w
+            ex, ey, gx, gy = ix * k - cx, iy * k - cy, fx * k - cx, fy * k - cy
+            offset = (ex * ex + ey * ey == r, den, ix * k, iy * k, ex, ey)
+            triple, verdict, _ = theorems._chord(form, w, l1, l2, offset, gx * gx + gy * gy == r)
+            constructed, report = converse_lambert(parabola, l1, l2, circle)
+            assert verdict == report.verdict
+            assert verdict or moved
+            assert Line(*triple) == constructed == report.witnesses["constructed"]
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
