@@ -1,6 +1,6 @@
 """Exact rational plane geometry: parbelos construction and theorem checks."""
 
-from .dsl import EvalReport, Program, evaluate, parse_script, pretty_print, report_json
+from .dsl import EvalReport, Program, evaluate, parse_script, report_json
 from .errors import GeometryError
 from .euclid import (
     Circle,
@@ -24,7 +24,7 @@ from .figure import (
     similarity,
     sondow_checks,
 )
-from .jsonio import figure_json, verification_json
+from .jsonio import figure_json
 from .parabola import (
     LEFT,
     RIGHT,
@@ -35,7 +35,7 @@ from .parabola import (
     point_at_parameter,
     tangent_at,
 )
-from .rational import Rational, format_rational, make_rational, parse_rational, to_decimal_string
+from .rational import Rational, format_rational, parse_rational
 from .svg import Scene, bindings_scene, figure_scene, render_svg
 from .theorems import (
     TheoremReport,
@@ -74,7 +74,6 @@ __all__ = [
     "is_tangent",
     "lambert_circumcircle_check",
     "line_through",
-    "make_rational",
     "on_circle",
     "parabola_from_latus_rectum",
     "parse_rational",
@@ -83,7 +82,6 @@ __all__ = [
     "perpendicular_through",
     "point",
     "point_at_parameter",
-    "pretty_print",
     "render_svg",
     "report_json",
     "second_intersection",
@@ -91,6 +89,4 @@ __all__ = [
     "simson_check",
     "sondow_checks",
     "tangent_at",
-    "to_decimal_string",
-    "verification_json",
 ]

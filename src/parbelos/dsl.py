@@ -129,18 +129,12 @@ class Let:
     line: int
     col: int
 
-    def text(self) -> str:
-        return f"let {self.name} = {self.call.text()}"
-
 
 @dataclass(frozen=True)
 class Assertion:
     call: Call
     line: int
     col: int
-
-    def text(self) -> str:
-        return f"assert {self.call.text()}"
 
 
 @dataclass(frozen=True)
@@ -265,11 +259,6 @@ def parse_script(text: str) -> Program:
         else:
             statements.append(Assertion(_parse_call(p, bound, PREDICATES, UnknownPredicate), line_no, col))
     return Program(tuple(statements))
-
-
-def pretty_print(program: Program) -> str:
-    """Canonical text form; parse -> pretty_print -> parse is a fixed point."""
-    return "".join(stmt.text() + "\n" for stmt in program.statements)
 
 
 # --- evaluation ---

@@ -19,13 +19,14 @@ with many members of one pencil (``fuzz._converse_case``) runs on one frame
 of the two points.  The integer tests of ``on_circle`` and ``equidistant``
 are cores of their own (``_on_circle``, ``_equidistant``), which a figure
 also runs on the numerators of its frame (``figure.ParbelosFigure.frame``).
-``_second_root``, the Vieta step behind ``second_intersection``, returns
-its point as a homogeneous integer triple (X, Y, Z) with Z > 0 and builds
-no Fraction, so a caller that needs only the line through two roots
-(``theorems._chord``) takes that line as the cross product of the two
-triples and makes no Points.  ``Line`` reduces integer a, b with a Fraction
-c by gcd(a, b, numerator of c) before it clears c's denominator, which is
-the shape ``perpendicular_through`` hands it.
+``_second_root``, the Vieta step behind ``second_intersection``, takes the
+known point's numerators and its offset from the center over one W and
+returns the other point as a homogeneous integer triple (X, Y, Z) with
+Z > 0, building no Fraction, so a caller that needs only the line through
+two roots (``theorems._chord``) takes that line as the cross product of the
+two triples and makes no Points.  ``Line`` reduces integer a, b with a
+Fraction c by gcd(a, b, numerator of c) before it clears c's denominator,
+which is the shape ``perpendicular_through`` hands it.
 
 ``pedal_point``, ``midpoint`` and ``line_intersection`` stay on Fraction
 arithmetic.  Their integer forms end in a ``Fraction(n, d)`` whose gcd runs
@@ -265,18 +266,6 @@ def circumcircle(a: Point, b: Point, c: Point) -> Circle:
     return Circle(center, Fraction(ex * ex + ey * ey, den * den))
 
 
-def _circle_offset(circle: Circle, p: Point) -> tuple[bool, int, int, int, int, int]:
-    """Whether p is on the circle, with the integers that decided it.
-
-    Over the shared denominator W of p = (X, Y)/W and center = (CX, CY)/W,
-    with e = (X - CX, Y - CY), :func:`_on_circle` decides.  Returns
-    (verdict, W, X, Y, ex, ey).
-    """
-    w, [(x, y), center] = _common(p, circle.center)
-    verdict = _on_circle(w, (center, circle.radius_sq), (x, y))
-    return verdict, w, x, y, x - center[0], y - center[1]
-
-
 def _on_circle(w: int, circle: tuple, p: tuple[int, int]) -> bool:
     """The integer core of :func:`on_circle`: is the point (X, Y)/W on the
     circle given as (center numerators (CX, CY) over W, radius^2)?
@@ -290,7 +279,8 @@ def _on_circle(w: int, circle: tuple, p: tuple[int, int]) -> bool:
 
 
 def on_circle(circle: Circle, p: Point) -> bool:
-    return _circle_offset(circle, p)[0]
+    w, [q, center] = _common(p, circle.center)
+    return _on_circle(w, (center, circle.radius_sq), q)
 
 
 def equidistant(p: Point, a: Point, b: Point) -> bool:
@@ -318,25 +308,25 @@ def second_intersection(line: Line, circle: Circle, p: Point) -> Point:
     """
     if not line.contains(p):
         raise PointNotIncident("{} is not on {}", p, line)
-    offset = _circle_offset(circle, p)
-    if not offset[0]:
+    w, [(x, y), (cx, cy)] = _common(p, circle.center)
+    if not _on_circle(w, ((cx, cy), circle.radius_sq), (x, y)):
         raise PointNotIncident("{} is not on the circle", p)
-    x, y, z = _second_root(line, offset)
+    x, y, z = _second_root(line, (w, x, y, x - cx, y - cy))
     return Point(Fraction(x, z), Fraction(y, z))
 
 
-def _second_root(line: Line, offset: tuple[bool, int, int, int, int, int]) -> tuple[int, int, int]:
+def _second_root(line: Line, offset: tuple[int, int, int, int, int]) -> tuple[int, int, int]:
     """The other point of ``line`` on a circle, as the homogeneous integer
-    triple (X', Y', Z') with Z' > 0, from the :func:`_circle_offset` of a
-    point p known to be on both (the caller's duty; nothing is checked).
+    triple (X', Y', Z') with Z' > 0, from the offset (W, X, Y, ex, ey) of a
+    point p = (X, Y)/W known to be on both (the caller's duty; nothing is
+    checked): e = (X - CX, Y - CY), with the center (CX, CY)/W.
 
-    Over the shared denominator W of p = (X, Y)/W and center = (CX, CY)/W,
-    with e = (X - CX, Y - CY), d the line's direction, s = d.e and
-    n = |d|^2, the point is (n*X - 2s*dx, n*Y - 2s*dy)/(n*W).  The triple
-    is not reduced: the line through two such roots is the cross product of
-    their triples, which ``Line`` reduces once.
+    With d the line's direction, s = d.e and n = |d|^2, the point is
+    (n*X - 2s*dx, n*Y - 2s*dy)/(n*W).  The triple is not reduced: the line
+    through two such roots is the cross product of their triples, which
+    ``Line`` reduces once.
     """
-    _, w, x, y, ex, ey = offset
+    w, x, y, ex, ey = offset
     dx, dy = line.direction()
     n, s = dx * dx + dy * dy, dx * ex + dy * ey
     return n * x - 2 * s * dx, n * y - 2 * s * dy, n * w

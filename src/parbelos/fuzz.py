@@ -192,27 +192,20 @@ def _converse_case(args: tuple[int, int, int]) -> list[str]:
     are decided, and I found, once for the pair; F and I are then framed
     once, over the one shared denominator W that also holds the parabola's
     ``_tangent`` form.  Each circle is the pencil member ``euclid._pencil``
-    on that frame, over its own D = 2*W*td, and runs the rest of
-    ``converse_lambert`` in integers: F and I on the circle, then
-    ``theorems._chord``, so no Circle, Point, Fraction or Line is built per
-    circle.  A pencil parameter already drawn is skipped, so circle ``j`` is
-    the ``j``-th distinct draw."""
+    on that frame, over its own D = 2*W*td, and ``theorems._chord`` decides
+    it there, as it does for ``converse_lambert``, so no Circle, Point,
+    Fraction or Line is built per circle.  A pencil parameter already drawn
+    is skipped, so circle ``j`` is the ``j``-th distinct draw."""
     index, rng, parabola, _, (p1, p2) = _parabola_points(args, 2)
     l1, l2 = tangent_at(parabola, p1), tangent_at(parabola, p2)
     crossing = _converse_crossing(parabola, l1, l2)
     w, [f, i], form = _tangent_frame(parabola, crossing)
-    (fx, fy), (ix, iy) = f, i
     params: dict[Fraction, None] = {}  # insertion-ordered set
     while len(params) < 100:
         params.setdefault(rand_rational(rng, 40, 12))
     failures = []
     for j, t in enumerate(params):
-        den, (cx, cy), r = _pencil(w, f, i, t)
-        k = den // w  # F and I over D
-        x, y = ix * k, iy * k
-        ex, ey, gx, gy = x - cx, y - cy, fx * k - cx, fy * k - cy
-        offset = (ex * ex + ey * ey == r, den, x, y, ex, ey)
-        if not _chord(form, w, l1, l2, offset, gx * gx + gy * gy == r)[1]:
+        if not _chord(form, w, l1, l2, i, _pencil(w, f, i, t))[1]:
             failures.append(f"case {index}.{j}: converse output not tangent")
     return failures
 

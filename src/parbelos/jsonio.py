@@ -67,11 +67,6 @@ def verification(fig: ParbelosFigure) -> dict:
     return doc
 
 
-def verification_json(fig: ParbelosFigure) -> dict:
-    """The JSON form of :func:`verification`."""
-    return value_json(verification(fig))
-
-
 def value_json(value):
     """The one JSON form of a value: figure fields, DSL bindings and assertion witnesses.
 

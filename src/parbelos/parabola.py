@@ -19,12 +19,13 @@ the supporting line is the directrix moved halfway to the focus; its
 integer core is ``_tangent``.  Each core takes the focus's numerators over
 the caller's shared denominator, and each line as an integer triple
 (A, B, C) with A*X + B*Y + C = 0 at the numerators (X, Y) of its points
-there.  The public predicates pass (a, b, c*W) over their own
-``_common``, and a figure its frame's forms, each line's primitive normal
-and its offset over D.  A core's verdict is the same on any nonzero
-multiple of a line's triple, so the two decide alike.  The parabola of a
-latus rectum is built in integers too, with the focus as its only
-Fractions, and its directrix from its primitive normal.
+there.  The public predicates and the arc certificate take the focus,
+their points and the directrix as (a, b, c*W) from one ``_tangent_frame``
+over their own ``_common``, and a figure passes its frame's forms, each
+line's primitive normal and its offset over D.  A core's verdict is the
+same on any nonzero multiple of a line's triple, so the two decide alike.
+The parabola of a latus rectum is built in integers too, with the focus as
+its only Fractions, and its directrix from its primitive normal.
 
 The elements are plain properties of :class:`Parabola`, each derived from the
 focus and the directrix when read, without going through another element:
@@ -193,9 +194,8 @@ def contains_point(parabola: Parabola, p: Point) -> bool:
     """Focus-directrix membership test, exact on squared distances
     (the equation of :func:`_focal` over the shared denominator of p and the
     focus; its gradient is not computed)."""
-    w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
-    d = parabola.directrix
-    return _focal((d.a, d.b, d.c * w), x, y, fx, fy)[0] == 0
+    _, [(fx, fy), (x, y)], (_, directrix) = _tangent_frame(parabola, p)
+    return _focal(directrix, x, y, fx, fy)[0] == 0
 
 
 def point_at_parameter(parabola: Parabola, t: Rational) -> Point:
@@ -228,9 +228,8 @@ def tangent_at(parabola: Parabola, p: Point) -> Line:
     certifies it against that construction and ``is_tangent``.  At the vertex
     it is the supporting line, which counts as a tangent.
     """
-    w, [(x, y), (fx, fy)] = _common(p, parabola.focus)
-    d = parabola.directrix
-    f, gradient = _focal((d.a, d.b, d.c * w), x, y, fx, fy)
+    w, [(fx, fy), (x, y)], (_, directrix) = _tangent_frame(parabola, p)
+    f, gradient = _focal(directrix, x, y, fx, fy)
     if f:
         raise PointNotOnParabola("{} is not on the parabola", p)
     gx, gy = gradient()

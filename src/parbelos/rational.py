@@ -24,26 +24,21 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def make_rational(numerator: int, denominator: int = 1) -> Rational:
-    """Return numerator/denominator in canonical form; sign lives on the numerator."""
-    if denominator == 0:
-        raise ZeroDenominator("{}/0 is not a rational", numerator)
-    return Fraction(numerator, denominator)
-
-
 def parse_rational(text: str) -> Rational:
     """Parse the textual form ``p/q`` (or plain ``p``).
 
     An optional leading sign is allowed; whitespace is not, a trailing newline
     included.  The digits are ASCII 0-9.  The denominator, when present, is an
-    unsigned integer.
+    unsigned integer, and a zero one raises ``ZeroDenominator``.
     """
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
-    return make_rational(num, den)
+    if den == 0:
+        raise ZeroDenominator("{}/0 is not a rational", num)
+    return Fraction(num, den)
 
 
 def format_rational(value: Rational) -> str:
@@ -64,23 +59,15 @@ def too_long_to_print(what: str) -> str:
     return f"{what} has an integer of more than {limit} digits, too long to print"
 
 
-def to_decimal_string(value: Rational, digits: int = 12) -> str:
-    """Decimal rendering of an exact rational, for reports and SVG only.
-
-    Rounds to ``digits`` fractional digits (half away from zero) using integer
-    arithmetic, then strips trailing zeros.  This and
-    :func:`ratio_to_decimal_string` are the only places the package converts
-    out of exact form.
-    """
-    return ratio_to_decimal_string(value.numerator, value.denominator, digits)
-
-
 def ratio_to_decimal_string(numerator: int, denominator: int, digits: int = 12) -> str:
-    """:func:`to_decimal_string` of numerator/denominator, for denominator > 0.
+    """numerator/denominator, for denominator > 0, as a decimal string
+    rounded to ``digits`` fractional digits (half away from zero, in
+    integers) with trailing zeros stripped: the package's one conversion out
+    of exact form, for SVG only.
 
-    The pair need not be reduced: rounding half away from zero compares twice
-    the remainder with the denominator, and both scale by the same k in
-    k*n/k*d, so every such pair gives the same digits.
+    The pair need not be reduced: rounding compares twice the remainder with
+    the denominator, and both scale by the same k in k*n/k*d, so every such
+    pair gives the same digits.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import EmptyScene, PointNotOnParabola
 from .euclid import Circle, Line, Point, _common, pedal_point, point
 from .figure import ARCS, NAMED_POINTS, ParbelosFigure
-from .parabola import Parabola, _focal
+from .parabola import Parabola, _focal, _tangent_frame
 from .rational import Rational, ratio_to_decimal_string
 
 
@@ -81,11 +81,11 @@ def _certified_arc(parabola: Parabola, p0: Point, control: Point, p1: Point) -> 
     raises :class:`PointNotOnParabola`; none is an ``assert``.  The messages
     name the points by their role, since a tall point's integers may be past
     the interpreter's limit for printing them.  :func:`_certify` runs the
-    tests on the numerators.
+    tests on the numerators of the parabola's frame with the three points
+    (``parabola._tangent_frame``).
     """
-    w, [q0, qc, q1, focus] = _common(p0, control, p1, parabola.focus)
-    d = parabola.directrix
-    _certify((focus, (d.a, d.b, d.c * w)), q0, qc, q1)
+    _, [_, q0, qc, q1], form = _tangent_frame(parabola, p0, control, p1)
+    _certify(form, q0, qc, q1)
     return ArcElement(parabola, p0, p1, control)
 
 

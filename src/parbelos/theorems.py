@@ -9,12 +9,15 @@ tolerance.
 
 Lambert's converse splits into the pair's step, :func:`_converse_crossing`
 (the tangency preconditions and I), and the circle's integer core,
-:func:`_chord` (both second roots from I's offset, the chord as their cross
-product, and its ``_tangent`` verdict).  ``converse_lambert`` runs both on
-one circle.  A converse fuzz case runs the first once per tangent pair,
-frames the focus and I once over the shared denominator W that also holds
-the parabola's ``_tangent`` form, and then runs the core on each pencil
-circle over that frame, with no Circle, Point, Fraction or Line per circle.
+:func:`_chord` (the focus and I on the circle, both second roots from I's
+offset, the chord as their cross product, and its ``_tangent`` verdict).
+The core reads one frame: a shared denominator W that holds the focus, I
+and the parabola's ``_tangent`` form, and the circle over a denominator D
+that W divides.  ``converse_lambert`` frames the focus, I and the circle's
+center once and runs both steps on one circle.  A converse fuzz case runs
+the first once per tangent pair and then the core on each pencil circle
+(``euclid._pencil``) over the same W, with no Circle, Point, Fraction or
+Line per circle.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .euclid import (
     Circle,
     Line,
     Point,
-    _circle_offset,
     _second_root,
     circumcircle,
     is_collinear,
@@ -136,14 +138,18 @@ def converse_lambert(
     criterion.
 
     The check is :func:`_converse_crossing` (the preconditions on l1 and l2,
-    and I) followed by :func:`_converse_chord` (the circle, the chord and
-    the verdict, decided by the core :func:`_chord`), so a caller with many
-    circles for one tangent pair runs the first step once and the core per
-    circle, and builds no report.  Only here do H1 and H2 become Points, for
-    the report's witnesses.
+    and I) followed by the core :func:`_chord`, on one frame W of the focus,
+    I and the circle's center.  The circle goes to the core as
+    (W, center numerators, radius^2 * W^2); when that last is no integer, no
+    point over W is on the circle, and the core refuses it as it refuses any
+    circle that misses the focus or I.  Only the chord becomes a ``Line``,
+    and only H1 and H2 become Points, for the report's witnesses.
     """
     crossing = _converse_crossing(parabola, l1, l2)
-    constructed, verdict, roots = _converse_chord(parabola, l1, l2, crossing, circle)
+    w, [_, i, center], form = _tangent_frame(parabola, crossing, circle.center)
+    r, rem = divmod(circle.radius_sq.numerator * w * w, circle.radius_sq.denominator)
+    triple, verdict, roots = _chord(form, w, l1, l2, i, (w, center, None if rem else r))
+    constructed = Line(*triple)
     h1, h2 = (Point(Fraction(x, z), Fraction(y, z)) for x, y, z in roots)
     witnesses = {"intersection": crossing, "h1": h1, "h2": h2, "constructed": constructed}
     return constructed, TheoremReport(verdict, witnesses)
@@ -162,44 +168,32 @@ def _converse_crossing(parabola: Parabola, l1: Line, l2: Line) -> Point:
         raise ParallelTangents("{} and {} have no intersection", l1, l2) from exc
 
 
-def _converse_chord(
-    parabola: Parabola, l1: Line, l2: Line, crossing: Point, circle: Circle
-) -> tuple[Line, bool, tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """The converse's construction on one circle, given the ``crossing`` I of
-    :func:`_converse_crossing` for the tangents l1 and l2: the chord H1H2,
-    whether it is tangent, and H1 and H2 as homogeneous integer triples.
-
-    I needs no incidence test against l1 or l2: it is their exact
-    ``line_intersection``, so it lies on both.  I's offset from the circle's
-    center and the focus's incidence are computed here, and the rest is
-    :func:`_chord`, on the parabola's ``_tangent`` form over the focus's own
-    denominator; only the chord becomes a ``Line``, and no Fraction, Point
-    or report is built.
-    """
-    w, _, form = _tangent_frame(parabola)
-    offset = _circle_offset(circle, crossing)
-    triple, verdict, roots = _chord(form, w, l1, l2, offset, on_circle(circle, parabola.focus))
-    return Line(*triple), verdict, roots
-
-
 def _chord(
-    form: tuple, w: int, l1: Line, l2: Line, offset: tuple, focus_on_circle: bool
+    form: tuple, w: int, l1: Line, l2: Line, i: tuple[int, int], circle: tuple
 ) -> tuple[tuple[int, int, int], bool, tuple[tuple[int, int, int], tuple[int, int, int]]]:
     """The integer core of the converse on one circle: the chord's triple
-    (A, B, C), with A*x + B*y + C = 0 on it, whether it is tangent to the
-    parabola given as its ``_tangent`` form over W, and the roots H1 and H2.
+    (A, B, C), with A*x + B*y + C = 0 on it, whether it is tangent, and the
+    roots H1 and H2 as homogeneous integer triples.
 
-    ``offset`` is the ``_circle_offset`` of I from the circle's center, over
-    any denominator, and its verdict and ``focus_on_circle`` say whether I
-    and the focus lie on the circle (``CircleMissesFocusOrI`` otherwise).
-    Both second roots are taken from that one offset, and the chord is the
-    cross product of their triples.  Two equal roots give (0, 0, 0), which
-    is no line, so a = b = 0 raises ``DegenerateLine`` before the verdict.
+    The parabola is its ``_tangent`` form over W, I is its numerators over
+    W, and the circle is (D, (CX, CY), R): center (CX, CY)/D and radius^2
+    R/D^2, with W dividing D.  The focus and I are scaled to D and must be
+    on the circle (``CircleMissesFocusOrI`` otherwise; an R of None matches
+    no point).  I needs no test against l1 or l2: it is their crossing.
+    Both second roots are taken from I's offset, and the chord is the cross
+    product of their triples.  Two equal roots give (0, 0, 0), which is no
+    line, so a = b = 0 raises ``DegenerateLine`` before the verdict.
     """
-    if not (focus_on_circle and offset[0]):
+    den, (cx, cy), r = circle
+    k = den // w
+    (fx, fy), _ = form
+    x, y = i[0] * k, i[1] * k
+    ex, ey, gx, gy = x - cx, y - cy, fx * k - cx, fy * k - cy
+    if ex * ex + ey * ey != r or gx * gx + gy * gy != r:
         raise CircleMissesFocusOrI(
             "circle must pass through the focus and the tangent intersection"
         )
+    offset = den, x, y, ex, ey
     roots = (x1, y1, z1), (x2, y2, z2) = _second_root(l1, offset), _second_root(l2, offset)
     a, b, c = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
     if a == 0 and b == 0:

@@ -19,7 +19,6 @@ from parbelos.dsl import (
     UnknownPredicate,
     evaluate,
     parse_script,
-    pretty_print,
     report_json,
 )
 from parbelos.euclid import Circle, Line, Point, point
@@ -123,26 +122,6 @@ def test_arity_checked_at_parse_time():
     with pytest.raises(GeoSyntaxError) as exc:
         parse_script("let A = point(1, 2, 3)")
     assert "expects 2 arguments" in str(exc.value)
-
-
-def test_pretty_print_fixed_point():
-    source = "# note\nlet A = point( +1/2 ,-3 )\nlet B = point(0,1)\nlet L = line(A,B)\nassert collinear(A, B, A)\n"
-    once = pretty_print(parse_script(source))
-    assert once == "let A = point(1/2, -3)\nlet B = point(0, 1)\nlet L = line(A, B)\nassert collinear(A, B, A)\n"
-    assert pretty_print(parse_script(once)) == once
-
-
-def test_pretty_print_fixed_point_with_figures():
-    source = (
-        "let A = point(0,0)\nlet B = point(1,0)\nlet C = point(4,0)\n"
-        "let P = parbelos(A,B,C,left)\nlet G = parabola_latus(A,  C, right)\n"
-        "assert tangent(P.outer,P.diagonal)\nassert eq(P.F, P.focus_F)\n"
-    )
-    once = pretty_print(parse_script(source))
-    assert "parbelos(A, B, C, left)" in once
-    assert "parabola_latus(A, C, right)" in once
-    assert "tangent(P.outer, P.diagonal)" in once
-    assert pretty_print(parse_script(once)) == once
 
 
 def test_evaluate_canonical_script():
@@ -603,8 +582,6 @@ def test_any_script_ends_in_report_or_dsl_error(source):
     except DslError as exc:
         check_position_and_words(exc)
         return
-    text = pretty_print(program)
-    assert pretty_print(parse_script(text)) == text
     try:
         report = evaluate(program)
     except DslError as exc:

@@ -401,7 +401,7 @@ def test_equal_roots_fail_every_circle_of_the_converse_suite(monkeypatch):
     that kernel error, serially and on a forked pool.  With the error caught
     per circle and read as a failed verdict, each of the 400 circles raises
     it and is listed."""
-    monkeypatch.setattr(theorems, "_second_root", lambda line, offset: (*offset[2:4], offset[1]))
+    monkeypatch.setattr(theorems, "_second_root", lambda line, offset: (*offset[1:3], offset[0]))
     serial = run_suite("converse lambert", 4, 11)
     assert serial.failures == [f"case {i}: {CHORD_ERROR}" for i in range(4)] + [
         f"case 0: {CHORD_ERROR}"
@@ -412,7 +412,7 @@ def test_equal_roots_fail_every_circle_of_the_converse_suite(monkeypatch):
         try:
             return chord(*args)
         except DegenerateLine:
-            refused.append(args[-2][1:])
+            refused.append(args[-1])
             return None, False, None
 
     monkeypatch.setattr(fuzz, "_chord", caught)

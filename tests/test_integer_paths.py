@@ -79,7 +79,7 @@ from parbelos.figure import (
     sondow_checks,
 )
 from parbelos.fuzz import degenerate_converse_circle, height_scale, latus_angle_failures, rand_cusps
-from parbelos.jsonio import verification_json
+from parbelos.jsonio import value_json, verification
 from parbelos.parabola import (
     Parabola,
     _focal,
@@ -91,7 +91,7 @@ from parbelos.parabola import (
     point_at_parameter,
     tangent_at,
 )
-from parbelos.rational import ratio_to_decimal_string, to_decimal_string
+from parbelos.rational import ratio_to_decimal_string
 from parbelos.svg import (
     Scene,
     _Frame,
@@ -708,9 +708,9 @@ def test_converse_lambert_roots_match_second_intersection(bits, data):
     intersections.  The circle is a member of the pencil through the focus
     and I, or the one tangent to l1 at I.
 
-    The per-circle step ``_converse_chord`` builds no Point, and I's offset
-    and the focus's are the only two it computes; the public call builds
-    exactly two Points, H1 and H2, for the report.  The constructed line,
+    The public call frames the focus, I and the circle's center once, with
+    one ``_tangent_frame``; the core ``_chord`` builds no Point, and the call
+    builds exactly two, H1 and H2, for the report.  The constructed line,
     taken from the two integer roots, is the line through those Points."""
     parabola = data.draw(parabolas(bits))
     t1, t2 = data.draw(st.lists(rationals(13), min_size=2, max_size=2, unique=True))
@@ -721,25 +721,30 @@ def test_converse_lambert_roots_match_second_intersection(bits, data):
     else:
         circle = circle_through_points(parabola.focus, crossing, data.draw(rationals(13)))
     with pytest.MonkeyPatch.context() as patch:
-        offset_points, built = [], [0]
-        circle_offset = euclid._circle_offset
+        frames, cores, built = [], [], [0]
+        tangent_frame, chord = theorems._tangent_frame, theorems._chord
 
-        def recorded_offset(circle, p):
-            offset_points.append(p)
-            return circle_offset(circle, p)
+        def recorded_frame(parabola, *points):
+            frames.append(points)
+            return tangent_frame(parabola, *points)
 
         def counted_point(x, y):
             built[0] += 1
             return Point(x, y)
 
-        for module in (euclid, theorems):
-            patch.setattr(module, "_circle_offset", recorded_offset)
+        def recorded_chord(*args):
+            before = built[0]
+            cores.append((chord(*args), built[0] - before))
+            return cores[-1][0]
+
+        patch.setattr(theorems, "_tangent_frame", recorded_frame)
         patch.setattr(theorems, "Point", counted_point)
-        constructed, verdict, roots = theorems._converse_chord(parabola, l1, l2, crossing, circle)
-        assert built == [0]
-        assert Counter(offset_points) == Counter([crossing, parabola.focus])
-        report = converse_lambert(parabola, l1, l2, circle)[1]
+        patch.setattr(theorems, "_chord", recorded_chord)
+        constructed, report = converse_lambert(parabola, l1, l2, circle)
+        assert frames == [(crossing, circle.center)]
         assert built == [2]
+    [((triple, verdict, roots), core_points)] = cores
+    assert core_points == 0
     witnesses = report.witnesses
     assert report.verdict and verdict and witnesses["intersection"] == crossing
     assert witnesses["h1"] == second_intersection(l1, circle, crossing)
@@ -748,7 +753,8 @@ def test_converse_lambert_roots_match_second_intersection(bits, data):
         witnesses["h1"],
         witnesses["h2"],
     ]
-    assert witnesses["constructed"] == constructed == line_through(witnesses["h1"], witnesses["h2"])
+    assert witnesses["constructed"] == constructed == Line(*triple)
+    assert constructed == line_through(witnesses["h1"], witnesses["h2"])
 
 
 @pytest.mark.parametrize("bits", HEIGHTS)
@@ -758,15 +764,15 @@ def test_the_pencil_and_chord_cores_match_the_public_converse(bits, data):
     """Each circle run as a converse fuzz case runs it, on one frame of the
     focus F and the crossing I: ``_pencil``'s numerators over its
     denominator are the center and radius^2 of ``circle_through_points``,
-    and ``_chord`` decides as ``converse_lambert`` on that circle, with its
-    triple the call's constructed line.  t = 0 is included.  With every
-    second root moved by (1, 0), so that the chords are no longer the
-    tangents, the two still agree."""
+    and ``_chord`` on that pencil member decides as ``converse_lambert`` on
+    that circle, with its triple the call's constructed line.  t = 0 is
+    included.  With every second root moved by (1, 0), so that the chords
+    are no longer the tangents, the two still agree."""
     parabola = data.draw(parabolas(bits))
     t1, t2 = data.draw(st.lists(rationals(13), min_size=2, max_size=2, unique=True))
     l1, l2 = (tangent_at(parabola, point_at_parameter(parabola, t)) for t in (t1, t2))
     crossing = line_intersection(l1, l2)
-    w, [(fx, fy), (ix, iy)], form = _tangent_frame(parabola, crossing)
+    w, [f, i], form = _tangent_frame(parabola, crossing)
     moved = data.draw(st.booleans())
     with pytest.MonkeyPatch.context() as patch:
         if moved:
@@ -779,12 +785,9 @@ def test_the_pencil_and_chord_cores_match_the_public_converse(bits, data):
             patch.setattr(theorems, "_second_root", moved_root)
         for t in (Fraction(0), data.draw(rationals(13)), data.draw(rationals(bits))):
             circle = circle_through_points(parabola.focus, crossing, t)
-            den, (cx, cy), r = euclid._pencil(w, (fx, fy), (ix, iy), t)
+            pencil = den, (cx, cy), r = euclid._pencil(w, f, i, t)
             assert Circle(Point(Fraction(cx, den), Fraction(cy, den)), Fraction(r, den * den)) == circle
-            k = den // w
-            ex, ey, gx, gy = ix * k - cx, iy * k - cy, fx * k - cx, fy * k - cy
-            offset = (ex * ex + ey * ey == r, den, ix * k, iy * k, ex, ey)
-            triple, verdict, _ = theorems._chord(form, w, l1, l2, offset, gx * gx + gy * gy == r)
+            triple, verdict, _ = theorems._chord(form, w, l1, l2, i, pencil)
             constructed, report = converse_lambert(parabola, l1, l2, circle)
             assert verdict == report.verdict
             assert verdict or moved
@@ -1128,6 +1131,11 @@ def test_figure_scene_arcs_match_the_parameter_round_trip(bits, data):
         assert (arc.p0, arc.p1, arc.control) == reference_parabola_arc(parabola, t0, t1)
 
 
+def fraction_decimal(v: Fraction, digits: int) -> str:
+    """``ratio_to_decimal_string`` on a Fraction's reduced pair."""
+    return ratio_to_decimal_string(v.numerator, v.denominator, digits)
+
+
 @pytest.mark.parametrize("bits", HEIGHTS)
 @SETTINGS
 @given(data=st.data())
@@ -1136,7 +1144,7 @@ def test_unreduced_ratio_rounds_like_its_fraction(bits, data):
     k = data.draw(st.integers(1, 2**bits))
     tie = Fraction(2 * data.draw(ints(bits)) + 1, 2 * 10**digits)  # exactly half a last digit
     for v in (data.draw(rationals(bits)), tie, -tie):
-        assert ratio_to_decimal_string(k * v.numerator, k * v.denominator, digits) == to_decimal_string(v, digits)
+        assert ratio_to_decimal_string(k * v.numerator, k * v.denominator, digits) == fraction_decimal(v, digits)
 
 
 def reference_frame(bounds, width, height, margin):
@@ -1177,9 +1185,9 @@ def test_canvas_map_matches_fraction_formula(bits, data):
     ys = [data.draw(rationals(bits)), ymin, ymax, far_up]
     for shift in (0, 5, -5):
         for v in xs:
-            assert frame.x(v, shift) == to_decimal_string(v * frame.scale + frame.offset_x + shift, digits)
+            assert frame.x(v, shift) == fraction_decimal(v * frame.scale + frame.offset_x + shift, digits)
         for v in ys:
-            assert frame.y(v, shift) == to_decimal_string(frame.offset_y - v * frame.scale + shift, digits)
+            assert frame.y(v, shift) == fraction_decimal(frame.offset_y - v * frame.scale + shift, digits)
     assert frame.x(far_left).startswith("-") and frame.y(far_up).startswith("-")
 
 
@@ -1213,8 +1221,8 @@ def test_canvas_map_off_the_bounds_denominator(bits, data):
         scale, offset_x, offset_y, _ = reference_frame(bounds, width, height, margin)
         for shift in (0, 5, -5):
             for v in values:
-                assert frame.x(v, shift) == to_decimal_string(v * scale + offset_x + shift, digits)
-                assert frame.y(v, shift) == to_decimal_string(offset_y - v * scale + shift, digits)
+                assert frame.x(v, shift) == fraction_decimal(v * scale + offset_x + shift, digits)
+                assert frame.y(v, shift) == fraction_decimal(offset_y - v * scale + shift, digits)
 
 
 def test_render_svg_hands_the_rounding_one_denominator(monkeypatch):
@@ -1275,7 +1283,7 @@ def test_drawing_leaves_the_inner_vertex_and_supporting_line_underived(bits, mon
         fig = build_parbelos(*FIGURE_CUSPS[bits], side)
         assert meets[0] == 1
         assert all(ok for _, _, ok in sondow_checks(fig) + corollary_checks(fig))
-        assert verification_json(fig)["overall"] is True
+        assert value_json(verification(fig))["overall"] is True
         render_svg(figure_scene(fig))
         assert (pedals[0], midpoints[0]) == (0, 0)
         assert (circles[0], tangents[0], lines[0]) == (0, 0, 0)

@@ -23,7 +23,7 @@ from parbelos.dsl import evaluate, parse_script, report_json
 from parbelos.euclid import Circle, Line, Point
 from parbelos.figure import build_parbelos
 from parbelos.fuzz import rand_cusps
-from parbelos.jsonio import _Digits, dumps, value_json, verification, verification_json
+from parbelos.jsonio import _Digits, dumps, value_json, verification
 from parbelos.parabola import LEFT, RIGHT, parabola_from_latus_rectum
 
 HEIGHTS = (13, 3300)
@@ -111,7 +111,7 @@ def test_whole_figures_write_their_json_form(bits, seed):
     for side in (LEFT, RIGHT):
         fig = build_parbelos(c1, c2, c3, side)
         assert dumps(fig) == reference(fig)
-        assert dumps(verification(fig)) == json.dumps(verification_json(fig), indent=2)
+        assert dumps(verification(fig)) == json.dumps(value_json(verification(fig)), indent=2)
 
 
 @SETTINGS

@@ -4,35 +4,15 @@ from fractions import Fraction
 import pytest
 
 from parbelos.errors import ZeroDenominator
-from parbelos.rational import (
-    format_rational,
-    make_rational,
-    parse_rational,
-    to_decimal_string,
-)
+from parbelos.rational import format_rational, parse_rational, ratio_to_decimal_string
 
 F = Fraction
 
 
-def test_canonical_form_examples():
-    assert make_rational(2, 4) == F(1, 2)
-    assert make_rational(3, -6) == F(-1, 2)
-    assert make_rational(0, 7) == F(0, 1)
-
-
-def test_canonical_invariants():
-    rng = random.Random(0)
-    for _ in range(500):
-        q = make_rational(rng.randint(-10**9, 10**9), rng.randint(1, 10**9) * rng.choice((1, -1)))
-        assert q.denominator > 0
-        import math
-
-        assert math.gcd(abs(q.numerator), q.denominator) == 1
-
-
 def test_zero_denominator():
-    with pytest.raises(ZeroDenominator):
-        make_rational(1, 0)
+    with pytest.raises(ZeroDenominator) as exc:
+        parse_rational("-1/0")
+    assert str(exc.value) == "-1/0 is not a rational"
     with pytest.raises(ZeroDenominator):
         parse_rational("3/0")
 
@@ -97,14 +77,14 @@ def test_operations_stay_canonical():
 
 
 def test_to_decimal_string():
-    assert to_decimal_string(F(1, 2)) == "0.5"
-    assert to_decimal_string(F(-5, 4)) == "-1.25"
-    assert to_decimal_string(F(2)) == "2"
-    assert to_decimal_string(F(1, 3), 6) == "0.333333"
-    assert to_decimal_string(F(2, 3), 6) == "0.666667"
-    assert to_decimal_string(F(-1, 3), 2) == "-0.33"
-    assert to_decimal_string(F(0), 12) == "0"
-    assert to_decimal_string(F(1), 0) == "1"
-    assert to_decimal_string(F(149, 100), 1) == "1.5"
+    assert ratio_to_decimal_string(1, 2) == "0.5"
+    assert ratio_to_decimal_string(-5, 4) == "-1.25"
+    assert ratio_to_decimal_string(2, 1) == "2"
+    assert ratio_to_decimal_string(1, 3, 6) == "0.333333"
+    assert ratio_to_decimal_string(2, 3, 6) == "0.666667"
+    assert ratio_to_decimal_string(-1, 3, 2) == "-0.33"
+    assert ratio_to_decimal_string(0, 1, 12) == "0"
+    assert ratio_to_decimal_string(1, 1, 0) == "1"
+    assert ratio_to_decimal_string(149, 100, 1) == "1.5"
     # never renders "-0"
-    assert to_decimal_string(F(-1, 10**6), 2) == "0"
+    assert ratio_to_decimal_string(-1, 10**6, 2) == "0"

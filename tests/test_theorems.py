@@ -155,6 +155,28 @@ def test_converse_lambert_errors():
         converse_lambert(OUTER, Line(1, 1, 0), Line(1, -1, -4), Circle(point(0, 0), F(1)))
 
 
+# Circles that miss the focus F = (2, 0) or the crossing I = (2, -2) of
+# l1: x + y = 0 and l2: x - y - 4 = 0, with the points they pass through.
+MISSING_CIRCLES = {
+    "through F only": (Circle(point(2, 1), F(1)), (True, False)),
+    "through I only": (Circle(point(3, -2), F(1)), (False, True)),
+    # RECT_CIRCLE's center with radius^2 4/3: over the frame's W = 2,
+    # radius^2 * W^2 = 16/3 is no integer, so no point over W is on it,
+    # though its floor 5 is |e|^2 for both F and I.
+    "radius^2 W^2 not whole": (Circle(RECT_CIRCLE.center, F(4, 3)), (False, False)),
+}
+
+
+@pytest.mark.parametrize("name", MISSING_CIRCLES)
+def test_converse_lambert_refuses_a_circle_missing_the_focus_or_i(name):
+    circle, through = MISSING_CIRCLES[name]
+    l1, l2 = Line(1, 1, 0), Line(1, -1, -4)
+    assert (on_circle(circle, OUTER.focus), on_circle(circle, line_intersection(l1, l2))) == through
+    with pytest.raises(CircleMissesFocusOrI) as exc:
+        converse_lambert(OUTER, l1, l2, circle)
+    assert str(exc.value) == "circle must pass through the focus and the tangent intersection"
+
+
 def test_converse_feeds_back_into_lambert():
     """Duality: the rebuilt tangent joins any tangent pair in a Lambert triple."""
     rng = random.Random(59)
