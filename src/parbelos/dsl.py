@@ -16,7 +16,8 @@ The constructors, with their argument kinds, are the rows of
 :data:`CONSTRUCTORS`.  The predicates are the rows of :data:`PREDICATES`,
 which is ``figure.PREDICATES``: the one table of predicates, whose words the
 figure's statements name too.  An assertion's verdict is the row's verdict,
-and its witness the row's witness values in their JSON form.
+and its witness the row's witness values, kernel values like the bindings;
+``jsonio.dumps`` writes both in their JSON form.
 
 All verdicts are exact; evaluation is deterministic and stops at the first
 construction error, reporting the offending statement's position.
@@ -24,7 +25,6 @@ construction error, reporting the offending statement's position.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +44,7 @@ from .euclid import (
     second_intersection,
 )
 from .figure import NAMED_POINTS, PREDICATES, ParbelosFigure, build_parbelos
-from .jsonio import value_json
+from .jsonio import dumps
 from .parabola import LEFT, RIGHT, Parabola, parabola_from_latus_rectum, tangent_at
 from .rational import format_rational, parse_rational, too_long_to_print
 
@@ -276,7 +276,6 @@ class AssertionResult:
 class EvalReport:
     bindings: dict[str, object]
     assertions: list[AssertionResult]
-    bindings_json: dict[str, object]  # value_json of each binding, built once by evaluate
 
     @property
     def overall(self) -> bool:
@@ -355,20 +354,17 @@ def evaluate(program: Program) -> EvalReport:
     :func:`report_json` can always be printed.
     """
     env: dict[str, object] = {}
-    env_json: dict[str, object] = {}
     assertions: list[AssertionResult] = []
     for stmt in program.statements:
         try:
             values = [_resolve(arg, env) for arg in stmt.call.args]
             if isinstance(stmt, Let):
                 [value] = _apply(CONSTRUCTORS, stmt.call, values)
-                doc = value_json(value)
-                json.dumps(doc)
-                env[stmt.name], env_json[stmt.name] = value, doc
+                dumps(value)
+                env[stmt.name] = value
             else:
-                passed, raw = _apply(PREDICATES, stmt.call, values)
-                witness = {name: value_json(value) for name, value in raw.items()}
-                json.dumps(witness)
+                passed, witness = _apply(PREDICATES, stmt.call, values)
+                dumps(witness)
                 assertions.append(AssertionResult(stmt.line, stmt.call.text(), passed, witness))
         except DslError:
             raise
@@ -376,16 +372,18 @@ def evaluate(program: Program) -> EvalReport:
             raise EvalError(str(exc), stmt.line, stmt.col) from exc
         except ValueError:
             # The only ValueError here: an int past the interpreter's digit
-            # limit turned into text, by a witness or the binding's JSON.
+            # limit turned into text, by ``dumps`` of the witness or the binding.
             is_let = isinstance(stmt, Let)
             what = f"binding {stmt.name}" if is_let else f"assertion {stmt.call.func}"
             raise EvalError(too_long_to_print(what), stmt.line, stmt.col) from None
-    return EvalReport(bindings=env, assertions=assertions, bindings_json=env_json)
+    return EvalReport(bindings=env, assertions=assertions)
 
 
 def report_json(report: EvalReport) -> dict:
+    """The bindings, the assertions' results and the overall verdict: the
+    raw document that ``parbelos check --json`` prints through ``dumps``."""
     return {
-        "bindings": report.bindings_json,
+        "bindings": report.bindings,
         "assertions": [
             {"line": r.line, "pred": r.pred, "pass": r.passed, "witness": r.witness}
             for r in report.assertions

@@ -345,8 +345,9 @@ def _square_witness(square_R, center_O, C2, T1, T2, T3) -> dict:
 # The one vocabulary of predicates, keyed by the construction language's
 # words: name -> (argument kinds, verdict, witness).  The verdict is the
 # kernel's exact predicate and alone decides.  The witness returns the raw
-# values behind it, for a reader to see why (``dsl.evaluate`` formats them
-# with ``jsonio.value_json``); nothing on the figure's own checks calls it.
+# values behind it, for a reader to see why (``dsl.evaluate`` keeps them in
+# its report, and ``jsonio.dumps`` writes them); nothing on the figure's own
+# checks calls it.
 # ``square`` is a figure's ``square_R``, and ``any`` takes every value.
 PREDICATES = {
     "collinear": (

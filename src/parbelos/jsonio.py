@@ -1,15 +1,17 @@
-"""JSON forms of kernel values, and the one writer that prints them.
+"""The one JSON writer of kernel values, :func:`dumps`.
 
 Fractions travel as strings ("p/q", or "p" when the denominator is 1) so the
 reports stay exact, and plain ints as JSON integers; points are {"x","y"}
 objects, lines their canonical integer triples.  Each kind's JSON object is
-one row of :data:`_PAIRS`, its (key, part) pairs, read by :func:`value_json`
-and by :func:`dumps`.  ``dumps(value)`` writes the text straight from the
-kernel values and returns exactly ``json.dumps(value_json(value), indent=2)``:
-the same keys in the same order, the same escaping and the same errors
-(``TypeError`` for a value with no JSON form, ``ValueError`` for an int past
-the interpreter's limit on printed digits).  An integer of 2^64 or more in
-size is converted to text once per document and looked up after that.
+one row of :data:`_PAIRS`, its (key, part) pairs.  ``dumps(value)`` writes
+the text straight from the kernel values, byte for byte what
+``json.dumps(…, indent=2)`` prints for that JSON form.  Kinds are matched
+exactly, so a subclass (of ``int``, ``tuple``, ``dict`` or a kernel kind)
+has no JSON form; ``bool`` and ``None`` are their own kinds, and a dict's
+keys must be strings.  A value with no JSON form raises ``TypeError``, an
+int past the interpreter's limit on printed digits ``ValueError``.  An
+integer of 2^64 or more in size is converted to text once per document and
+looked up after that.
 """
 
 from __future__ import annotations
@@ -35,21 +37,15 @@ _PAIRS = {
 }
 
 _CONSTANTS = {True: "true", False: "false", None: "null"}
-_SCALARS = (int, str, bool, type(None))
 # Integers strictly between these are printed directly, with no lookup.
 _LOW, _HIGH = -(2**64), 2**64
 
 
 def _member(value):
     """A rational member of a point or a circle: a Fraction as itself, which
-    every writer prints as its "p/q" text, and any other kind (an int) as
+    :func:`dumps` prints as its "p/q" text, and any other kind (an int) as
     that text already."""
     return value if type(value) is Fraction else format_rational(value)
-
-
-def figure_json(fig: ParbelosFigure) -> dict:
-    """Figure fields by their attribute names, in declaration order."""
-    return {key: value_json(part) for key, part in _PAIRS[ParbelosFigure](fig)}
 
 
 def verification(fig: ParbelosFigure) -> dict:
@@ -67,36 +63,8 @@ def verification(fig: ParbelosFigure) -> dict:
     return doc
 
 
-def value_json(value):
-    """The one JSON form of a value: figure fields, DSL bindings and assertion witnesses.
-
-    Kinds are matched exactly, so a subclass (of ``int``, ``tuple``, ``dict``
-    or a kernel kind) has no JSON form; ``bool`` and ``None`` are their own
-    kinds, and a dict's keys must be strings.
-    """
-    kind = type(value)
-    if kind is ParbelosFigure:
-        return figure_json(value)
-    pairs = _PAIRS.get(kind)
-    if pairs is not None:
-        return {_key(key): value_json(part) for key, part in pairs(value)}
-    if kind is Fraction:
-        return format_rational(value)
-    if kind in _SCALARS:
-        return value
-    if kind is tuple or kind is list:
-        return [value_json(item) for item in value]
-    raise TypeError(f"no JSON form for {kind.__name__}")
-
-
-def _key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return key
-
-
 def dumps(value) -> str:
-    """``json.dumps(value_json(value), indent=2)``, written from ``value`` itself.
+    """The indent-2 JSON text of ``value``'s JSON form, written from ``value`` itself.
 
     An int, or a Fraction whose numerator and denominator both lie strictly
     between -2^64 and 2^64, is printed directly.  Each longer integer is
@@ -148,6 +116,6 @@ def _text(value, indent: str, digits: _Digits) -> str:
     if kind is tuple or kind is list:
         items = f",{inner}".join([_text(item, inner, digits) for item in value])
         return f"[{inner}{items}{indent}]" if items else "[]"
-    if kind in _SCALARS:  # bool or None
+    if kind is bool or value is None:
         return _CONSTANTS[value]
     raise TypeError(f"no JSON form for {kind.__name__}")

@@ -2,13 +2,20 @@
 
 Everything here is computed straight from coordinate formulas on Fractions,
 without touching the package under test, so a kernel bug cannot hide behind
-a matching bug in the expected values.  Results are plain tuples.
+a matching bug in the expected values.  Results are plain tuples, but for
+:func:`expected_json`, which imports the kernel's classes only to tell its
+kinds apart and names each kind's JSON keys itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
+
+from parbelos.euclid import Circle, Line, Point
+from parbelos.figure import ParbelosFigure
+from parbelos.parabola import Parabola
 
 F = Fraction
 
@@ -135,3 +142,41 @@ def transported_closed_forms(c1: XY, c3: XY, t, side: str) -> dict[str, object]:
         return value * (dx * dx + dy * dy)
 
     return {name: move(value) for name, value in parbelos_closed_forms(t, 1 - t).items()}
+
+
+def rational_text(value) -> str:
+    """A rational's JSON form, "p/q", or "p" when the denominator is 1."""
+    n, d = value.as_integer_ratio()
+    return f"{n}/{d}" if d != 1 else f"{n}"
+
+
+def expected_json(value):
+    """The documented JSON form of a value, as a tree for stdlib ``json.dumps``.
+
+    A Fraction is its rational text, and so is a point's or a circle's member
+    when it holds an int; a line's coefficients are JSON integers.  Kinds are
+    matched exactly, so a subclass, a float or a set raises ``TypeError``, as
+    does a dict key that is not a str.
+    """
+    kind = type(value)
+    if kind is Point:
+        return {"x": rational_text(value.x), "y": rational_text(value.y)}
+    if kind is Line:
+        return {"a": value.a, "b": value.b, "c": value.c}
+    if kind is Circle:
+        return {"center": expected_json(value.center), "radius_sq": rational_text(value.radius_sq)}
+    if kind is Parabola:
+        return {"focus": expected_json(value.focus), "directrix": expected_json(value.directrix)}
+    if kind is ParbelosFigure:
+        return {f.name: expected_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if kind is Fraction:
+        return rational_text(value)
+    if kind is dict:
+        if any(type(key) is not str for key in value):
+            raise TypeError("keys must be str")
+        return {key: expected_json(part) for key, part in value.items()}
+    if kind is list or kind is tuple:
+        return [expected_json(item) for item in value]
+    if kind in (int, str, bool, type(None)):
+        return value
+    raise TypeError(f"no JSON form for {kind.__name__}")

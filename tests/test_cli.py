@@ -344,20 +344,28 @@ def test_help_exits_zero(capsys):
     assert "Subcommands" in err
 
 
-def test_check_json_builds_each_binding_json_once(monkeypatch, capsys):
-    import parbelos.jsonio as jsonio
+def test_check_json_calls_dumps_once_per_statement_and_once_for_the_document(monkeypatch, capsys):
+    """``evaluate`` writes each binding and each witness once, to refuse an
+    integer too long to print at its statement, and ``check --json`` writes
+    the report once; the document holds those same kernel values."""
+    import parbelos.dsl as dsl
+    from parbelos.jsonio import dumps
 
-    calls = []
-    original = jsonio.figure_json
+    calls = {dsl: [], cli: []}
+    for module, written in calls.items():
 
-    def counted(fig):
-        calls.append(fig)
-        return original(fig)
+        def counted(value, _written=written):
+            _written.append(value)
+            return dumps(value)
 
-    monkeypatch.setattr(jsonio, "figure_json", counted)
+        monkeypatch.setattr(module, "dumps", counted)
     code, out, _ = run(capsys, "check", str(DATA / "sondow.geo"), "--json")
     assert code == 0 and json.loads(out)["overall"] is True
-    assert len(calls) == 1  # sondow.geo binds one figure
+    statements = dsl.parse_script((DATA / "sondow.geo").read_text(encoding="utf-8")).statements
+    [doc] = calls[cli]
+    assert len(calls[dsl]) == len(statements) == len(doc["bindings"]) + len(doc["assertions"])
+    held = [*doc["bindings"].values(), *(entry["witness"] for entry in doc["assertions"])]
+    assert sorted(map(id, calls[dsl])) == sorted(map(id, held))
 
 
 def test_parbelos_json_runs_each_check_pass_once(monkeypatch, capsys):

@@ -1,4 +1,3 @@
-import json
 import re
 from fractions import Fraction
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import expected_json
 from parbelos.dsl import (
     Assertion,
     DslError,
@@ -23,6 +23,7 @@ from parbelos.dsl import (
 )
 from parbelos.euclid import Circle, Line, Point, point
 from parbelos.figure import ParbelosFigure
+from parbelos.jsonio import dumps
 
 F = Fraction
 
@@ -222,9 +223,9 @@ def test_eq_on_the_square_has_its_corners_as_witness():
         {"x": "1/2", "y": "-2"},
     ]
     same, other = report.assertions
-    assert same.passed and same.witness == {"left": corners, "right": corners}
-    assert not other.passed and other.witness == {"left": corners, "right": {"x": "0", "y": "0"}}
-    json.dumps(report_json(report))
+    assert same.passed and expected_json(same.witness) == {"left": corners, "right": corners}
+    assert not other.passed and expected_json(other.witness) == {"left": corners, "right": {"x": "0", "y": "0"}}
+    dumps(report_json(report))
 
 
 def test_unknown_figure_field():
@@ -247,17 +248,17 @@ def test_report_json_schema_and_determinism():
     entry = doc["assertions"][0]
     assert set(entry) == {"line", "pred", "pass", "witness"}
     assert entry["pred"] == "tangent(P.outer, P.diagonal)"
-    assert doc["bindings"]["C1"] == {"x": "0", "y": "0"}
+    assert expected_json(doc["bindings"]["C1"]) == {"x": "0", "y": "0"}
     # byte-identical across evaluations
     again = report_json(evaluate(parse_script(P13_SCRIPT)))
-    assert json.dumps(doc) == json.dumps(again)
+    assert dumps(doc) == dumps(again)
 
 
 def test_witnesses_are_exact():
     report = evaluate(parse_script("let A = point(0,0)\nlet B = point(3,4)\nlet C = point(6,8)\nassert collinear(A, B, C)\nassert equidistant(B, A, C)"))
     coll, equi = report.assertions
-    assert coll.passed and coll.witness == {"determinant": "0"}
-    assert equi.passed and equi.witness == {"dist_sq_first": "25", "dist_sq_second": "25"}
+    assert coll.passed and expected_json(coll.witness) == {"determinant": "0"}
+    assert equi.passed and expected_json(equi.witness) == {"dist_sq_first": "25", "dist_sq_second": "25"}
 
 
 def test_equidistant_verdict_is_the_kernel_predicate(monkeypatch):
@@ -271,7 +272,7 @@ def test_equidistant_verdict_is_the_kernel_predicate(monkeypatch):
     monkeypatch.setitem(PREDICATES, "equidistant", (kinds, lambda p, a, b: False, witness))
     result = evaluate(parse_script(source)).assertions[0]
     assert not result.passed
-    assert result.witness == {"dist_sq_first": "25", "dist_sq_second": "25"}
+    assert expected_json(result.witness) == {"dist_sq_first": "25", "dist_sq_second": "25"}
 
 
 # The two words the figure's statements added, on the canonical figure and
@@ -289,18 +290,18 @@ assert square(P.square_R, P.O, P.C2, P.T1, T2, P.T3)
 def test_on_line_and_square_hold_on_the_figure_and_fail_on_a_moved_point():
     on_line, moved_contact, square, moved_t2 = evaluate(parse_script(NEW_WORDS_SCRIPT)).assertions[2:]
     # The bisector is x - 1 = 0.
-    assert on_line.passed and on_line.witness == {"value": "0"}
-    assert not moved_contact.passed and moved_contact.witness == {"value": "1"}
+    assert on_line.passed and expected_json(on_line.witness) == {"value": "0"}
+    assert not moved_contact.passed and expected_json(moved_contact.witness) == {"value": "1"}
     # R = (1/2, 0), (5/2, 0), (5/2, -2), (1/2, -2), centered at O = (3/2, -1).
-    assert square.passed and square.witness == {
+    assert square.passed and expected_json(square.witness) == {
         "sides_sq": ["4", "4", "4", "4"],
         "corner_dots": ["0", "0", "0", "0"],
         "diagonal_midpoints": [{"x": "3/2", "y": "-1"}] * 4,
     }
     # The diagonal C2 T2 of r no longer has its midpoint at O.
     assert not moved_t2.passed
-    assert moved_t2.witness["diagonal_midpoints"][2] == {"x": "2", "y": "-1"}
-    assert moved_t2.witness["sides_sq"] == square.witness["sides_sq"]
+    assert expected_json(moved_t2.witness["diagonal_midpoints"][2]) == {"x": "2", "y": "-1"}
+    assert expected_json(moved_t2.witness["sides_sq"]) == expected_json(square.witness["sides_sq"])
 
 
 @pytest.mark.parametrize("literal", ["1/0", "-3/0", "7" * 4301, "1/" + "7" * 4301])
@@ -588,7 +589,7 @@ def test_any_script_ends_in_report_or_dsl_error(source):
         check_position_and_words(exc)
         return
     assert isinstance(report, EvalReport)
-    json.dumps(report_json(report))
+    dumps(report_json(report))
 
 
 # Rows whose arguments can all be drawn without earlier bindings but points.
@@ -620,4 +621,4 @@ def test_wide_literal_scripts_end_in_printable_report_or_eval_error(source):
         report = evaluate(program)
     except EvalError:
         return
-    json.dumps(report_json(report))
+    dumps(report_json(report))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import pickle
 import random
@@ -47,7 +48,7 @@ from parbelos.figure import (
     sondow_checks,
 )
 from parbelos.fuzz import height_scale, rand_cusps
-from parbelos.jsonio import figure_json, value_json, verification
+from parbelos.jsonio import dumps, verification
 from parbelos.parabola import (
     LEFT,
     RIGHT,
@@ -142,7 +143,7 @@ STATEMENTS = {
 def test_tables_match_listing():
     tables = {"sondow": SONDOW, "corollaries": COROLLARIES}
     checks = {"sondow": sondow_checks(P13), "corollaries": corollary_checks(P13)}
-    json_checks = value_json(verification(P13))["checks"]
+    json_checks = verification(P13)["checks"]
     assert list(json_checks) == list(STATEMENTS)
     for group, statements in STATEMENTS.items():
         assert [(label, failure) for label, failure, *_ in tables[group]] == statements
@@ -182,7 +183,7 @@ def test_figure_paths_never_compute_a_witness(monkeypatch):
     for key, (kinds, verdict, _) in list(PREDICATES.items()):
         monkeypatch.setitem(PREDICATES, key, (kinds, verdict, no_witness))
     assert holds(P13)
-    assert value_json(verification(P13))["overall"] is True
+    assert verification(P13)["overall"] is True
     assert figure_scene(P13).points
     for suite in ("sondow+corollaries", "diagonal proof replay"):
         result = fuzz.run_suite(suite, 20, 0)
@@ -585,7 +586,7 @@ def test_cusps_off_axis():
 
 
 def test_figure_json_fields():
-    doc = figure_json(P13)
+    doc = json.loads(dumps(P13))
     assert doc["T1"] == {"x": "1/2", "y": "-1/2"}
     assert doc["contact_T"] == {"x": "1", "y": "-3/4"}
     assert doc["circumcircle_K"] == {
@@ -596,7 +597,7 @@ def test_figure_json_fields():
     assert len(doc["square_R"]) == 4
     expected_fields = set(type(P13).__dataclass_fields__)
     assert expected_fields <= set(doc)
-    verified = value_json(verification(P13))
+    verified = verification(P13)
     assert verified["overall"] is True
     assert set(verified["checks"]) == {"sondow", "corollaries"}
     assert all(verified["checks"]["sondow"].values())

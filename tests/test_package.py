@@ -7,7 +7,8 @@ an error class that nothing raises any more, a private function, class or
 method that nothing calls any more, a private module-level constant that
 nothing reads any more, and a public function or class that the package
 does not use and the README does not name; a seventh keeps each error
-template's ``{}`` fields matched to the values raised with it.
+template's ``{}`` fields matched to the values raised with it, and an eighth
+keeps the standard library's ``json`` out of every module but ``jsonio``.
 """
 
 import ast
@@ -50,6 +51,23 @@ def test_all_matches_the_package_imports():
     assert len(parbelos.__all__) == len(set(parbelos.__all__))
     assert [name for name in parbelos.__all__ if not hasattr(parbelos, name)] == []
     assert public - set(parbelos.__all__) == set()
+
+
+def test_only_jsonio_imports_the_json_module():
+    """``jsonio.dumps`` is the one JSON writer: no other module imports the
+    standard library's ``json`` or one of its submodules."""
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in modules):
+                importers.add(path.stem)
+    assert importers == {"jsonio"}
 
 
 def raised_names(tree: ast.Module) -> set[str]:
